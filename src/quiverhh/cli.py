@@ -410,26 +410,6 @@ def _dims_text(dims):
     return ",".join(str(d) for d in dims)
 
 
-def _combo_text(coords, field, prefix="h"):
-    # linear combination of basis labels h0, h1, ... from a coordinate vector
-    parts = []
-    for k, c in enumerate(coords):
-        if c == field.zero:
-            continue
-        mag = c
-        neg = False
-        if field.char == 0 and c < 0:
-            neg = True
-            mag = -c
-        name = "%s%d" % (prefix, k)
-        body = name if mag == field.one else "%s*%s" % (mag, name)
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 def cmd_gb(args, out):
     field, quiver, relations = _load_algebra(args.file)
     gb = _gb_of(field, quiver, relations, args.max_tip_len)
@@ -462,13 +442,13 @@ def _print_hh(algebra, out):
     out("hh1: %d" % pres.dim)
     for i, label in enumerate(pres.basis_labels):
         out("h[%d]: %s" % (i, label))
-    field = algebra.field
     for i in range(pres.dim):
         for j in range(i + 1, pres.dim):
             coords = pres.structure_constants.get((i, j))
-            if coords is None or all(c == field.zero for c in coords):
+            if coords is None or not any(coords):
                 continue
-            out("[h%d,h%d]: %s" % (i, j, _combo_text(coords, field)))
+            text = sl.format_vector(coords, lambda k: "h%d" % k)
+            out("[h%d,h%d]: %s" % (i, j, text))
     out("derived: %s" % _dims_text(pres.derived_dims))
     out("solvable: %s" % _bool(pres.solvable))
     rep = graded_report(algebra, sl)
@@ -597,6 +577,18 @@ def cmd_report(args, out):
     return _print_report(rep, out)
 
 
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    # argparse names the type in its "invalid <name> value" message
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quiverhh",
@@ -627,7 +619,8 @@ def build_parser():
 
     p = sub.add_parser("chains", help="sizes of the chain sets W(i)")
     p.add_argument("file", help="algebra file")
-    p.add_argument("--n", type=int, required=True, help="highest chain degree")
+    p.add_argument("--n", type=_int_at_least(-1), required=True,
+                   help="highest chain degree, at least -1")
     add_caps(p)
     p.set_defaults(func=cmd_chains)
 
@@ -648,8 +641,8 @@ def build_parser():
                    help="run the seeded random corpus instead of a file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="corpus seed")
-    p.add_argument("--size", type=int, default=20,
-                   help="corpus size")
+    p.add_argument("--size", type=_int_at_least(1), default=20,
+                   help="corpus size, at least 1")
     add_caps(p)
     p.set_defaults(func=cmd_report)
 

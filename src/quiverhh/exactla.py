@@ -126,13 +126,12 @@ def rref(rows, field):
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    zero = field.zero
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -143,33 +142,20 @@ def rref(rows, field):
             inv = field.inv(lead)
             rows[r] = [field.mul(inv, x) for x in rows[r]]
         prow = rows[r]
+        # touch only columns where the pivot row is nonzero
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
         for i in range(nrows):
             f = rows[i][c]
-            if i == r or f == zero:
+            if i == r or not f:
                 continue
             row = rows[i]
-            # touch only columns where the pivot row is nonzero
-            for j in range(c, ncols):
-                pj = prow[j]
-                if pj != zero:
-                    row[j] = field.sub(row[j], field.mul(f, pj))
+            for j, pj in support:
+                row[j] = field.sub(row[j], field.mul(f, pj))
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return r, rows, tuple(pivots)
-
-
-def mat_vec(rows, vec, field):
-    out = []
-    zero = field.zero
-    for row in rows:
-        acc = zero
-        for a, x in zip(row, vec):
-            if a != zero and x != zero:
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return out
 
 
 def transpose(rows):
@@ -194,21 +180,19 @@ class Subspace:
     def reduce(self, vec):
         """Normal form of vec modulo this subspace (kill pivot coordinates)."""
         f = self.field
-        zero = f.zero
         vec = list(vec)
         for row, p in zip(self.basis, self.pivots):
             c = vec[p]
-            if c == zero:
+            if not c:
                 continue
             for j in range(p, self.ambient_dim):
                 rj = row[j]
-                if rj != zero:
+                if rj:
                     vec[j] = f.sub(vec[j], f.mul(c, rj))
         return vec
 
     def contains(self, vec):
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def __eq__(self, other):
         return (

@@ -315,8 +315,6 @@ def tip_of(a):
 
 
 def format_scalar(c, field):
-    if field.char == 0:
-        return str(c)
     return str(c)
 
 

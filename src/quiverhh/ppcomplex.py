@@ -22,7 +22,7 @@ from .exactla import (
     coset_coordinates, kernel_basis, row_space, subspace_quotient,
 )
 from .pathalg import FreeElement, Path, compose
-from .quotient import project_pi
+from .quotient import project_sparse
 
 
 class NotParallel(Exception):
@@ -48,20 +48,25 @@ def substitute(eps, alpha, gamma):
     field = eps.field if isinstance(eps, FreeElement) else None
     if field is None:
         raise TypeError("eps must be a FreeElement")
-    acc = FreeElement(quiver, field)
-    one = field.one
-    for p, coeff in eps.terms.items():
+    acc = {}
+    for q, coeff in _substitutions(eps.terms.items(), alpha, gamma):
+        acc[q] = field.add(acc.get(q, field.zero), coeff)
+    return FreeElement(quiver, field, acc)
+
+
+def _substitutions(terms, alpha, gamma):
+    """(q, coeff) per occurrence of arrow index alpha in each (p, coeff) of
+    terms, q being p with that occurrence replaced by the parallel gamma."""
+    for p, coeff in terms:
         word = p.arrows
         for i, a in enumerate(word):
             if a != alpha:
                 continue
             new = word[:i] + gamma.arrows + word[i + 1:]
             if new:
-                q = Path(quiver, new)
+                yield Path(p.quiver, new), coeff
             else:
-                q = Path(quiver, (), base=p.source)
-            acc = acc.add(FreeElement.from_path(q, field, coeff))
-    return acc
+                yield Path(p.quiver, (), base=p.source), coeff
 
 
 def substitute_path(p, alpha, gamma, field):
@@ -86,12 +91,13 @@ class CochainSlice:
 
     Matrices are dense row-major: psi0 has one row per Q1//B pair and one
     column per Q0//B pair; psi1 one row per Tip//B pair and one column
-    per Q1//B pair.
+    per Q1//B pair.  The bracket of two Q1//B pairs depends on the pairs
+    alone, so it is tabulated by index pair as it is first needed.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0", "psi1", "_hh1",
+        "q1_index", "psi0", "psi1", "_hh1", "_brackets",
     )
 
     def __init__(self, algebra):
@@ -121,6 +127,7 @@ class CochainSlice:
         self.psi0 = self._build_psi0()
         self.psi1 = self._build_psi1()
         self._hh1 = None
+        self._brackets = {}
 
     def _build_psi0(self):
         a = self.algebra
@@ -130,18 +137,14 @@ class CochainSlice:
             for arr in quiver.arrows_from(v):
                 # (arr, pi(arr . gamma)), arrow applied after gamma
                 prod = compose(quiver.arrow(arr), gamma)
-                vec = project_pi(FreeElement.from_path(prod, field), a)
-                for bi, c in enumerate(vec):
-                    if c != field.zero:
-                        r = self.q1_index[(arr, a.basis[bi])]
-                        rows[r][col] = field.add(rows[r][col], c)
+                for bi, c in a.path_coords(prod).items():
+                    r = self.q1_index[(arr, a.basis[bi])]
+                    rows[r][col] = field.add(rows[r][col], c)
             for arr in quiver.arrows_into(v):
                 prod = compose(gamma, quiver.arrow(arr))
-                vec = project_pi(FreeElement.from_path(prod, field), a)
-                for bi, c in enumerate(vec):
-                    if c != field.zero:
-                        r = self.q1_index[(arr, a.basis[bi])]
-                        rows[r][col] = field.sub(rows[r][col], c)
+                for bi, c in a.path_coords(prod).items():
+                    r = self.q1_index[(arr, a.basis[bi])]
+                    rows[r][col] = field.sub(rows[r][col], c)
         return rows
 
     def _build_psi1(self):
@@ -151,18 +154,36 @@ class CochainSlice:
         for i, (t, b) in enumerate(self.tip_pairs):
             tip_index[(t, b)] = i
         rows = [[field.zero] * len(self.q1_pairs) for _ in self.tip_pairs]
+        elems = [(g.tip()[0], list(g.terms.items())) for g in a.gb.elements]
         for col, (arr, gamma) in enumerate(self.q1_pairs):
-            for g in a.gb.elements:
-                tg, _ = g.tip()
-                img = substitute(g, arr, gamma)
-                if img.is_zero:
-                    continue
-                vec = project_pi(img, a)
-                for bi, c in enumerate(vec):
-                    if c != field.zero:
-                        r = tip_index[(tg, a.basis[bi])]
-                        rows[r][col] = field.add(rows[r][col], c)
+            for tg, terms in elems:
+                img = project_sparse(_substitutions(terms, arr, gamma), a)
+                for bi, c in img.items():
+                    r = tip_index[(tg, a.basis[bi])]
+                    rows[r][col] = field.add(rows[r][col], c)
         return rows
+
+    def _pair_bracket(self, i, j):
+        """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for pairs i and
+        j, as a sparse {Q1//B index: coeff} dict, memoized."""
+        got = self._brackets.get((i, j))
+        if got is not None:
+            return got
+        a = self.algebra
+        field = a.field
+        (ai, gi), (aj, gj) = self.q1_pairs[i], self.q1_pairs[j]
+        got = {}
+        for arrow, path, alpha, gamma, sign in ((aj, gj, ai, gi, field.one),
+                                                (ai, gi, aj, gj, field.neg(field.one))):
+            img = project_sparse(_substitutions(((path, sign),), alpha, gamma), a)
+            for bi, c in img.items():
+                idx = self.q1_index.get((arrow, a.basis[bi]))
+                if idx is None:
+                    raise AssertionError("bracket left the pair space")
+                got[idx] = field.add(got.get(idx, field.zero), c)
+        got = {k: c for k, c in got.items() if c}
+        self._brackets[(i, j)] = got
+        return got
 
     # -- derived spaces ------------------------------------------------
 
@@ -170,8 +191,15 @@ class CochainSlice:
         return kernel_basis(self.psi1, self.algebra.field, ncols=len(self.q1_pairs))
 
     def image_psi0(self):
-        cols = [[row[j] for row in self.psi0] for j in range(len(self.q0_pairs))]
-        return row_space(cols, self.algebra.field, ambient_dim=len(self.q1_pairs))
+        return row_space(self._psi0_columns(), self.algebra.field,
+                         ambient_dim=len(self.q1_pairs))
+
+    def _psi0_columns(self, degree=None):
+        """Columns of psi0 whose Q0//B pair (v, gamma) has l(gamma) = degree,
+        all columns by default."""
+        return [[row[j] for row in self.psi0]
+                for j, (_, gamma) in enumerate(self.q0_pairs)
+                if degree is None or gamma.length == degree]
 
     def hh1_spaces(self):
         if self._hh1 is None:
@@ -185,17 +213,20 @@ class CochainSlice:
         arr, b = self.q1_pairs[i]
         return f"({self.algebra.quiver.arrow_names[arr]},{b!r})"
 
-    def format_vector(self, vec):
+    def format_vector(self, vec, label=None):
+        """Signed combination of the nonzero coordinates of vec; label(i)
+        names coordinate i, the Q1//B pair by default."""
         field = self.algebra.field
+        label = label or self.pair_label
         chunks = []
         for i, c in enumerate(vec):
-            if c == field.zero:
+            if not c:
                 continue
             mag, neg = c, False
             if field.char == 0 and c < 0:
                 mag, neg = -c, True
-            label = self.pair_label(i)
-            body = label if mag == field.one else f"{mag}*{label}"
+            name = label(i)
+            body = name if mag == field.one else f"{mag}*{name}"
             if not chunks:
                 chunks.append("-" + body if neg else body)
             else:
@@ -234,38 +265,16 @@ def bracket_pairs(u, v, slice_):
 
     [(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))).
     """
-    a = slice_.algebra
-    field = a.field
-    zero = field.zero
-    out = [zero] * len(slice_.q1_pairs)
-
-    def add_pair(arrow, coords, scale, sign):
-        for bi, c in enumerate(coords):
-            if c == zero:
-                continue
-            idx = slice_.q1_index.get((arrow, a.basis[bi]))
-            if idx is None:
-                raise AssertionError("bracket left the pair space")
-            val = field.mul(scale, c)
-            if sign < 0:
-                val = field.neg(val)
-            out[idx] = field.add(out[idx], val)
-
+    field = slice_.algebra.field
+    out = [field.zero] * len(slice_.q1_pairs)
+    nz_v = [(j, cj) for j, cj in enumerate(v) if cj]
     for i, ci in enumerate(u):
-        if ci == zero:
+        if not ci:
             continue
-        ai, gi = slice_.q1_pairs[i]
-        for j, cj in enumerate(v):
-            if cj == zero:
-                continue
-            aj, gj = slice_.q1_pairs[j]
+        for j, cj in nz_v:
             scale = field.mul(ci, cj)
-            img = substitute(FreeElement.from_path(gj, field), ai, gi)
-            if not img.is_zero:
-                add_pair(aj, project_pi(img, a), scale, +1)
-            img = substitute(FreeElement.from_path(gi, field), aj, gj)
-            if not img.is_zero:
-                add_pair(ai, project_pi(img, a), scale, -1)
+            for k, c in slice_._pair_bracket(i, j).items():
+                out[k] = field.add(out[k], field.mul(scale, c))
     return out
 
 
@@ -290,22 +299,23 @@ class LiePresentation:
 def _derived_dims(dim, const, field):
     """Dims of L, [L,L], ... until stable; brackets via structure constants."""
     zero = field.zero
+    sparse = {}
+    for ij, cij in const.items():
+        nz = [(k, c) for k, c in enumerate(cij) if c]
+        if nz:
+            sparse[ij] = nz
 
     def bracket_coords(x, y):
+        # x, y: sparse [(index, coeff)] lists
         out = [zero] * dim
-        for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                cij = const.get((i, j))
+        for i, xi in x:
+            for j, yj in y:
+                cij = sparse.get((i, j))
                 if cij is None:
                     continue
                 s = field.mul(xi, yj)
-                for k, c in enumerate(cij):
-                    if c != zero:
-                        out[k] = field.add(out[k], field.mul(s, c))
+                for k, c in cij:
+                    out[k] = field.add(out[k], field.mul(s, c))
         return out
 
     current = row_space(
@@ -314,13 +324,13 @@ def _derived_dims(dim, const, field):
     dims = [current.dim]
     while True:
         gens = []
-        basis = current.basis
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                w = bracket_coords(basis[i], basis[j])
-                if any(c != zero for c in w):
+        basis = [[(i, c) for i, c in enumerate(b) if c] for b in current.basis]
+        for i, x in enumerate(basis):
+            for y in basis[i + 1:]:
+                w = bracket_coords(x, y)
+                if any(w):
                     gens.append(w)
-        nxt = row_space(gens, field, dim) if gens else row_space([], field, dim)
+        nxt = row_space(gens, field, dim)
         dims.append(nxt.dim)
         if nxt.dim == 0 or nxt.dim == dims[-2]:
             return dims
@@ -340,7 +350,7 @@ def lie_presentation(algebra, slice_=None):
                 raise AssertionError("bracket of cocycles left Ker psi1")
             cij = coset_coordinates(w, k, u)
             const[(i, j)] = cij
-            const[(j, i)] = [field.neg(c) for c in cij]
+            const[(j, i)] = [field.neg(c) if c else c for c in cij]
     dims = _derived_dims(dim, const, field) if dim else [0]
     solvable = dims[-1] == 0
     labels = [sl.format_vector(r) for r in reps]
@@ -377,10 +387,10 @@ def _coordinate_section(space, indices):
     for lam in coeffs.basis:
         v = [zero] * space.ambient_dim
         for li, l in enumerate(lam):
-            if l == zero:
+            if not l:
                 continue
             for c, x in enumerate(space.basis[li]):
-                if x != zero:
+                if x:
                     v[c] = field.add(v[c], field.mul(l, x))
         vecs.append(v)
     return row_space(vecs, field, space.ambient_dim)
@@ -416,11 +426,7 @@ def graded_report(algebra, slice_=None):
         if b.length == 1 and b.arrows[0] == arr
     }
     d00 = _coordinate_section(k, diag)
-    cols00 = []
-    for col, (v, gamma) in enumerate(sl.q0_pairs):
-        if gamma.length == 0:
-            cols00.append([sl.psi0[r][col] for r in range(len(sl.q1_pairs))])
-    u00 = row_space(cols00, field, len(sl.q1_pairs))
+    u00 = row_space(sl._psi0_columns(0), field, len(sl.q1_pairs))
     dim_l00 = subspace_quotient(d00, u00)[0]
 
     homogeneous = is_homogeneous(algebra.gb)
@@ -430,11 +436,7 @@ def graded_report(algebra, slice_=None):
         graded_dims = []
         for deg in range(0, max_deg + 1):
             ki = _coordinate_section(k, deg_indices.get(deg, set()))
-            cols = []
-            for col, (v, gamma) in enumerate(sl.q0_pairs):
-                if gamma.length == deg:
-                    cols.append([sl.psi0[r][col] for r in range(len(sl.q1_pairs))])
-            ui = row_space(cols, field, len(sl.q1_pairs))
+            ui = row_space(sl._psi0_columns(deg), field, len(sl.q1_pairs))
             graded_dims.append(subspace_quotient(ki, ui)[0])
     return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
 

@@ -2,13 +2,16 @@
 
 A QuotientAlgebra is the reduced Groebner basis plus the NonTip monomial
 basis B in llex order.  Everything downstream (cohomology, the bar
-oracle) works in coordinates over B.
+oracle) works in coordinates over B.  Normal forms are unique for a
+complete basis and pi is linear, so the projection of any element is a
+sum of per-path images; each algebra memoizes those in one map from a
+path to its sparse coordinates.
 """
 
 from __future__ import annotations
 
 from .groebner import CapExceeded, normal_form, nontip_enumerate
-from .pathalg import FreeElement, compose
+from .pathalg import FreeElement, Path, compose
 
 
 class InfiniteDimensional(Exception):
@@ -20,7 +23,7 @@ class InfiniteDimensional(Exception):
 
 
 class QuotientAlgebra:
-    __slots__ = ("quiver", "field", "gb", "basis", "index", "_multable")
+    __slots__ = ("quiver", "field", "gb", "basis", "index", "_multable", "_path_coords")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -29,6 +32,7 @@ class QuotientAlgebra:
         self.basis = basis
         self.index = {p: i for i, p in enumerate(basis)}
         self._multable = {}
+        self._path_coords = {}
 
     @property
     def dim(self):
@@ -45,12 +49,51 @@ class QuotientAlgebra:
         return vec
 
     def element_of(self, vec):
-        terms = {}
-        zero = self.field.zero
-        for i, c in enumerate(vec):
-            if c != zero:
-                terms[self.basis[i]] = c
+        terms = {self.basis[i]: c for i, c in enumerate(vec) if c}
         return FreeElement(self.quiver, self.field, terms)
+
+    def path_coords(self, p):
+        """pi(p) for one path p as a sparse {basis index: coeff} dict.
+
+        Filled on first use and shared between callers: do not mutate the
+        result.  pi is multiplicative, pi(a*w) = pi(a*pi(w)) for an arrow
+        a, so p is reached from its longest prefix (first applied arrows)
+        with a known image one arrow at a time, and only products of an
+        arrow and a basis path go through normal_form.
+        """
+        memo = self._path_coords
+        got = memo.get(p)
+        if got is not None:
+            return got
+        chain = []
+        while got is None and p not in self.index:
+            chain.append(p)
+            p = Path(self.quiver, p.arrows[:-1])
+            got = memo.get(p)
+        if got is None:
+            got = memo[p] = {self.index[p]: self.field.one}
+        for q in reversed(chain):
+            arrow = self.quiver.arrow(q.arrows[-1])
+            got = memo[q] = _combine(
+                ((self._arrow_product(arrow, j), c) for j, c in got.items()), self.field)
+        return got
+
+    def _arrow_product(self, arrow, j):
+        """pi(arrow * basis[j]), kept in the same map."""
+        r = compose(arrow, self.basis[j])
+        if not r:
+            return {}
+        got = self._path_coords.get(r)
+        if got is None:
+            i = self.index.get(r)
+            if i is not None:
+                # NonTip is subword-closed but not product-closed
+                got = {i: self.field.one}
+            else:
+                nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
+                got = {self.index[q]: c for q, c in nf.terms.items()}
+            self._path_coords[r] = got
+        return got
 
     def __repr__(self):
         return f"QuotientAlgebra(dim={self.dim})"
@@ -65,15 +108,32 @@ def build_quotient(gb, max_basis=100000):
     return QuotientAlgebra(gb.quiver, gb.field, gb, basis)
 
 
+def _combine(pairs, field):
+    """sum c*vec over (sparse vec, coeff c) pairs, zeros dropped."""
+    out = {}
+    for vec, c in pairs:
+        for i, x in vec.items():
+            out[i] = field.add(out.get(i, field.zero), field.mul(c, x))
+    return {i: c for i, c in out.items() if c}
+
+
+def project_sparse(terms, algebra):
+    """pi(sum c*p) over (path p, coeff c) pairs as a sparse {basis index: coeff}
+    dict, zeros dropped."""
+    return _combine(((algebra.path_coords(p), c) for p, c in terms), algebra.field)
+
+
 def project_pi(f, algebra):
     """Coordinates over B of the canonical projection of f."""
-    nf = normal_form(f, algebra.gb)
-    return algebra.coords_of(nf)
+    vec = algebra.zero_vector()
+    for i, c in project_sparse(f.terms.items(), algebra).items():
+        vec[i] = c
+    return vec
 
 
 def project_element(f, algebra):
     """pi(f) as a FreeElement in normal form."""
-    return normal_form(f, algebra.gb)
+    return algebra.element_of(project_pi(f, algebra))
 
 
 def algebra_multiply(u, v, algebra):
@@ -82,17 +142,11 @@ def algebra_multiply(u, v, algebra):
     got = memo.get((u, v))
     if got is not None:
         return got
-    p, q = algebra.basis[u], algebra.basis[v]
-    r = compose(p, q)
-    if not r:
-        vec = algebra.zero_vector()
-    elif r in algebra.index:
-        # NonTip is subword-closed but not product-closed; a product of
-        # basis paths can still be a basis path, skip the reduction then
-        vec = algebra.zero_vector()
-        vec[algebra.index[r]] = algebra.field.one
-    else:
-        vec = project_pi(FreeElement.from_path(r, algebra.field), algebra)
+    r = compose(algebra.basis[u], algebra.basis[v])
+    vec = algebra.zero_vector()
+    if r:
+        for i, c in algebra.path_coords(r).items():
+            vec[i] = c
     memo[(u, v)] = vec
     return vec
 
@@ -100,17 +154,15 @@ def algebra_multiply(u, v, algebra):
 def multiply_coords(a, b, algebra):
     """Product in A of two coordinate vectors over B."""
     f = algebra.field
-    zero = f.zero
     out = algebra.zero_vector()
+    nz_b = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
-        if ca == zero:
+        if not ca:
             continue
-        for j, cb in enumerate(b):
-            if cb == zero:
-                continue
+        for j, cb in nz_b:
             c = f.mul(ca, cb)
             prod = algebra_multiply(i, j, algebra)
             for k, pk in enumerate(prod):
-                if pk != zero:
+                if pk:
                     out[k] = f.add(out[k], f.mul(c, pk))
     return out

@@ -2,15 +2,27 @@ import os
 
 import pytest
 
+from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field
+from quiverhh.groebner import complete
 from quiverhh.pathalg import Quiver, FreeElement, compose
+from quiverhh.quotient import build_quotient
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ALG_FIXTURES = [
+    "trivial_ext_kronecker.alg", "x_cubed_f3.alg", "x_cubed_q.alg",
+    "loops_char2.alg", "commuting_loops.alg"]
 
 
 def data_text(name):
     with open(os.path.join(DATA, name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def fixture_algebra(name):
+    """A fresh QuotientAlgebra (empty caches) of an algebra file in DATA."""
+    field, quiver, rels = parse_algebra(data_text(name))
+    return build_quotient(complete(rels, quiver=quiver, field=field))
 
 
 def written(quiver, *names):

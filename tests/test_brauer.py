@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -6,6 +8,7 @@ from quiverhh.exactla import Field
 from quiverhh.pathalg import format_element
 from quiverhh.groebner import complete
 from quiverhh.quotient import build_quotient
+from quiverhh.cli import brauer_to_text, main
 from quiverhh.brauer import (
     DEFAULT_SEED,
     BrauerGraph,
@@ -19,6 +22,7 @@ from quiverhh.brauer import (
     gr_relations,
     graded_degree,
     invariant_report,
+    is_degenerate,
     is_mult1_double_edge,
     random_brauer_graph,
     type3_pairs,
@@ -42,6 +46,10 @@ def double_edge():
         [("v", 1), ("w", 1)],
         [("a", "v", "w"), ("b", "v", "w")],
         {"v": ["a", "b"], "w": ["a", "b"]})
+
+
+def single_edge_11():
+    return BrauerGraph([("u", 1), ("w", 1)], [("e", "u", "w")], {})
 
 
 def single_loop():
@@ -246,6 +254,24 @@ class TestInvariantReport:
         assert status["hh1-formula-no-loops"] == "skipped"
         assert status["solvable"] == "ok"
 
+    def test_degenerate_single_edge_skips_formulas(self, tmp_path):
+        graph = single_edge_11()
+        assert is_degenerate(graph)
+        rep = invariant_report(graph, Field(0))
+        assert (rep.dim_a, rep.dim_gr, rep.dim_hh1_a, rep.dim_hh1_gr) == (1, 1, 0, 0)
+        status = {c.name: c.status for c in rep.checks}
+        for name in ["l00-dim", "l00-dim-gr", "hh1-difference",
+                     "hh1-formula-no-loops"]:
+            assert status[name] == "skipped"
+        assert rep.ok
+        path = tmp_path / "edge.bg"
+        path.write_text(brauer_to_text(Field(0), graph))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["report", str(path)])
+        assert (rc, err.getvalue()) == (0, "")
+        assert out.getvalue().splitlines()[-1] == "status: PASS"
+
     def test_characteristic_gate(self):
         rep = invariant_report(single_edge_23(), Field(2))
         status = {c.name: c.status for c in rep.checks}
@@ -278,6 +304,11 @@ class TestCorpus:
 
         assert any(g.has_loop() for g in graphs)
         assert any(has_multi(g) for g in graphs)
+
+    def test_small_sizes_diversify(self):
+        for seed in range(20):
+            graphs = corpus(seed, 1)
+            assert any(g.has_loop() for g in graphs)
 
     def test_degenerate_graph_excluded(self):
         rng = random.Random(99)

@@ -26,6 +26,9 @@ def run_cli(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
 def fixture(name):
     return os.path.join(DATA, name)
 
@@ -253,6 +256,17 @@ class TestSubcommands:
         assert len(body) >= 4
 
 
+class TestGolden:
+    """Full stdout, captured before the path map and bracket table existed."""
+
+    @pytest.mark.parametrize("name", ["xy4_q", "xy4_gf2"])
+    def test_hh_stdout(self, name):
+        rc, out, err = run_cli("hh", os.path.join(GOLDEN, name + ".alg"))
+        assert (rc, err) == (0, "")
+        with open(os.path.join(GOLDEN, name + ".hh.out"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
 class TestConsistency:
     """The Brauer pipeline and the emitted algebra file agree."""
 
@@ -338,3 +352,18 @@ class TestExitCodes:
     def test_report_needs_input(self):
         with pytest.raises(SystemExit):
             run_cli("report")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chains", "--n", "-5", fixture("x_cubed_q.alg")],
+         "error: argument --n: must be at least -1, got -5"),
+        (["report", "--corpus", "--size", "0"],
+         "error: argument --size: must be at least 1, got 0"),
+    ])
+    def test_out_of_range_argument_is_2(self, argv, message):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert message in err.getvalue()

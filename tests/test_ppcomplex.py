@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhh.exactla import Field
 from quiverhh.pathalg import FreeElement, Path, Quiver
-from quiverhh.groebner import GroebnerBasis, complete
+from quiverhh.groebner import GroebnerBasis, complete, normal_form
 from quiverhh.quotient import build_quotient
 from quiverhh.ppcomplex import (
     CochainSlice,
@@ -20,7 +21,7 @@ from quiverhh.ppcomplex import (
     substitute_path,
 )
 
-from conftest import elem, wnames, written
+from conftest import ALG_FIXTURES, elem, fixture_algebra, wnames, written
 
 
 def pname(quiver, p):
@@ -113,6 +114,40 @@ def psi1_columns(sl):
                 ent[(pname(quiver, t), pname(quiver, b))] = str(c)
         out[(quiver.arrow_names[a], pname(quiver, g))] = ent
     return out
+
+
+def direct_bracket(u, v, sl):
+    """[u, v] from the pair formula: substitute, then normal_form, no table."""
+    A = sl.algebra
+    F = A.field
+    out = [F.zero] * len(sl.q1_pairs)
+    for i, ci in enumerate(u):
+        for j, cj in enumerate(v):
+            if not ci or not cj:
+                continue
+            (ai, gi), (aj, gj) = sl.q1_pairs[i], sl.q1_pairs[j]
+            scale = F.mul(ci, cj)
+            for arrow, img, sign in (
+                    (aj, substitute(FreeElement.from_path(gj, F), ai, gi), F.one),
+                    (ai, substitute(FreeElement.from_path(gi, F), aj, gj), F.neg(F.one))):
+                for p, c in normal_form(img, A.gb).terms.items():
+                    k = sl.q1_index[(arrow, p)]
+                    out[k] = F.add(out[k], F.mul(F.mul(scale, sign), c))
+    return out
+
+
+class TestBracketTable:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(ALG_FIXTURES), data=st.data())
+    def test_table_matches_direct_formula(self, name, data):
+        A = fixture_algebra(name)
+        sl = CochainSlice(A)
+        n = len(sl.q1_pairs)
+        vec = st.lists(st.integers(-2, 2).map(A.field.of), min_size=n, max_size=n)
+        pairs = [(data.draw(vec), data.draw(vec)) for _ in range(3)]
+        expected = [direct_bracket(u, v, sl) for u, v in pairs]
+        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # cold table
+        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # warm table
 
 
 class TestSubstitute:

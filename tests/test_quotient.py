@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverhh.exactla import Field
-from quiverhh.pathalg import FreeElement, Path, Quiver, format_element
-from quiverhh.groebner import complete
+from quiverhh.pathalg import FreeElement, Path, Quiver, compose, format_element
+from quiverhh.groebner import complete, normal_form
 from quiverhh.quotient import (
     InfiniteDimensional,
     algebra_multiply,
@@ -13,7 +13,7 @@ from quiverhh.quotient import (
     project_pi,
 )
 
-from conftest import elem, wnames, written
+from conftest import ALG_FIXTURES, elem, fixture_algebra, wnames, written
 
 
 def loops_quiver():
@@ -87,6 +87,38 @@ class TestProjection:
                  (1, written(quiver, "x", "x")))
         vec = project_pi(f, A)
         assert project_pi(A.element_of(vec), A) == vec
+
+
+def random_element(data, quiver, field):
+    """A few random walks of length up to 8 with small coefficients."""
+    f = FreeElement(quiver, field)
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = quiver.trivial(data.draw(st.integers(0, quiver.n_vertices - 1)))
+        for _ in range(data.draw(st.integers(0, 8))):
+            out = quiver.arrows_from(p.target)
+            if not out:
+                break
+            p = compose(quiver.arrow(data.draw(st.sampled_from(out))), p)
+        coeff = field.of(data.draw(st.integers(-3, 3)))
+        f = f.add(FreeElement.from_path(p, field, coeff))
+    return f
+
+
+class TestPathMap:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(ALG_FIXTURES), data=st.data())
+    def test_memoized_projection_matches_normal_form(self, name, data):
+        A = fixture_algebra(name)
+        fs = [random_element(data, A.quiver, A.field) for _ in range(3)]
+        expected = [A.coords_of(normal_form(f, A.gb)) for f in fs]
+        assert [project_pi(f, A) for f in fs] == expected  # cold map
+        assert [project_pi(f, A) for f in fs] == expected  # warm map
+
+    def test_entries_are_shared(self):
+        quiver, _, A = char2_algebra()
+        p = written(quiver, "x", "x", "x")
+        assert A.path_coords(p) is A.path_coords(p)
+        assert A.path_coords(p) == {A.index[written(quiver, "y", "x", "x")]: 1}
 
 
 class TestMultiplication:
