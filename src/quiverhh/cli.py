@@ -416,9 +416,9 @@ def cmd_gb(args, out):
     out("field: %s" % _field_text(field))
     out("size: %d" % len(gb.elements))
     out("closure-added: %d" % gb.closure_added)
-    for i, g in enumerate(gb.elements):
+    for i, (g, t) in enumerate(zip(gb.elements, gb.tips())):
         out("gb[%d]: %s" % (i, format_element(g)))
-        out("tip[%d]: %s" % (i, format_path(g.tip()[0])))
+        out("tip[%d]: %s" % (i, format_path(t)))
     return 0
 
 
@@ -667,17 +667,24 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Incomplete as exc:
-        print("error: completion exceeded the tip length cap (offender %s)"
-              % format_element(exc.offender), file=sys.stderr)
+        print("error: completion exceeded the tip length cap --max-tip-len %s: "
+              "an adjoined element has a tip of length %d (offender %s)"
+              % (exc.cap, exc.tip_length, format_element(exc.offender)), file=sys.stderr)
         return 3
-    except CapExceeded:
-        print("error: basis enumeration exceeded the cap", file=sys.stderr)
-        return 3
-    except InfiniteDimensional:
-        print("error: quotient algebra is not finite dimensional "
-              "within the basis cap", file=sys.stderr)
+    except (CapExceeded, InfiniteDimensional) as exc:
+        print("error: %s" % _infinite_text(exc), file=sys.stderr)
         return 3
 
+
+def _infinite_text(exc):
+    """Why NonTip enumeration stopped, with the numbers."""
+    if exc.window is not None:
+        return ("quotient algebra is not finite dimensional: proven infinite, a NonTip "
+                "path repeats the window %s and the stretch between the repeats pumps "
+                "(stopped at %d paths, --max-basis %d)"
+                % (format_path(exc.window), exc.reached, exc.cap))
+    return ("quotient algebra is not finite dimensional within the basis cap: NonTip "
+            "enumeration reached %d paths, past --max-basis %d" % (exc.reached, exc.cap))
 
 if __name__ == "__main__":
     sys.exit(main())

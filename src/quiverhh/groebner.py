@@ -8,31 +8,90 @@ Words below are manipulated in traversal order (tuples of arrow indices,
 first applied first).  A subword at traversal offset s corresponds to a
 written occurrence further right, so the leftmost written occurrence of a
 tip is the one with the largest traversal offset.
+
+Every consumer of tips reads one tip index per basis: the tip path and
+tip word of each element, found once, and a dict from tip word to
+element, so the tips occurring in a word are found by dict lookups of
+its subwords, one per tip length and offset.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 
-from .pathalg import FreeElement, Path, compose, multiply
+from .pathalg import FreeElement, Path
 
 
 class Incomplete(Exception):
     """Completion hit the tip-length cap; carries the partial basis."""
 
-    def __init__(self, partial, offender):
+    def __init__(self, partial, offender, cap=None):
         self.partial = partial
         self.offender = offender
-        t, _ = offender.tip()
-        super().__init__(f"completion exceeded tip-length cap at tip of length {t.length}")
+        self.cap = cap
+        self.tip_length = offender.tip()[0].length
+        super().__init__(f"completion exceeded tip-length cap {cap} at tip of length "
+                         f"{self.tip_length}")
 
 
 class CapExceeded(Exception):
-    """NonTip enumeration passed max_basis; the algebra may be infinite dimensional."""
+    """NonTip enumeration stopped after ``reached`` paths: past max_basis, or,
+    when ``window`` is set, at a proof of infinite dimension (a NonTip path
+    repeats that window; see nontip_enumerate)."""
 
-    def __init__(self, cap):
+    def __init__(self, cap, reached=None, window=None):
         self.cap = cap
-        super().__init__(f"NonTip enumeration exceeded {cap} paths")
+        self.reached = reached
+        self.window = window
+        what = "is infinite dimensional" if window is not None else f"exceeded {cap} paths"
+        super().__init__(f"NonTip enumeration {what}")
+
+
+class _TipIndex:
+    """The tips of a list of monic elements, found once.
+
+    ``tips[i]`` is the tip path of ``elements[i]`` and ``rests[i]`` its
+    other terms parallel to the tip.  ``first`` maps a tip word to the
+    first element with that tip, and ``lengths`` is the sorted set of tip
+    lengths.
+    """
+
+    __slots__ = ("elements", "tips", "rests", "first", "lengths")
+
+    def __init__(self, elements=()):
+        self.elements = []
+        self.tips = []
+        self.rests = []
+        self.first = {}
+        self.lengths = []
+        for g in elements:
+            self.append(g)
+
+    def append(self, g):
+        t, _ = g.tip()
+        w = t.arrows
+        self.rests.append([(q, x) for q, x in g.terms.items()
+                           if q is not t and q.parallel_to(t)])
+        if w not in self.first:
+            self.first[w] = len(self.elements)
+            if len(w) not in self.lengths:
+                insort(self.lengths, len(w))
+        self.elements.append(g)
+        self.tips.append(t)
+
+    def hits(self, word, skip=None):
+        """(traversal offset, element index) of every tip occurring in word."""
+        first, n = self.first, len(word)
+        out = []
+        for m in self.lengths:
+            if m > n:
+                break
+            for s in range(n - m + 1):
+                i = first.get(word[s:s + m])
+                if i is not None and i != skip:
+                    out.append((s, i))
+        return out
 
 
 class GroebnerBasis:
@@ -42,7 +101,7 @@ class GroebnerBasis:
     pairwise non-dividing and every tail is supported on NonTip.
     """
 
-    __slots__ = ("quiver", "field", "elements", "reduced", "closure_added")
+    __slots__ = ("quiver", "field", "elements", "reduced", "closure_added", "_index")
 
     def __init__(self, quiver, field, elements, reduced=False, closure_added=0):
         self.quiver = quiver
@@ -50,12 +109,13 @@ class GroebnerBasis:
         self.elements = list(elements)
         self.reduced = reduced
         self.closure_added = closure_added
+        self._index = None
 
     def tips(self):
-        return [g.tip()[0] for g in self.elements]
+        return list(_index_of(self).tips)
 
     def tip_words(self):
-        return [g.tip()[0].arrows for g in self.elements]
+        return [t.arrows for t in _index_of(self).tips]
 
     def __len__(self):
         return len(self.elements)
@@ -65,87 +125,109 @@ class GroebnerBasis:
         return f"GroebnerBasis({tag}{len(self.elements)} elements)"
 
 
-def _contains_word(word, sub):
-    m = len(sub)
-    if m > len(word):
-        return False
-    return any(word[s:s + m] == sub for s in range(len(word) - m + 1))
+def _index_of(basis):
+    """The tip index of a GroebnerBasis (cached), an index, or a list."""
+    if isinstance(basis, _TipIndex):
+        return basis
+    if isinstance(basis, GroebnerBasis):
+        if basis._index is None:
+            basis._index = _TipIndex(basis.elements)
+        return basis._index
+    return _TipIndex(basis)
 
 
-def _occurrences(word, sub):
-    """Traversal offsets where sub occurs in word."""
-    m = len(sub)
-    return [s for s in range(len(word) - m + 1) if word[s:s + m] == sub]
+def _add_product(terms, field, head, items, tail, subtract=False):
+    """terms += (or -=) sum x*(head q tail) over (q, x) in items, in place.
+
+    head and tail are traversal words that compose with every q; a
+    trivial product is q itself, so it keeps its base vertex.
+    """
+    op = field.sub if subtract else field.add
+    for q, x in items:
+        arrows = head + q.arrows + tail
+        r = Path(q.quiver, arrows) if arrows else q
+        old = terms.get(r)
+        if old is None:
+            terms[r] = field.neg(x) if subtract else x
+        else:
+            v = op(old, x)
+            if v:
+                terms[r] = v
+            else:
+                del terms[r]
 
 
-def _elements_of(basis):
-    return basis.elements if isinstance(basis, GroebnerBasis) else list(basis)
+def _path_key(p):
+    return p.key
 
 
-def _outer_factors(quiver, word, s, m, tip_path):
-    """Paths b, c with path(word) = b*tip*c written, tip at traversal [s, s+m)."""
-    if s + m < len(word):
-        b = Path(quiver, word[s + m:])
-    else:
-        b = Path(quiver, (), base=tip_path.target)
-    if s > 0:
-        c = Path(quiver, word[:s])
-    else:
-        c = Path(quiver, (), base=tip_path.source)
-    return b, c
-
-
-def normal_form(f, basis, rng=None):
+def normal_form(f, basis, rng=None, skip=None):
     """Remainder of f with no support path divisible by any basis tip.
 
     Deterministic by default: rewrite the llex-greatest reducible support
     path, at the leftmost written occurrence of any tip, by the first
     matching basis element.  Pass an ``rng`` (random.Random) to randomize
     all three choices; confluence of a completed basis makes the result
-    identical either way, which the property tests exercise.
+    identical either way, which the property tests exercise.  Basis
+    elements must be monic; ``skip`` leaves the element of that index out.
     """
-    elems = _elements_of(basis)
-    if not elems:
+    index = _index_of(basis)
+    if not index.lengths:
         return f
-    tips = []
-    for idx, g in enumerate(elems):
-        t, _ = g.tip()
-        tips.append((idx, t.arrows))
-    quiver, field = f.quiver, f.field
-    work = f
-    while True:
-        reducible = []
-        for p in work.terms:
-            word = p.arrows
-            if any(_contains_word(word, tw) for _, tw in tips):
-                reducible.append(p)
-        if not reducible:
-            return work
+    memo = {}
+
+    def hits(p):
+        got = memo.get(p)
+        if got is None:
+            got = memo[p] = index.hits(p.arrows, skip)
+        return got
+
+    reducible = [p for p in f.terms if hits(p)]
+    if not reducible:
+        return f
+    field, mul = f.field, f.field.mul
+    terms = dict(f.terms)
+    while reducible:
         if rng is None:
-            p = max(reducible, key=lambda q: q.key)
-        else:
-            p = rng.choice(sorted(reducible, key=lambda q: q.key))
-        word = p.arrows
-        hits = []
-        for idx, tw in tips:
-            for s in _occurrences(word, tw):
-                hits.append((s, idx))
-        if rng is None:
+            p = max(reducible, key=_path_key)
+            found = hits(p)
             # max offset = leftmost written; ties to the first element
-            best_s = max(s for s, _ in hits)
-            idx = min(i for s, i in hits if s == best_s)
-            s = best_s
+            s = max(t for t, _ in found)
+            i = min(i for t, i in found if t == s)
         else:
-            s, idx = rng.choice(sorted(hits))
-        g = elems[idx]
-        tpath, _ = g.tip()
-        b, c = _outer_factors(quiver, word, s, tpath.length, tpath)
-        lam = work.terms[p]
-        # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c, i.e.
-        # work -= lam * b*g*c  (g is monic)
-        bgc = multiply(multiply(FreeElement.from_path(b, field), g),
-                       FreeElement.from_path(c, field))
-        work = work.sub(bgc.scale(lam))
+            p = rng.choice(sorted(reducible, key=_path_key))
+            s, i = rng.choice(sorted(hits(p)))
+        word = p.arrows
+        # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c (g is monic)
+        lam = field.neg(terms.pop(p))
+        _add_product(terms, field, word[:s], [(q, mul(lam, x)) for q, x in index.rests[i]],
+                     word[s + index.tips[i].length:])
+        reducible = [q for q in terms if hits(q)]
+    out = FreeElement(f.quiver, field)
+    out.terms = terms
+    return out
+
+
+def _overlaps(tf, tg):
+    """(b, c) traversal words with tf*c = b*tg written, i.e. tf[:l] == tg[n-l:]."""
+    n = len(tg)
+    return [(tf[l:], tg[:n - l])
+            for l in range(1, min(len(tf), n) + 1) if tf[:l] == tg[n - l:]]
+
+
+def _overlap_relation(f, g, b, c, at_f, at_g, tf=None, tg=None):
+    """f*c - b*g for traversal words b and c; the terms of f must start at
+    at_f and those of g end at at_g to compose.  Pass the tips tf and tg
+    when f and g are monic and tf*c = b*tg: these two terms cancel."""
+    field = f.field
+    terms = {}
+    _add_product(terms, field, c, [(q, x) for q, x in f.terms.items()
+                                   if q is not tf and q.source == at_f], ())
+    _add_product(terms, field, (), [(q, x) for q, x in g.terms.items()
+                                    if q is not tg and q.target == at_g], b, subtract=True)
+    out = FreeElement(f.quiver, field)
+    out.terms = terms
+    return out
 
 
 def overlap_pairs(f, g):
@@ -156,35 +238,16 @@ def overlap_pairs(f, g):
     self-match (f is g, both factors trivial) is included; its overlap
     relation is identically zero and reduces away.
     """
-    tf, _ = f.tip()
-    tg, _ = g.tip()
-    wf, wg = tf.written(), tg.written()
-    m, n = len(wf), len(wg)
+    tf, tg = f.tip()[0], g.tip()[0]
     quiver = tf.quiver
-    out = []
-    for l in range(1, min(m, n) + 1):
-        if wf[m - l:] != wg[:l]:
-            continue
-        # written b = wf[:m-l] -> traversal = arrows[l:]
-        if l < m:
-            b = Path(quiver, tf.arrows[l:])
-        else:
-            b = Path(quiver, (), base=tf.target)
-        if l < n:
-            c = Path(quiver, tg.arrows[:n - l])
-        else:
-            c = Path(quiver, (), base=tg.source)
-        out.append((b, c))
-    return out
+    return [(Path(quiver, b) if b else Path(quiver, (), base=tf.target),
+             Path(quiver, c) if c else Path(quiver, (), base=tg.source))
+            for b, c in _overlaps(tf.arrows, tg.arrows)]
 
 
 def overlap_relation(f, g, b, c):
     """o(f,g,b,c) = CTip(f)^-1 f*c - CTip(g)^-1 b*g."""
-    field = f.field
-    fm, gm = f.monic(), g.monic()
-    fc = multiply(fm, FreeElement.from_path(c, field))
-    bg = multiply(FreeElement.from_path(b, field), gm)
-    return fc.sub(bg)
+    return _overlap_relation(f.monic(), g.monic(), b.arrows, c.arrows, c.target, b.source)
 
 
 def _validate_generators(generators):
@@ -211,11 +274,12 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
     if generators:
         quiver = generators[0].quiver
         field = generators[0].field
-    elems = []
+    index = _TipIndex()
     for a in generators:
-        h = normal_form(a, elems)
+        h = normal_form(a, index)
         if not h.is_zero:
-            elems.append(h.monic())
+            index.append(h.monic())
+    elems, tips = index.elements, index.tips
     queue = deque()
 
     def push_pairs(k):
@@ -229,39 +293,45 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
     closure_added = 0
     while queue:
         i, j = queue.popleft()
-        f, g = elems[i], elems[j]
-        for b, c in overlap_pairs(f, g):
-            h = normal_form(overlap_relation(f, g, b, c), elems)
+        tf, tg = tips[i], tips[j]
+        for b, c in _overlaps(tf.arrows, tg.arrows):
+            o = _overlap_relation(elems[i], elems[j], b, c, tf.source, tg.target, tf, tg)
+            h = normal_form(o, index)
             if h.is_zero:
                 continue
             h = h.monic()
-            t, _ = h.tip()
-            if t.length > max_tip_length:
-                raise Incomplete(elems, h)
-            elems.append(h)
+            if h.tip()[0].length > max_tip_length:
+                raise Incomplete(elems, h, max_tip_length)
+            index.append(h)
             closure_added += 1
             push_pairs(len(elems) - 1)
-    elems = _interreduce(elems)
+    elems = _interreduce(index)
     return GroebnerBasis(quiver, field, elems, reduced=True,
                          closure_added=closure_added)
 
 
-def _interreduce(elems):
-    """Reduce each element by the others until stable; sort by tip."""
-    elems = list(elems)
+def _interreduce(index):
+    """Reduce each element by the others until stable; sort by tip.
+
+    Tip words are pairwise distinct here, since every element entered in
+    normal form against the earlier ones, so leaving one element out of
+    the index leaves exactly the others.
+    """
+    elems = list(index.elements)
     changed = True
     while changed:
         changed = False
-        for idx in range(len(elems)):
-            others = elems[:idx] + elems[idx + 1:]
-            h = normal_form(elems[idx], others)
+        for i in range(len(elems)):
+            h = normal_form(elems[i], index, skip=i)
             if h.is_zero:
-                del elems[idx]
+                del elems[i]
+                index = _TipIndex(elems)
                 changed = True
                 break
             h = h.monic()
-            if h != elems[idx]:
-                elems[idx] = h
+            if h != elems[i]:
+                elems[i] = h
+                index = _TipIndex(elems)
                 changed = True
     elems.sort(key=lambda g: g.tip()[0].key)
     return elems
@@ -269,41 +339,49 @@ def _interreduce(elems):
 
 def is_reduced(basis):
     """Check the reduced-GB invariants (monic, tip-reduced, NonTip tails)."""
-    elems = _elements_of(basis)
-    words = [g.tip()[0].arrows for g in elems]
-    for i, g in enumerate(elems):
-        t, c = g.tip()
-        if c != g.field.one:
+    index = _index_of(basis)
+    for i, (g, t) in enumerate(zip(index.elements, index.tips)):
+        if g.terms[t] != g.field.one:
             return False
-        for j, w in enumerate(words):
-            if i != j and _contains_word(t.arrows, w):
-                return False
-        for p in g.terms:
-            if p is t or p == t:
-                continue
-            if any(_contains_word(p.arrows, w) for w in words):
-                return False
+        if index.hits(t.arrows, skip=i):
+            return False
+        if any(index.hits(p.arrows) for p in g.terms if p is not t):
+            return False
     return True
+
+
+def _repeated_window(word, d):
+    """The first length-d subword that occurs twice in word, if any."""
+    seen = set()
+    for s in range(len(word) - d + 1):
+        if word[s:s + d] in seen:
+            return word[s:s + d]
+        seen.add(word[s:s + d])
 
 
 def nontip_enumerate(basis, max_basis=100000):
     """All paths avoiding every tip as a subword, in llex order.
 
     Breadth first by length; within a length, extension by smaller arrows
-    first keeps llex order.  Raises CapExceeded past max_basis, which is
-    the infinite-dimensionality signal.
+    first keeps llex order.  Raises CapExceeded past max_basis, and at
+    once when the algebra is provably infinite dimensional (Ufnarovski's
+    criterion): with d = max(longest tip - 1, 1) a path is NonTip iff all
+    its windows of d+1 letters are, so once a NonTip path has more
+    length-d windows than there are NonTip paths of length d, one window
+    repeats and the stretch between the repeats can be pumped.
     """
-    elems = _elements_of(basis)
-    quiver = basis.quiver if isinstance(basis, GroebnerBasis) else elems[0].quiver
-    tip_words = [g.tip()[0].arrows for g in elems]
-    by_len = {}
-    for w in tip_words:
-        by_len.setdefault(len(w), set()).add(w)
+    index = _index_of(basis)
+    quiver = basis.quiver if isinstance(basis, GroebnerBasis) else index.elements[0].quiver
+    first, lengths = index.first, index.lengths
+    d = max(max(lengths, default=0) - 1, 1)
+    width = 0  # NonTip paths of length d, known once k reaches d
     out = [quiver.trivial(v) for v in range(quiver.n_vertices)]
     if len(out) > max_basis:
-        raise CapExceeded(max_basis)
+        raise CapExceeded(max_basis, len(out))
     level = out[:]
+    k = 0
     while level:
+        k += 1
         nxt = []
         for a in range(quiver.n_arrows):
             src = quiver.arrow_src[a]
@@ -313,18 +391,17 @@ def nontip_enumerate(basis, max_basis=100000):
                 word = w.arrows + (a,)
                 # the new letter is written first, so only a new written
                 # prefix (= traversal suffix) can introduce a tip
-                k = len(word)
-                bad = False
-                for m, tips in by_len.items():
-                    if m <= k and word[k - m:] in tips:
-                        bad = True
-                        break
-                if not bad:
+                if not any(word[k - m:] in first for m in lengths if m <= k):
                     nxt.append(Path(quiver, word))
-        nxt.sort(key=lambda p: p.key)
+        nxt.sort(key=_path_key)
         out.extend(nxt)
+        if k == d:
+            width = len(nxt)
+        if nxt and k == d + width:
+            window = Path(quiver, _repeated_window(nxt[0].arrows, d))
+            raise CapExceeded(max_basis, len(out), window)
         if len(out) > max_basis:
-            raise CapExceeded(max_basis)
+            raise CapExceeded(max_basis, len(out))
         level = nxt
     return out
 
@@ -348,15 +425,13 @@ def build_uf_graph(basis):
     end of uv and none occurs earlier.
     """
     quiver = basis.quiver
-    tip_words = [g.tip()[0].arrows for g in basis.elements]
+    index = _index_of(basis)
+    first, lengths = index.first, index.lengths
     nodes = {quiver.arrow(a) for a in range(quiver.n_arrows)}
-    for w in tip_words:
+    for w in index.first:
         for k in range(1, len(w)):
             nodes.add(Path(quiver, w[:k]))  # written suffix = right factor
-    nodes = sorted(nodes, key=lambda p: p.key)
-
-    def has_tip(word):
-        return any(_contains_word(word, t) for t in tip_words)
+    nodes = sorted(nodes, key=_path_key)
 
     succ = {u: [] for u in nodes}
     for u in nodes:
@@ -366,15 +441,15 @@ def build_uf_graph(basis):
             word = v.arrows + u.arrows  # uv: v applied first
             n = len(word)
             # tip ends at the written front = traversal offset 0
-            if not any(word[:len(t)] == t for t in tip_words if len(t) <= n):
+            if not any(word[:m] in first for m in lengths if m <= n):
                 continue
             # no tip inside the proper written prefix (drop last applied
             # letter = first written letter = final traversal entry)
-            if has_tip(word[1:]):
+            if index.hits(word[1:]):
                 continue
             succ[u].append(v)
     for u in nodes:
-        succ[u].sort(key=lambda p: p.key)
+        succ[u].sort(key=_path_key)
     return UfGraph(quiver, nodes, succ)
 
 
@@ -387,7 +462,7 @@ def uf_chains(basis, n):
     """
     graph = build_uf_graph(basis)
     quiver = basis.quiver
-    tip_words = [g.tip()[0].arrows for g in basis.elements]
+    index = _index_of(basis)
     levels = [[quiver.trivial(v) for v in range(quiver.n_vertices)]]
     if n < 0:
         return levels[: n + 2]
@@ -398,7 +473,7 @@ def uf_chains(basis, n):
         nxt = []
         for ch in chains:
             for v in graph.succ.get(ch[-1], ()):  # right factors only
-                if any(_contains_word(v.arrows, t) for t in tip_words):
+                if index.hits(v.arrows):
                     continue
                 nxt.append(ch + (v,))
         nxt.sort(key=lambda ch: tuple(p.key for p in ch))

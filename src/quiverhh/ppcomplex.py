@@ -117,10 +117,9 @@ class CochainSlice:
             if b.source == quiver.arrow_src[a] and b.target == quiver.arrow_tgt[a]
         ]
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
-        tips = [g.tip()[0] for g in algebra.gb.elements]
         self.tip_pairs = [
             (t, b)
-            for t in tips
+            for t in algebra.gb.tips()
             for b in algebra.basis
             if b.parallel_to(t)
         ]
@@ -154,7 +153,7 @@ class CochainSlice:
         for i, (t, b) in enumerate(self.tip_pairs):
             tip_index[(t, b)] = i
         rows = [[field.zero] * len(self.q1_pairs) for _ in self.tip_pairs]
-        elems = [(g.tip()[0], list(g.terms.items())) for g in a.gb.elements]
+        elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
         for col, (arr, gamma) in enumerate(self.q1_pairs):
             for tg, terms in elems:
                 img = project_sparse(_substitutions(terms, arr, gamma), a)
@@ -444,7 +443,7 @@ def graded_report(algebra, slice_=None):
 def loop_char_report(algebra):
     """Per loop arrow: minimal m >= 2 with a^m a tip, and char | m flag."""
     quiver, field = algebra.quiver, algebra.field
-    tips = {g.tip()[0].arrows for g in algebra.gb.elements}
+    tips = set(algebra.gb.tip_words())
     out = []
     for a in range(quiver.n_arrows):
         if quiver.arrow_src[a] != quiver.arrow_tgt[a]:

@@ -15,11 +15,16 @@ from .pathalg import FreeElement, Path, compose
 
 
 class InfiniteDimensional(Exception):
-    """NonTip enumeration blew the cap; the quotient is (probably) infinite."""
+    """NonTip enumeration stopped after ``reached`` paths: past the cap (the
+    quotient is probably infinite), or, when ``window`` is set, at a proof
+    that it is infinite (see ``nontip_enumerate``)."""
 
-    def __init__(self, cap):
+    def __init__(self, cap, reached=None, window=None):
         self.cap = cap
-        super().__init__(f"quotient dimension exceeds cap {cap}")
+        self.reached = reached
+        self.window = window
+        what = "is infinite dimensional" if window is not None else f"exceeds cap {cap}"
+        super().__init__(f"quotient dimension {what}")
 
 
 class QuotientAlgebra:
@@ -100,11 +105,12 @@ class QuotientAlgebra:
 
 
 def build_quotient(gb, max_basis=100000):
-    """Enumerate B = NonTip and wrap it up; InfiniteDimensional past the cap."""
+    """Enumerate B = NonTip and wrap it up; InfiniteDimensional past the cap
+    or on proof of infinite dimension."""
     try:
         basis = nontip_enumerate(gb, max_basis=max_basis)
-    except CapExceeded:
-        raise InfiniteDimensional(max_basis) from None
+    except CapExceeded as exc:
+        raise InfiniteDimensional(exc.cap, exc.reached, exc.window) from None
     return QuotientAlgebra(gb.quiver, gb.field, gb, basis)
 
 

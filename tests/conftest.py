@@ -1,4 +1,6 @@
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -53,3 +55,19 @@ def rationals():
 def two_loops():
     # x > y (y declared first)
     return Quiver(["e"], [("y", "e", "e"), ("x", "e", "e")])
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time, so a
+    hang fails the test instead of stalling the suite (main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within %s s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -16,7 +16,7 @@ from quiverhh.cli import (
     parse_brauer,
 )
 
-from conftest import DATA, data_text
+from conftest import DATA, data_text, time_limit
 
 
 def run_cli(*argv):
@@ -267,6 +267,31 @@ class TestGolden:
             assert out == fh.read()
 
 
+class TestGoldenCompletion:
+    """Full stdout, captured before the tip index existed: algebras whose
+    completion adjoins elements, and two corpus graphs."""
+
+    @pytest.mark.parametrize("name", ["sampled_loops_q", "sampled_loops_gf3"])
+    @pytest.mark.parametrize("command", ["gb", "hh"])
+    def test_adjoining_completion_stdout(self, name, command):
+        rc, out, err = run_cli(command, fixture(name + ".alg"))
+        assert (rc, err) == (0, "")
+        with open(os.path.join(GOLDEN, "%s.%s.out" % (name, command)), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+    def test_fixtures_adjoin_elements(self):
+        for name in ("sampled_loops_q", "sampled_loops_gf3"):
+            _, out, _ = run_cli("gb", fixture(name + ".alg"))
+            assert int(lines_of(out)["closure-added"]) > 0
+
+    @pytest.mark.parametrize("name", ["corpus_g06", "corpus_g12"])
+    def test_report_stdout(self, name):
+        rc, out, err = run_cli("report", os.path.join(GOLDEN, name + ".bg"))
+        assert (rc, err) == (0, "")
+        with open(os.path.join(GOLDEN, name + ".report.out"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
 class TestConsistency:
     """The Brauer pipeline and the emitted algebra file agree."""
 
@@ -335,6 +360,44 @@ class TestExitCodes:
         rc, _, err = run_cli("basis", "--max-basis", "50", str(alg))
         assert rc == 3
         assert "not finite dimensional" in err
+
+    def test_completion_cap_names_cap_and_tip_length(self, tmp_path):
+        alg = tmp_path / "wild.alg"
+        alg.write_text(
+            "field Q\nvertex e\narrow y: e -> e\narrow x: e -> e\n"
+            "rel x^2 - x*y\n")
+        rc, _, err = run_cli("gb", "--max-tip-len", "6", str(alg))
+        assert rc == 3
+        assert err == ("error: completion exceeded the tip length cap --max-tip-len 6: "
+                       "an adjoined element has a tip of length 7 "
+                       "(offender x*y^5*x - x*y^6)\n")
+
+    def test_basis_cap_names_cap_and_paths_reached(self):
+        rc, out, err = run_cli("basis", "--max-basis", "10", os.path.join(GOLDEN, "xy4_q.alg"))
+        assert (rc, out) == (3, "")
+        assert err == ("error: quotient algebra is not finite dimensional within the "
+                       "basis cap: NonTip enumeration reached 13 paths, past --max-basis 10\n")
+
+    @pytest.mark.parametrize("text,window,reached", [
+        ("vertex e\narrow x: e -> e\n", "x", 3),
+        ("vertex u\nvertex v\narrow a: u -> v\narrow b: v -> u\n", "a", 8),
+    ])
+    def test_proven_infinite_is_3_at_once(self, tmp_path, text, window, reached):
+        alg = tmp_path / "infinite.alg"
+        alg.write_text("field Q\n" + text)
+        with time_limit(20):
+            rc, out, err = run_cli("hh", str(alg))
+        assert (rc, out) == (3, "")
+        assert err == ("error: quotient algebra is not finite dimensional: proven infinite, "
+                       "a NonTip path repeats the window %s and the stretch between the "
+                       "repeats pumps (stopped at %d paths, --max-basis 100000)\n"
+                       % (window, reached))
+
+    def test_finite_control_is_0(self):
+        with time_limit(20):
+            rc, out, err = run_cli("hh", fixture("x_cubed_q.alg"))
+        assert (rc, err) == (0, "")
+        assert lines_of(out)["dim"] == "3"
 
     def test_failed_check_reports_1(self):
         rep = BGAReport(

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field
-from quiverhh.pathalg import FreeElement, Path, Quiver, format_element, multiply
+from quiverhh.pathalg import FreeElement, Path, Quiver, format_element, format_path, multiply
 from quiverhh.groebner import (
     CapExceeded,
     GroebnerBasis,
@@ -18,7 +19,7 @@ from quiverhh.groebner import (
     uf_chains,
 )
 
-from conftest import elem, wnames, written
+from conftest import ALG_FIXTURES, data_text, elem, time_limit, wnames, written
 
 
 def word(quiver, path):
@@ -338,3 +339,274 @@ class TestConfluence:
         prod = multiply(multiply(FreeElement.from_path(b, F2), g),
                         FreeElement.from_path(c, F2))
         assert normal_form(prod, gb).is_zero
+
+
+# -- reference implementation ----------------------------------------------
+# normal_form, overlap_pairs and overlap_relation as they were before the
+# tip index, with their helpers, kept verbatim (only renamed) as test-only
+# references: they rewrite through multiply/sub and find tips by scanning.
+
+def _ref_contains_word(word, sub):
+    m = len(sub)
+    if m > len(word):
+        return False
+    return any(word[s:s + m] == sub for s in range(len(word) - m + 1))
+
+
+def _ref_occurrences(word, sub):
+    """Traversal offsets where sub occurs in word."""
+    m = len(sub)
+    return [s for s in range(len(word) - m + 1) if word[s:s + m] == sub]
+
+
+def _ref_elements_of(basis):
+    return basis.elements if isinstance(basis, GroebnerBasis) else list(basis)
+
+
+def _ref_outer_factors(quiver, word, s, m, tip_path):
+    """Paths b, c with path(word) = b*tip*c written, tip at traversal [s, s+m)."""
+    if s + m < len(word):
+        b = Path(quiver, word[s + m:])
+    else:
+        b = Path(quiver, (), base=tip_path.target)
+    if s > 0:
+        c = Path(quiver, word[:s])
+    else:
+        c = Path(quiver, (), base=tip_path.source)
+    return b, c
+
+
+def ref_normal_form(f, basis, rng=None):
+    elems = _ref_elements_of(basis)
+    if not elems:
+        return f
+    tips = []
+    for idx, g in enumerate(elems):
+        t, _ = g.tip()
+        tips.append((idx, t.arrows))
+    quiver, field = f.quiver, f.field
+    work = f
+    while True:
+        reducible = []
+        for p in work.terms:
+            word = p.arrows
+            if any(_ref_contains_word(word, tw) for _, tw in tips):
+                reducible.append(p)
+        if not reducible:
+            return work
+        if rng is None:
+            p = max(reducible, key=lambda q: q.key)
+        else:
+            p = rng.choice(sorted(reducible, key=lambda q: q.key))
+        word = p.arrows
+        hits = []
+        for idx, tw in tips:
+            for s in _ref_occurrences(word, tw):
+                hits.append((s, idx))
+        if rng is None:
+            # max offset = leftmost written; ties to the first element
+            best_s = max(s for s, _ in hits)
+            idx = min(i for s, i in hits if s == best_s)
+            s = best_s
+        else:
+            s, idx = rng.choice(sorted(hits))
+        g = elems[idx]
+        tpath, _ = g.tip()
+        b, c = _ref_outer_factors(quiver, word, s, tpath.length, tpath)
+        lam = work.terms[p]
+        # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c, i.e.
+        # work -= lam * b*g*c  (g is monic)
+        bgc = multiply(multiply(FreeElement.from_path(b, field), g),
+                       FreeElement.from_path(c, field))
+        work = work.sub(bgc.scale(lam))
+
+
+def ref_overlap_pairs(f, g):
+    tf, _ = f.tip()
+    tg, _ = g.tip()
+    wf, wg = tf.written(), tg.written()
+    m, n = len(wf), len(wg)
+    quiver = tf.quiver
+    out = []
+    for l in range(1, min(m, n) + 1):
+        if wf[m - l:] != wg[:l]:
+            continue
+        # written b = wf[:m-l] -> traversal = arrows[l:]
+        if l < m:
+            b = Path(quiver, tf.arrows[l:])
+        else:
+            b = Path(quiver, (), base=tf.target)
+        if l < n:
+            c = Path(quiver, tg.arrows[:n - l])
+        else:
+            c = Path(quiver, (), base=tg.source)
+        out.append((b, c))
+    return out
+
+
+def ref_overlap_relation(f, g, b, c):
+    field = f.field
+    fm, gm = f.monic(), g.monic()
+    fc = multiply(fm, FreeElement.from_path(c, field))
+    bg = multiply(FreeElement.from_path(b, field), gm)
+    return fc.sub(bg)
+
+
+# -- the tip-index rewrite equals the reference ------------------------------
+
+REFERENCE_FIXTURES = ALG_FIXTURES + ["sampled_loops_q.alg", "sampled_loops_gf3.alg"]
+_FIXTURE_CACHE = {}
+
+
+def fixture_gb(name):
+    """(generators, reduced Groebner basis) of an algebra file in tests/data."""
+    got = _FIXTURE_CACHE.get(name)
+    if got is None:
+        field, quiver, rels = parse_algebra(data_text(name))
+        got = _FIXTURE_CACHE[name] = (rels, complete(rels, quiver=quiver, field=field))
+    return got
+
+
+def draw_path(data, quiver, min_len, max_len):
+    """A random walk in quiver; may stop early at a vertex with no way out."""
+    v = data.draw(st.integers(0, quiver.n_vertices - 1))
+    arrows = []
+    for _ in range(data.draw(st.integers(min_len, max_len))):
+        out = quiver.arrows_from(v)
+        if not out:
+            break
+        a = data.draw(st.sampled_from(out))
+        arrows.append(a)
+        v = quiver.arrow_tgt[a]
+    return Path(quiver, arrows) if arrows else quiver.trivial(v)
+
+
+def draw_element(data, quiver, field, min_len, max_len, size):
+    terms = {}
+    for _ in range(data.draw(st.integers(1, size))):
+        p = draw_path(data, quiver, min_len, max_len)
+        c = field.of(data.draw(st.integers(-3, 3)))
+        terms[p] = field.add(terms.get(p, field.zero), c)
+    return FreeElement(quiver, field, terms)
+
+
+def draw_plain_list(data, quiver, field, rels):
+    """Monic elements with pairwise distinct tips of length >= 2 that are in
+    general no Groebner basis: raw relations and random elements, whose
+    tails may hold trivial paths and may not be parallel to the tip."""
+    elems, seen = [], set()
+    pool = [r.monic() for r in rels]
+    for _ in range(data.draw(st.integers(1, 5))):
+        if pool and data.draw(st.booleans()):
+            g = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        else:
+            g = draw_element(data, quiver, field, 0, 4, 3)
+        if g.is_zero or g.tip()[0].length < 2 or g.tip()[0].arrows in seen:
+            continue
+        seen.add(g.tip()[0].arrows)
+        elems.append(g.monic())
+    return elems
+
+
+class TestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(REFERENCE_FIXTURES), data=st.data(),
+           seed=st.integers(0, 2**31))
+    def test_normal_form_on_groebner_bases(self, name, data, seed):
+        with time_limit(10):
+            _, gb = fixture_gb(name)
+            f = draw_element(data, gb.quiver, gb.field, 0, 6, 5)
+            det, rnd = normal_form(f, gb), normal_form(f, gb, rng=random.Random(seed))
+        assert det == ref_normal_form(f, gb)
+        assert rnd == ref_normal_form(f, gb, rng=random.Random(seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(REFERENCE_FIXTURES), data=st.data(),
+           seed=st.integers(0, 2**31))
+    def test_normal_form_on_plain_lists(self, name, data, seed):
+        with time_limit(10):
+            rels, gb = fixture_gb(name)
+            elems = draw_plain_list(data, gb.quiver, gb.field, rels)
+            f = draw_element(data, gb.quiver, gb.field, 0, 5, 5)
+            det, rnd = normal_form(f, elems), normal_form(f, elems, rng=random.Random(seed))
+        assert det == ref_normal_form(f, elems)
+        # same random stream, same choices: equal even without confluence
+        assert rnd == ref_normal_form(f, elems, rng=random.Random(seed))
+
+    @pytest.mark.parametrize("rels,expected", [
+        # x*y occurs written left of y*x: the leftmost occurrence goes first
+        ([["xy", "-y"], ["yx", "-x"]], "x"),
+        # y*x and x*y*x both end the written word: ties to the first element
+        ([["xyx", "-yy"], ["yx", "-y"]], "y^2"),
+        ([["yx", "-y"], ["xyx", "-yy"]], "x*y"),
+    ])
+    def test_choice_rules_pinned(self, two_loops, rels, expected):
+        Q = Field(0)
+        elems = [elem(Q, two_loops, *[(-1 if w[0] == "-" else 1,
+                                       written(two_loops, *w.lstrip("-"))) for w in r])
+                 for r in rels]
+        f = FreeElement.from_path(written(two_loops, "x", "y", "x"), Q)
+        assert format_element(ref_normal_form(f, elems)) == expected
+        assert format_element(normal_form(f, elems)) == expected
+
+    @pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+    def test_overlaps_of_every_pair(self, name):
+        rels, gb = fixture_gb(name)
+        for elems in (gb.elements, [r.monic() for r in rels], rels):
+            for f in elems:
+                for g in elems:
+                    pairs = overlap_pairs(f, g)
+                    assert pairs == ref_overlap_pairs(f, g)
+                    for b, c in pairs:
+                        assert overlap_relation(f, g, b, c) == ref_overlap_relation(f, g, b, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(REFERENCE_FIXTURES), data=st.data())
+    def test_overlap_relation_off_overlaps(self, name, data):
+        rels, gb = fixture_gb(name)
+        f = data.draw(st.sampled_from(gb.elements + rels))
+        g = data.draw(st.sampled_from(gb.elements + rels))
+        b = draw_path(data, gb.quiver, 0, 3)
+        c = draw_path(data, gb.quiver, 0, 3)
+        assert overlap_relation(f, g, b, c) == ref_overlap_relation(f, g, b, c)
+
+
+class TestInfiniteDimension:
+    @pytest.mark.parametrize("text,window", [
+        ("vertex e\narrow x: e -> e\n", "x"),
+        ("vertex u\nvertex v\narrow a: u -> v\narrow b: v -> u\n", "a"),
+        ("vertex e\narrow y: e -> e\narrow x: e -> e\nrel x*y\n", "y"),
+        ("vertex e\narrow y: e -> e\narrow x: e -> e\nrel x^3\nrel y^2\n", "x*y"),
+    ])
+    def test_proven_at_once(self, text, window):
+        field, quiver, rels = parse_algebra("field Q\n" + text)
+        gb = complete(rels, quiver=quiver, field=field)
+        with pytest.raises(CapExceeded) as exc:
+            nontip_enumerate(gb)
+        assert exc.value.cap == 100000
+        assert format_path(exc.value.window) == window
+        # the window is itself NonTip, and no tip is longer than d + 1
+        d = exc.value.window.length
+        assert not any(_ref_contains_word(exc.value.window.arrows, t)
+                       for t in gb.tip_words())
+        assert all(len(t) <= d + 1 for t in gb.tip_words())
+        assert exc.value.reached < 100
+
+    def test_pumped_path_stays_nontip(self):
+        field, quiver, rels = parse_algebra(
+            "field Q\nvertex e\narrow y: e -> e\narrow x: e -> e\nrel x^3\nrel y^2\n")
+        gb = complete(rels, quiver=quiver, field=field)
+        with pytest.raises(CapExceeded) as exc:
+            nontip_enumerate(gb)
+        w = exc.value.window.arrows
+        # x*y written: the stretch between two copies of the window repeats
+        for k in range(1, 6):
+            word = w * k
+            assert not any(_ref_contains_word(word, t) for t in gb.tip_words())
+
+    def test_cap_without_proof_keeps_no_window(self):
+        gb = fixture_gb("trivial_ext_kronecker.alg")[1]
+        with pytest.raises(CapExceeded) as exc:
+            nontip_enumerate(gb, max_basis=5)
+        assert exc.value.window is None
+        assert exc.value.reached > 5
