@@ -382,6 +382,9 @@ def nontip_enumerate(basis, max_basis=100000):
     k = 0
     while level:
         k += 1
+        # the new letter is written first, so only a new written prefix
+        # (= traversal suffix) can introduce a tip: test these suffixes
+        starts = [k - m for m in lengths if m <= k]
         nxt = []
         for a in range(quiver.n_arrows):
             src = quiver.arrow_src[a]
@@ -389,9 +392,10 @@ def nontip_enumerate(basis, max_basis=100000):
                 if w.target != src:
                     continue
                 word = w.arrows + (a,)
-                # the new letter is written first, so only a new written
-                # prefix (= traversal suffix) can introduce a tip
-                if not any(word[k - m:] in first for m in lengths if m <= k):
+                for s in starts:
+                    if word[s:] in first:
+                        break
+                else:
                     nxt.append(Path(quiver, word))
         nxt.sort(key=_path_key)
         out.extend(nxt)
