@@ -649,6 +649,17 @@ def build_parser():
     return parser
 
 
+def _infinite_text(exc):
+    """Why NonTip enumeration stopped, with the numbers."""
+    if exc.window is not None:
+        return ("quotient algebra is not finite dimensional: proven infinite, a NonTip "
+                "path repeats the window %s and the stretch between the repeats pumps "
+                "(stopped at %d paths, --max-basis %d)"
+                % (format_path(exc.window), exc.reached, exc.cap))
+    return ("quotient algebra is not finite dimensional within the basis cap: NonTip "
+            "enumeration reached %d paths, past --max-basis %d" % (exc.reached, exc.cap))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -675,16 +686,6 @@ def main(argv=None):
         print("error: %s" % _infinite_text(exc), file=sys.stderr)
         return 3
 
-
-def _infinite_text(exc):
-    """Why NonTip enumeration stopped, with the numbers."""
-    if exc.window is not None:
-        return ("quotient algebra is not finite dimensional: proven infinite, a NonTip "
-                "path repeats the window %s and the stretch between the repeats pumps "
-                "(stopped at %d paths, --max-basis %d)"
-                % (format_path(exc.window), exc.reached, exc.cap))
-    return ("quotient algebra is not finite dimensional within the basis cap: NonTip "
-            "enumeration reached %d paths, past --max-basis %d" % (exc.reached, exc.cap))
 
 if __name__ == "__main__":
     sys.exit(main())
