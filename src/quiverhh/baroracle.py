@@ -10,19 +10,21 @@ A+ the span of the nontrivial basis paths B+.  The differentials are
     (D0 a)(x) = ax - xa
     (D1 f)(x1 (x) x2) = x1 f(x2) - f(pA(x1 x2)) + f(x1) x2
 
-and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  Everything is dense
-and deliberately naive; independence from ppcomplex is the whole point.
+and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  The matrices are
+dense and deliberately naive; products and cochain values are sparse
+{basis index: coeff} dicts.  Independence from ppcomplex is the whole
+point.
 """
 
 from __future__ import annotations
 
-from .exactla import column_space, kernel_basis, row_space, rref, subspace_quotient
-from .quotient import algebra_multiply
+from .exactla import column_space, kernel_basis, row_space, subspace_quotient
+from .pathalg import compose
 
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis",
-                 "c1_index", "c2_index", "d0", "d1", "_parallels", "_bplus")
+                 "c1_index", "c2_index", "d0", "d1", "_parallels", "_bplus", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -54,64 +56,66 @@ class BarSlice:
         self.c2_index = {t: i for i, t in enumerate(self.c2_basis)}
         self.d0 = self._build_d0()
         self.d1 = self._build_d1(pairs)
+        self._spaces = None
+
+    def _product(self, p, q):
+        """pi(p q) as a sparse {basis index: coeff} dict, {} if p, q do not
+        compose.  Shared with the algebra's map: do not mutate."""
+        r = compose(p, q)
+        return self.algebra.path_coords(r) if r else {}
 
     def _build_d0(self):
         a = self.algebra
         field = a.field
-        zero = field.zero
-        rows = [[zero] * len(self.c0_basis) for _ in self.c1_basis]
-        for col, (v, b) in enumerate(self.c0_basis):
-            ib = a.index[b]
+        rows = [[field.zero] * len(self.c0_basis) for _ in self.c1_basis]
+        for col, (_, b) in enumerate(self.c0_basis):
             for x in self._bplus:
-                ix = a.index[x]
-                bx = algebra_multiply(ib, ix, a)
-                xb = algebra_multiply(ix, ib, a)
-                for j in range(len(a.basis)):
-                    c = field.sub(bx[j], xb[j])
-                    if c != zero:
-                        r = self.c1_index[(x, a.basis[j])]
-                        rows[r][col] = field.add(rows[r][col], c)
+                for j, c in self._product(b, x).items():
+                    row = rows[self.c1_index[(x, a.basis[j])]]
+                    row[col] = field.add(row[col], c)
+                for j, c in self._product(x, b).items():
+                    row = rows[self.c1_index[(x, a.basis[j])]]
+                    row[col] = field.sub(row[col], c)
         return rows
 
     def _build_d1(self, pairs):
         a = self.algebra
         field = a.field
-        zero = field.zero
-        rows = [[zero] * len(self.c1_basis) for _ in self.c2_basis]
-
-        def bump(row, col, c, sign):
-            if sign < 0:
-                c = field.neg(c)
-            rows[row][col] = field.add(rows[row][col], c)
-
+        rows = [[field.zero] * len(self.c1_basis) for _ in self.c2_basis]
         for x1, x2 in pairs:
-            i1, i2 = a.index[x1], a.index[x2]
-            prod = algebra_multiply(i1, i2, a)
+
+            def bump(b, col, c):
+                row = rows[self.c2_index[(x1, x2, b)]]
+                row[col] = field.add(row[col], c)
+
             # -f(pA(x1 x2)): pA drops the trivial-path coordinates
-            for j, c in enumerate(prod):
-                if c == zero:
-                    continue
+            for j, c in self._product(x1, x2).items():
                 x = a.basis[j]
                 if x.length == 0:
                     continue
                 for b in self._parallels[x]:
-                    col = self.c1_index[(x, b)]
-                    bump(self.c2_index[(x1, x2, b)], col, c, -1)
+                    bump(b, self.c1_index[(x, b)], field.neg(c))
             # +x1 f(x2) for f elementary at (x2, b)
             for b in self._parallels[x2]:
                 col = self.c1_index[(x2, b)]
-                vec = algebra_multiply(i1, a.index[b], a)
-                for j, c in enumerate(vec):
-                    if c != zero:
-                        bump(self.c2_index[(x1, x2, a.basis[j])], col, c, +1)
+                for j, c in self._product(x1, b).items():
+                    bump(a.basis[j], col, c)
             # +f(x1) x2 for f elementary at (x1, b)
             for b in self._parallels[x1]:
                 col = self.c1_index[(x1, b)]
-                vec = algebra_multiply(a.index[b], i2, a)
-                for j, c in enumerate(vec):
-                    if c != zero:
-                        bump(self.c2_index[(x1, x2, a.basis[j])], col, c, +1)
+                for j, c in self._product(b, x2).items():
+                    bump(a.basis[j], col, c)
         return rows
+
+    def spaces(self):
+        """(Ker D1, Im D0) as subspaces of C1, each differential eliminated
+        once per slice."""
+        if self._spaces is None:
+            field = self.algebra.field
+            n = len(self.c1_basis)
+            self._spaces = (kernel_basis(self.d1, field, ncols=n),
+                            column_space(self.d0, field, ambient_dim=n))
+        return self._spaces
 
 
 def build_bar_slice(algebra):
@@ -121,47 +125,28 @@ def build_bar_slice(algebra):
 def bar_hh_dims(algebra, slice_=None):
     """(dim HH0, dim HH1) = (dim Ker D0, dim Ker D1 - rank D0)."""
     sl = slice_ or BarSlice(algebra)
-    field = algebra.field
-    rank_d0 = rref(sl.d0, field)[0]
-    hh0 = len(sl.c0_basis) - rank_d0
-    rank_d1 = rref(sl.d1, field)[0]
-    hh1 = (len(sl.c1_basis) - rank_d1) - rank_d0
-    return hh0, hh1
+    k1, u0 = sl.spaces()
+    return len(sl.c0_basis) - u0.dim, k1.dim - u0.dim
 
 
 def _cochain_map(vec, sl):
-    """C1 coordinate vector -> {x in B+ : value vector over B}."""
-    a = sl.algebra
-    zero = a.field.zero
+    """C1 coordinate vector -> {basis index of x in B+: sparse value f(x)}."""
+    index = sl.algebra.index
     out = {}
     for i, c in enumerate(vec):
-        if c == zero:
-            continue
-        x, b = sl.c1_basis[i]
-        val = out.get(x)
-        if val is None:
-            val = a.zero_vector()
-            out[x] = val
-        val[a.index[b]] = a.field.add(val[a.index[b]], c)
+        if c:
+            x, b = sl.c1_basis[i]
+            out.setdefault(index[x], {})[index[b]] = c
     return out
 
 
-def _apply(fmap, vec, sl):
-    """f(pA(v)) for v a vector over B: feed the B+ coordinates through f."""
-    a = sl.algebra
-    field = a.field
-    zero = field.zero
-    out = a.zero_vector()
-    for x in sl._bplus:
-        c = vec[a.index[x]]
-        if c == zero:
-            continue
-        val = fmap.get(x)
-        if val is None:
-            continue
-        for j, w in enumerate(val):
-            if w != zero:
-                out[j] = field.add(out[j], field.mul(c, w))
+def _apply(fmap, val, field):
+    """f(pA(v)) for a sparse v over B; trivial paths have no value under f,
+    which is pA."""
+    out = {}
+    for i, c in val.items():
+        for j, w in fmap.get(i, {}).items():
+            out[j] = field.add(out.get(j, field.zero), field.mul(c, w))
     return out
 
 
@@ -169,28 +154,18 @@ def bracket_c1(u, v, sl):
     """[u, v] = u.pA.v - v.pA.u as C1 coordinate vectors."""
     a = sl.algebra
     field = a.field
-    zero = field.zero
     umap = _cochain_map(u, sl)
     vmap = _cochain_map(v, sl)
-    out = [zero] * len(sl.c1_basis)
-    for x in sl._bplus:
-        acc = None
-        vval = vmap.get(x)
-        if vval is not None:
-            acc = _apply(umap, vval, sl)
-        uval = umap.get(x)
-        if uval is not None:
-            sub = _apply(vmap, uval, sl)
-            if acc is None:
-                acc = [field.neg(c) for c in sub]
-            else:
-                acc = [field.sub(p, q) for p, q in zip(acc, sub)]
-        if acc is None:
-            continue
-        for j, c in enumerate(acc):
-            if c != zero:
-                idx = sl.c1_index[(x, a.basis[j])]
-                out[idx] = field.add(out[idx], c)
+    out = [field.zero] * len(sl.c1_basis)
+    for i in umap.keys() | vmap.keys():
+        x = a.basis[i]
+        # every term of f(x) is parallel to x, so (x, b) is a C1 pair
+        for j, c in _apply(umap, vmap.get(i, {}), field).items():
+            k = sl.c1_index[(x, a.basis[j])]
+            out[k] = field.add(out[k], c)
+        for j, c in _apply(vmap, umap.get(i, {}), field).items():
+            k = sl.c1_index[(x, a.basis[j])]
+            out[k] = field.sub(out[k], c)
     return out
 
 
@@ -198,9 +173,7 @@ def bar_derived_series(algebra, slice_=None):
     """Derived-series dims of Ker D1 / Im D0 under the cochain bracket."""
     sl = slice_ or BarSlice(algebra)
     field = algebra.field
-    zero = field.zero
-    k1 = kernel_basis(sl.d1, field, ncols=len(sl.c1_basis))
-    u0 = column_space(sl.d0, field, ambient_dim=len(sl.c1_basis))
+    k1, u0 = sl.spaces()
     dim_l = subspace_quotient(k1, u0)[0]
     dims = [dim_l]
     if dim_l == 0:
@@ -212,7 +185,7 @@ def bar_derived_series(algebra, slice_=None):
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 w = bracket_c1(basis[i], basis[j], sl)
-                if any(c != zero for c in w):
+                if any(w):
                     gens.append(w)
         nxt = row_space(gens, field, len(sl.c1_basis))
         dims.append(nxt.dim - u0.dim)

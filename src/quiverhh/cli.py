@@ -41,7 +41,7 @@ import argparse
 import re
 import sys
 
-from .exactla import parse_field
+from .exactla import Field, parse_field
 from .pathalg import ZERO, Quiver, FreeElement, compose, format_path, format_element
 from .groebner import Incomplete, CapExceeded, complete, uf_chains
 from .quotient import InfiniteDimensional, build_quotient
@@ -284,14 +284,10 @@ def parse_algebra(text):
     return field, quiver, relations
 
 
-def _field_text(field):
-    return "Q" if field.char == 0 else "GF(%d)" % field.char
-
-
 def algebra_to_text(field, quiver, relations):
     """Serialize to the algebra file format; inverse of parse_algebra
     for integer-coefficient relations."""
-    lines = ["field %s" % _field_text(field)]
+    lines = ["field %r" % field]
     lines.append("vertex %s" % " ".join(quiver.vertices))
     for name, s, t in zip(quiver.arrow_names, quiver.arrow_src, quiver.arrow_tgt):
         lines.append("arrow %s: %s -> %s" % (name, quiver.vertices[s], quiver.vertices[t]))
@@ -370,7 +366,7 @@ def parse_brauer(text):
 
 def brauer_to_text(field, graph):
     """Serialize to the Brauer graph file format; inverse of parse_brauer."""
-    lines = ["field %s" % _field_text(field)]
+    lines = ["field %r" % field]
     for name in graph.vertex_names:
         lines.append("vertex %s mult %d" % (name, graph.mult[name]))
     for name, v, w in graph.edges:
@@ -386,20 +382,9 @@ def brauer_to_text(field, graph):
 # subcommand implementations
 
 
-def _load_algebra(path):
+def _load(path, parse):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_algebra(text)
-
-
-def _load_brauer(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_brauer(text)
-
-
-def _gb_of(field, quiver, relations, max_tip_length):
-    return complete(relations, max_tip_length=max_tip_length, quiver=quiver, field=field)
+        return parse(fh.read())
 
 
 def _bool(value):
@@ -411,9 +396,9 @@ def _dims_text(dims):
 
 
 def cmd_gb(args, out):
-    field, quiver, relations = _load_algebra(args.file)
-    gb = _gb_of(field, quiver, relations, args.max_tip_len)
-    out("field: %s" % _field_text(field))
+    field, quiver, relations = _load(args.file, parse_algebra)
+    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
+    out("field: %r" % field)
     out("size: %d" % len(gb.elements))
     out("closure-added: %d" % gb.closure_added)
     for i, (g, t) in enumerate(zip(gb.elements, gb.tips())):
@@ -423,10 +408,10 @@ def cmd_gb(args, out):
 
 
 def cmd_basis(args, out):
-    field, quiver, relations = _load_algebra(args.file)
-    gb = _gb_of(field, quiver, relations, args.max_tip_len)
+    field, quiver, relations = _load(args.file, parse_algebra)
+    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
     algebra = build_quotient(gb, max_basis=args.max_basis)
-    out("field: %s" % _field_text(field))
+    out("field: %r" % field)
     out("dim: %d" % algebra.dim)
     for i, p in enumerate(algebra.basis):
         out("basis[%d]: %s" % (i, format_path(p)))
@@ -466,16 +451,16 @@ def _print_hh(algebra, out):
 
 
 def cmd_hh(args, out):
-    field, quiver, relations = _load_algebra(args.file)
-    gb = _gb_of(field, quiver, relations, args.max_tip_len)
+    field, quiver, relations = _load(args.file, parse_algebra)
+    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
     algebra = build_quotient(gb, max_basis=args.max_basis)
-    out("field: %s" % _field_text(field))
+    out("field: %r" % field)
     return _print_hh(algebra, out)
 
 
 def cmd_chains(args, out):
-    field, quiver, relations = _load_algebra(args.file)
-    gb = _gb_of(field, quiver, relations, args.max_tip_len)
+    field, quiver, relations = _load(args.file, parse_algebra)
+    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
     levels = uf_chains(gb, args.n)
     for i, level in enumerate(levels):
         out("W[%d]: %d" % (i - 1, len(level)))
@@ -483,8 +468,8 @@ def cmd_chains(args, out):
 
 
 def cmd_oracle(args, out):
-    field, quiver, relations = _load_algebra(args.file)
-    gb = _gb_of(field, quiver, relations, args.max_tip_len)
+    field, quiver, relations = _load(args.file, parse_algebra)
+    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
     algebra = build_quotient(gb, max_basis=args.max_basis)
     sl = build_cochain(algebra)
     pp_hh0, _ = compute_hh0(algebra, sl)
@@ -493,7 +478,7 @@ def cmd_oracle(args, out):
     bar = build_bar_slice(algebra)
     bar_hh0, bar_hh1 = bar_hh_dims(algebra, bar)
     bar_derived = bar_derived_series(algebra, bar)
-    out("field: %s" % _field_text(field))
+    out("field: %r" % field)
     out("pp-hh0: %d" % pp_hh0)
     out("pp-hh1: %d" % pp_hh1)
     out("pp-derived: %s" % _dims_text(pres.derived_dims))
@@ -507,7 +492,7 @@ def cmd_oracle(args, out):
 
 
 def cmd_bga(args, out):
-    field, graph = _load_brauer(args.file)
+    field, graph = _load(args.file, parse_brauer)
     if args.gr:
         relations = gr_relations(graph, field)
     else:
@@ -526,7 +511,7 @@ def _print_report(rep, out):
     graph = rep.graph
     out("vertices: %d" % len(graph.vertex_names))
     out("edges: %d" % len(graph.edges))
-    out("field: %s" % _field_text(rep.field))
+    out("field: %r" % rep.field)
     out("dimA: %d" % rep.dim_a)
     out("dimGr: %d" % rep.dim_gr)
     out("hh1A: %d" % rep.dim_hh1_a)
@@ -554,7 +539,6 @@ def cmd_report(args, out):
     if args.corpus:
         rc = 0
         graphs = corpus(seed=args.seed, size=args.size)
-        from .exactla import Field
         field = Field(0)
         for i, graph in enumerate(graphs):
             rep = invariant_report(graph, field,
@@ -570,7 +554,7 @@ def cmd_report(args, out):
                 rc = 1
         out("corpus: %s" % ("FAIL" if rc else "PASS"))
         return rc
-    field, graph = _load_brauer(args.file)
+    field, graph = _load(args.file, parse_brauer)
     rep = invariant_report(graph, field,
                            max_tip_length=args.max_tip_len,
                            max_basis=args.max_basis)
@@ -656,8 +640,8 @@ def _infinite_text(exc):
                 "path repeats the window %s and the stretch between the repeats pumps "
                 "(stopped at %d paths, --max-basis %d)"
                 % (format_path(exc.window), exc.reached, exc.cap))
-    return ("quotient algebra is not finite dimensional within the basis cap: NonTip "
-            "enumeration reached %d paths, past --max-basis %d" % (exc.reached, exc.cap))
+    return ("quotient algebra dimension exceeds --max-basis %d: NonTip enumeration "
+            "reached %d paths" % (exc.cap, exc.reached))
 
 
 def main(argv=None):
@@ -668,13 +652,7 @@ def main(argv=None):
     out = lambda line: print(line)
     try:
         return args.func(args, out)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (BrauerGraphError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, BrauerGraphError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Incomplete as exc:

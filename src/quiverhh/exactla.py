@@ -12,6 +12,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -47,7 +48,7 @@ class Field:
     canonical form.
     """
 
-    __slots__ = ("char", "zero", "one")
+    __slots__ = ("char", "zero", "one", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, char=0):
         if char != 0 and not _is_prime(char):
@@ -55,12 +56,22 @@ class Field:
         if char >= 1 << 31:
             raise ValueError(f"prime too large: {char}")
         self.char = char
+        # bound once per field, so no call branches on the characteristic
         if char == 0:
             self.zero = Fraction(0)
             self.one = Fraction(1)
+            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.neg = operator.neg
+            self.inv = lambda a: 1 / a
         else:
+            p = char
             self.zero = 0
             self.one = 1
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
+            self.inv = lambda a: pow(a, -1, p)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -75,31 +86,6 @@ class Field:
         if self.char == 0:
             return Fraction(n)
         return int(n) % self.char
-
-    def add(self, a, b):
-        if self.char == 0:
-            return a + b
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        if self.char == 0:
-            return a - b
-        return (a - b) % self.char
-
-    def mul(self, a, b):
-        if self.char == 0:
-            return a * b
-        return (a * b) % self.char
-
-    def neg(self, a):
-        if self.char == 0:
-            return -a
-        return (-a) % self.char
-
-    def inv(self, a):
-        if self.char == 0:
-            return 1 / a
-        return pow(a, -1, self.char)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -314,28 +314,22 @@ def tip_of(a):
     return a.tip()
 
 
-def format_scalar(c, field):
-    return str(c)
+def format_combination(pairs, field):
+    """Signed combination of (name, nonzero coeff) pairs, "0" if there are
+    none: coefficient 1 prints the bare name, a negative rational a leading
+    "-" (" - " after the first term), any other coefficient "c*name"."""
+    chunks = []
+    for name, c in pairs:
+        neg = field.char == 0 and c < 0
+        mag = -c if neg else c
+        body = name if mag == field.one else f"{mag}*{name}"
+        if not chunks:
+            chunks.append("-" + body if neg else body)
+        else:
+            chunks.append(("- " if neg else "+ ") + body)
+    return " ".join(chunks) if chunks else "0"
 
 
 def format_element(a):
-    if not a.terms:
-        return "0"
-    f = a.field
     items = sorted(a.terms.items(), key=lambda kv: kv[0].key, reverse=True)
-    parts = []
-    for p, c in items:
-        word = format_path(p)
-        if c == f.one:
-            term = word
-        elif f.char == 0 and c == -f.one:
-            term = f"-{word}"
-        else:
-            term = f"{format_scalar(c, f)}*{word}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(f"+ {term}")
-    return " ".join(parts)
+    return format_combination(((format_path(p), c) for p, c in items), a.field)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .exactla import (
     coset_coordinates, kernel_basis, row_space, subspace_quotient,
 )
-from .pathalg import FreeElement, Path, compose
+from .pathalg import FreeElement, Path, compose, format_combination
 from .quotient import project_sparse
 
 
@@ -215,22 +215,9 @@ class CochainSlice:
     def format_vector(self, vec, label=None):
         """Signed combination of the nonzero coordinates of vec; label(i)
         names coordinate i, the Q1//B pair by default."""
-        field = self.algebra.field
         label = label or self.pair_label
-        chunks = []
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            mag, neg = c, False
-            if field.char == 0 and c < 0:
-                mag, neg = -c, True
-            name = label(i)
-            body = name if mag == field.one else f"{mag}*{name}"
-            if not chunks:
-                chunks.append("-" + body if neg else body)
-            else:
-                chunks.append(("- " if neg else "+ ") + body)
-        return " ".join(chunks) if chunks else "0"
+        return format_combination(((label(i), c) for i, c in enumerate(vec) if c),
+                                  self.algebra.field)
 
 
 def build_cochain(algebra):

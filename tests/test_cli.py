@@ -292,6 +292,23 @@ class TestGoldenCompletion:
             assert out == fh.read()
 
 
+class TestGoldenOracle:
+    """Full `oracle` stdout, captured before the bar oracle read sparse
+    products and eliminated each differential once."""
+
+    @pytest.mark.parametrize("path", [
+        fixture("sampled_loops_q.alg"),
+        fixture("sampled_loops_gf3.alg"),
+        os.path.join(GOLDEN, "xy4_q.alg"),
+    ], ids=["sampled_loops_q", "sampled_loops_gf3", "xy4_q"])
+    def test_oracle_stdout(self, path):
+        rc, out, err = run_cli("oracle", path)
+        assert (rc, err) == (0, "")
+        name = os.path.basename(path)[:-len(".alg")]
+        with open(os.path.join(GOLDEN, name + ".oracle.out"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
 class TestConsistency:
     """The Brauer pipeline and the emitted algebra file agree."""
 
@@ -375,8 +392,8 @@ class TestExitCodes:
     def test_basis_cap_names_cap_and_paths_reached(self):
         rc, out, err = run_cli("basis", "--max-basis", "10", os.path.join(GOLDEN, "xy4_q.alg"))
         assert (rc, out) == (3, "")
-        assert err == ("error: quotient algebra is not finite dimensional within the "
-                       "basis cap: NonTip enumeration reached 13 paths, past --max-basis 10\n")
+        assert err == ("error: quotient algebra dimension exceeds --max-basis 10: "
+                       "NonTip enumeration reached 13 paths\n")
 
     @pytest.mark.parametrize("text,window,reached", [
         ("vertex e\narrow x: e -> e\n", "x", 3),
