@@ -35,6 +35,15 @@ class BrauerGraphError(ValueError):
     pass
 
 
+class DimensionCapExceeded(Exception):
+    """dim A, read from the graph, exceeds the basis cap: nothing was built."""
+
+    def __init__(self, cap, dim):
+        self.cap = cap
+        self.dim = dim
+        super().__init__(f"algebra dimension {dim} exceeds cap {cap}")
+
+
 def _half_token(edge_name, end, is_loop):
     return f"{edge_name}.{end + 1}" if is_loop else edge_name
 
@@ -72,28 +81,11 @@ class BrauerGraph:
         if not self.edges:
             raise BrauerGraphError("a Brauer graph needs at least one edge")
         self.cyclic = {}
-        self._check_connected()
+        if len(_components(self, range(len(self.edges)))) > 1:
+            raise BrauerGraphError("graph is not connected")
         self._resolve_cyclic(cyclic or {})
 
     # -- setup ----------------------------------------------------------
-
-    def _check_connected(self):
-        if len(self.vertex_names) == 1:
-            return
-        parent = list(range(len(self.vertex_names)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, v, w in self.edges:
-            a, b = find(self._vertex_index[v]), find(self._vertex_index[w])
-            parent[a] = b
-        roots = {find(i) for i in range(len(self.vertex_names))}
-        if len(roots) > 1:
-            raise BrauerGraphError("graph is not connected")
 
     def half_edges_at(self, vname):
         """(edge_index, end) pairs attached to the vertex, declaration order."""
@@ -178,10 +170,6 @@ class VertexCycle:
     def rotation(self, k):
         return tuple(self.arrow_ids[k:]) + tuple(self.arrow_ids[:k])
 
-    def rotation_path(self, k):
-        """C_v(a_k): the special cycle applying a_k first."""
-        return Path(self.quiver, self.rotation(k))
-
     def power_path(self, k, times=None):
         if times is None:
             times = self.mult
@@ -259,17 +247,15 @@ def type3_pairs(quiver, cycles):
     return out
 
 
-def generate_relations(graph, field):
-    """(R1, R2, R3) as free elements; may contain redundant members."""
+def _relation_parts(graph, field):
+    """Q_G, the type I path pairs (C_v(a)^m(v), C_w(a')^m(w)), R2 and R3."""
     quiver, cycles = build_quiver_and_cycles(graph)
     starts = _edge_starts(quiver, cycles)
-    one = field.one
-    r1 = []
-    for i in range(quiver.n_vertices):
-        for (c1, k1), (c2, k2) in combinations(starts[i], 2):
-            p = c1.power_path(k1)
-            q = c2.power_path(k2)
-            r1.append(FreeElement(quiver, field, {p: one, q: field.neg(one)}))
+    pairs = [
+        (c1.power_path(k1), c2.power_path(k2))
+        for i in range(quiver.n_vertices)
+        for (c1, k1), (c2, k2) in combinations(starts[i], 2)
+    ]
     r2 = []
     for i in range(quiver.n_vertices):
         for cyc, k in starts[i]:
@@ -280,29 +266,28 @@ def generate_relations(graph, field):
     for alpha, beta in type3_pairs(quiver, cycles):
         p = Path(quiver, (alpha, beta))
         r3.append(FreeElement.from_path(p, field))
-    return r1, r2, r3
+    return quiver, pairs, r2, r3
+
+
+def _difference(quiver, field, p, q):
+    return FreeElement(quiver, field, {p: field.one, q: field.neg(field.one)})
+
+
+def generate_relations(graph, field):
+    """(R1, R2, R3) as free elements; may contain redundant members."""
+    quiver, pairs, r2, r3 = _relation_parts(graph, field)
+    return [_difference(quiver, field, p, q) for p, q in pairs], r2, r3
 
 
 def gr_relations(graph, field):
     """Relations of gr(A): shorter side of unbalanced type I, rest kept."""
-    quiver, cycles = build_quiver_and_cycles(graph)
-    starts = _edge_starts(quiver, cycles)
-    one = field.one
-    rels = []
-    for i in range(quiver.n_vertices):
-        for (c1, k1), (c2, k2) in combinations(starts[i], 2):
-            p = c1.power_path(k1)
-            q = c2.power_path(k2)
-            if p.length == q.length:
-                rels.append(FreeElement(quiver, field, {p: one, q: field.neg(one)}))
-            elif p.length > q.length:
-                rels.append(FreeElement.from_path(q, field))
-            else:
-                rels.append(FreeElement.from_path(p, field))
-    _, r2, r3 = generate_relations(graph, field)
-    rels.extend(r2)
-    rels.extend(r3)
-    return rels
+    quiver, pairs, r2, r3 = _relation_parts(graph, field)
+    rels = [
+        _difference(quiver, field, p, q) if p.length == q.length
+        else FreeElement.from_path(q if p.length > q.length else p, field)
+        for p, q in pairs
+    ]
+    return rels + r2 + r3
 
 
 def graded_degree(graph, vname):
@@ -328,9 +313,9 @@ def unbalanced_edges(graph):
     return out
 
 
-def balanced_components(graph):
-    """(|Gamma_G|, vertex components) after splitting unbalanced edges."""
-    bad = set(unbalanced_edges(graph))
+def _components(graph, edge_ids):
+    """Sorted vertex-name lists of the components of the graph on its
+    vertices and the edges with the given indices."""
     idx = graph._vertex_index
     parent = list(range(len(graph.vertex_names)))
 
@@ -340,16 +325,20 @@ def balanced_components(graph):
             x = parent[x]
         return x
 
-    for i, (_, v, w) in enumerate(graph.edges):
-        if i in bad:
-            continue
-        a, b = find(idx[v]), find(idx[w])
-        if a != b:
-            parent[a] = b
+    for i in edge_ids:
+        _, v, w = graph.edges[i]
+        parent[find(idx[v])] = find(idx[w])
     comps = {}
     for i, name in enumerate(graph.vertex_names):
         comps.setdefault(find(i), []).append(name)
-    return len(comps), sorted(comps.values())
+    return sorted(comps.values())
+
+
+def balanced_components(graph):
+    """(|Gamma_G|, vertex components) after splitting unbalanced edges."""
+    bad = set(unbalanced_edges(graph))
+    comps = _components(graph, [i for i in range(len(graph.edges)) if i not in bad])
+    return len(comps), comps
 
 
 def count_s2(graph):
@@ -388,6 +377,8 @@ def is_degenerate(graph):
 
 def algebra_dim(graph):
     """dim of the BGA without building it: identities, cycle pieces, socle."""
+    if is_degenerate(graph):
+        return 1
     total = 2 * len(graph.edges)
     for vname in graph.vertex_names:
         if graph.truncated(vname):
@@ -446,15 +437,18 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
     algebras; failures of the gate are marked hypothesis-failed rather
     than asserted.  The completion check (relations already form a
     Groebner basis) is characteristic-free and always asserted.
+    DimensionCapExceeded when dim A, read from the graph, exceeds
+    max_basis; it is checked before any relation is built.
     """
+    dim = algebra_dim(graph)
+    if dim > max_basis:
+        raise DimensionCapExceeded(max_basis, dim)
     quiver, _ = build_quiver_and_cycles(graph)
     r1, r2, r3 = generate_relations(graph, field)
     gb_a, alg_a, sl_a = _pipeline(r1 + r2 + r3, quiver, field,
                                   max_tip_length, max_basis)
     gb_gr, alg_gr, sl_gr = _pipeline(gr_relations(graph, field), quiver, field,
                                      max_tip_length, max_basis)
-    dim_hh1_a = ppcomplex.compute_hh1(alg_a, sl_a)[0]
-    dim_hh1_gr = ppcomplex.compute_hh1(alg_gr, sl_gr)[0]
     lie_a = ppcomplex.lie_presentation(alg_a, sl_a)
     lie_gr = ppcomplex.lie_presentation(alg_gr, sl_gr)
     graded_a = ppcomplex.graded_report(alg_a, sl_a)
@@ -490,11 +484,11 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
                             f"completion added {gb_a.closure_added} elements"))
     formula("l00-dim", graded_a.dim_L00, n_e - n_v + 2)
     formula("l00-dim-gr", graded_gr.dim_L00, n_e - n_v + 1 + gamma)
-    formula("hh1-difference", dim_hh1_gr - dim_hh1_a, gamma - 1)
+    formula("hh1-difference", lie_gr.dim - lie_a.dim, gamma - 1)
     if graph.has_loop():
         checks.append(Check("hh1-formula-no-loops", "skipped", "graph has loops"))
     else:
-        formula("hh1-formula-no-loops", dim_hh1_a,
+        formula("hh1-formula-no-loops", lie_a.dim,
                 n_e - 2 * n_v + sum_m + s2 + 2)
     if is_mult1_double_edge(graph):
         checks.append(Check("solvable", "skipped",
@@ -510,7 +504,7 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
 
     return BGAReport(
         graph=graph, field=field, dim_a=alg_a.dim, dim_gr=alg_gr.dim,
-        dim_hh1_a=dim_hh1_a, dim_hh1_gr=dim_hh1_gr,
+        dim_hh1_a=lie_a.dim, dim_hh1_gr=lie_gr.dim,
         dim_l00_a=graded_a.dim_L00, dim_l00_gr=graded_gr.dim_L00,
         gamma=gamma, s2=s2,
         solvable_a=lie_a.solvable, solvable_gr=lie_gr.solvable,

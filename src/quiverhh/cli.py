@@ -44,11 +44,10 @@ import sys
 from .exactla import Field, parse_field
 from .pathalg import ZERO, Quiver, FreeElement, compose, format_path, format_element
 from .groebner import Incomplete, CapExceeded, complete, uf_chains
-from .quotient import InfiniteDimensional, build_quotient
+from .quotient import build_quotient
 from .ppcomplex import (
-    build_cochain,
+    CochainSlice,
     compute_hh0,
-    compute_hh1,
     lie_presentation,
     graded_report,
     loop_char_report,
@@ -58,6 +57,7 @@ from .brauer import (
     DEFAULT_SEED,
     BrauerGraph,
     BrauerGraphError,
+    DimensionCapExceeded,
     _half_token,
     build_quiver_and_cycles,
     generate_relations,
@@ -395,10 +395,15 @@ def _dims_text(dims):
     return ",".join(str(d) for d in dims)
 
 
-def cmd_gb(args, out):
+def _completed(args):
+    """The reduced Groebner basis of the relations in the algebra file."""
     field, quiver, relations = _load(args.file, parse_algebra)
-    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
-    out("field: %r" % field)
+    return complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
+
+
+def cmd_gb(args, out):
+    gb = _completed(args)
+    out("field: %r" % gb.field)
     out("size: %d" % len(gb.elements))
     out("closure-added: %d" % gb.closure_added)
     for i, (g, t) in enumerate(zip(gb.elements, gb.tips())):
@@ -408,10 +413,8 @@ def cmd_gb(args, out):
 
 
 def cmd_basis(args, out):
-    field, quiver, relations = _load(args.file, parse_algebra)
-    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
-    algebra = build_quotient(gb, max_basis=args.max_basis)
-    out("field: %r" % field)
+    algebra = build_quotient(_completed(args), max_basis=args.max_basis)
+    out("field: %r" % algebra.field)
     out("dim: %d" % algebra.dim)
     for i, p in enumerate(algebra.basis):
         out("basis[%d]: %s" % (i, format_path(p)))
@@ -419,7 +422,7 @@ def cmd_basis(args, out):
 
 
 def _print_hh(algebra, out):
-    sl = build_cochain(algebra)
+    sl = CochainSlice(algebra)
     hh0_dim, _ = compute_hh0(algebra, sl)
     pres = lie_presentation(algebra, sl)
     out("dim: %d" % algebra.dim)
@@ -451,41 +454,34 @@ def _print_hh(algebra, out):
 
 
 def cmd_hh(args, out):
-    field, quiver, relations = _load(args.file, parse_algebra)
-    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
-    algebra = build_quotient(gb, max_basis=args.max_basis)
-    out("field: %r" % field)
+    algebra = build_quotient(_completed(args), max_basis=args.max_basis)
+    out("field: %r" % algebra.field)
     return _print_hh(algebra, out)
 
 
 def cmd_chains(args, out):
-    field, quiver, relations = _load(args.file, parse_algebra)
-    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
-    levels = uf_chains(gb, args.n)
+    levels = uf_chains(_completed(args), args.n)
     for i, level in enumerate(levels):
         out("W[%d]: %d" % (i - 1, len(level)))
     return 0
 
 
 def cmd_oracle(args, out):
-    field, quiver, relations = _load(args.file, parse_algebra)
-    gb = complete(relations, max_tip_length=args.max_tip_len, quiver=quiver, field=field)
-    algebra = build_quotient(gb, max_basis=args.max_basis)
-    sl = build_cochain(algebra)
+    algebra = build_quotient(_completed(args), max_basis=args.max_basis)
+    sl = CochainSlice(algebra)
     pp_hh0, _ = compute_hh0(algebra, sl)
-    pp_hh1, _ = compute_hh1(algebra, sl)
     pres = lie_presentation(algebra, sl)
     bar = build_bar_slice(algebra)
     bar_hh0, bar_hh1 = bar_hh_dims(algebra, bar)
     bar_derived = bar_derived_series(algebra, bar)
-    out("field: %r" % field)
+    out("field: %r" % algebra.field)
     out("pp-hh0: %d" % pp_hh0)
-    out("pp-hh1: %d" % pp_hh1)
+    out("pp-hh1: %d" % pres.dim)
     out("pp-derived: %s" % _dims_text(pres.derived_dims))
     out("bar-hh0: %d" % bar_hh0)
     out("bar-hh1: %d" % bar_hh1)
     out("bar-derived: %s" % _dims_text(bar_derived))
-    agree = (pp_hh0 == bar_hh0 and pp_hh1 == bar_hh1
+    agree = (pp_hh0 == bar_hh0 and pres.dim == bar_hh1
              and list(pres.derived_dims) == list(bar_derived))
     out("verdict: %s" % ("AGREE" if agree else "DISAGREE"))
     return 0 if agree else 1
@@ -660,8 +656,12 @@ def main(argv=None):
               "an adjoined element has a tip of length %d (offender %s)"
               % (exc.cap, exc.tip_length, format_element(exc.offender)), file=sys.stderr)
         return 3
-    except (CapExceeded, InfiniteDimensional) as exc:
+    except CapExceeded as exc:
         print("error: %s" % _infinite_text(exc), file=sys.stderr)
+        return 3
+    except DimensionCapExceeded as exc:
+        print("error: Brauer graph algebra dimension exceeds --max-basis %d: the graph "
+              "gives dimension %d" % (exc.cap, exc.dim), file=sys.stderr)
         return 3
 
 

@@ -234,12 +234,6 @@ class FreeElement:
     def is_zero(self):
         return not self.terms
 
-    def support(self):
-        return list(self.terms)
-
-    def coeff(self, p):
-        return self.terms.get(p, self.field.zero)
-
     def tip(self):
         """(llex-maximal support path, its coefficient).  ZeroElement on 0."""
         if not self.terms:
@@ -307,11 +301,6 @@ def multiply(a, b):
     out = FreeElement(a.quiver, f)
     out.terms = acc
     return out
-
-
-def tip_of(a):
-    """Free-function alias: (tip path, coefficient) of a nonzero element."""
-    return a.tip()
 
 
 def format_combination(pairs, field):

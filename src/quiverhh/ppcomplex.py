@@ -13,7 +13,7 @@ characteristic statements hypothesize.
 
 psi1 substitutes arrows inside Groebner elements, which is only
 meaningful when every element is uniform (all support paths parallel);
-build_psi1 rejects anything else.
+CochainSlice rejects anything else.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ def _substitutions(terms, alpha, gamma):
                 yield Path(p.quiver, new), coeff
             else:
                 yield Path(p.quiver, (), base=p.source), coeff
-
-
-def substitute_path(p, alpha, gamma, field):
-    """Single-path convenience wrapper around substitute."""
-    return substitute(FreeElement.from_path(p, field), alpha, gamma)
 
 
 def ensure_uniform(gb):
@@ -218,18 +213,6 @@ class CochainSlice:
         label = label or self.pair_label
         return format_combination(((label(i), c) for i, c in enumerate(vec) if c),
                                   self.algebra.field)
-
-
-def build_cochain(algebra):
-    return CochainSlice(algebra)
-
-
-def build_psi0(algebra):
-    return CochainSlice(algebra).psi0
-
-
-def build_psi1(algebra):
-    return CochainSlice(algebra).psi1
 
 
 def compute_hh0(algebra, slice_=None):

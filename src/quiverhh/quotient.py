@@ -14,21 +14,12 @@ from .groebner import CapExceeded, normal_form, nontip_enumerate
 from .pathalg import FreeElement, Path, compose
 
 
-class InfiniteDimensional(Exception):
-    """NonTip enumeration stopped after ``reached`` paths: past the cap (the
-    quotient is probably infinite), or, when ``window`` is set, at a proof
-    that it is infinite (see ``nontip_enumerate``)."""
-
-    def __init__(self, cap, reached=None, window=None):
-        self.cap = cap
-        self.reached = reached
-        self.window = window
-        what = "is infinite dimensional" if window is not None else f"exceeds cap {cap}"
-        super().__init__(f"quotient dimension {what}")
+# build_quotient raises groebner.CapExceeded; callers may catch it by this name
+InfiniteDimensional = CapExceeded
 
 
 class QuotientAlgebra:
-    __slots__ = ("quiver", "field", "gb", "basis", "index", "_multable", "_path_coords")
+    __slots__ = ("quiver", "field", "gb", "basis", "index", "_path_coords")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -36,26 +27,11 @@ class QuotientAlgebra:
         self.gb = gb
         self.basis = basis
         self.index = {p: i for i, p in enumerate(basis)}
-        self._multable = {}
         self._path_coords = {}
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def zero_vector(self):
-        return [self.field.zero] * len(self.basis)
-
-    def coords_of(self, f):
-        """Coordinates over B of an element already in normal form."""
-        vec = self.zero_vector()
-        for p, c in f.terms.items():
-            vec[self.index[p]] = c
-        return vec
-
-    def element_of(self, vec):
-        terms = {self.basis[i]: c for i, c in enumerate(vec) if c}
-        return FreeElement(self.quiver, self.field, terms)
 
     def path_coords(self, p):
         """pi(p) for one path p as a sparse {basis index: coeff} dict.
@@ -105,12 +81,9 @@ class QuotientAlgebra:
 
 
 def build_quotient(gb, max_basis=100000):
-    """Enumerate B = NonTip and wrap it up; InfiniteDimensional past the cap
-    or on proof of infinite dimension."""
-    try:
-        basis = nontip_enumerate(gb, max_basis=max_basis)
-    except CapExceeded as exc:
-        raise InfiniteDimensional(exc.cap, exc.reached, exc.window) from None
+    """Enumerate B = NonTip and wrap it up; InfiniteDimensional (CapExceeded)
+    past the cap or on proof of infinite dimension."""
+    basis = nontip_enumerate(gb, max_basis=max_basis)
     return QuotientAlgebra(gb.quiver, gb.field, gb, basis)
 
 
@@ -127,48 +100,3 @@ def project_sparse(terms, algebra):
     """pi(sum c*p) over (path p, coeff c) pairs as a sparse {basis index: coeff}
     dict, zeros dropped."""
     return _combine(((algebra.path_coords(p), c) for p, c in terms), algebra.field)
-
-
-def project_pi(f, algebra):
-    """Coordinates over B of the canonical projection of f."""
-    vec = algebra.zero_vector()
-    for i, c in project_sparse(f.terms.items(), algebra).items():
-        vec[i] = c
-    return vec
-
-
-def project_element(f, algebra):
-    """pi(f) as a FreeElement in normal form."""
-    return algebra.element_of(project_pi(f, algebra))
-
-
-def algebra_multiply(u, v, algebra):
-    """pi(basis[u] * basis[v]) as a coordinate vector, memoized."""
-    memo = algebra._multable
-    got = memo.get((u, v))
-    if got is not None:
-        return got
-    r = compose(algebra.basis[u], algebra.basis[v])
-    vec = algebra.zero_vector()
-    if r:
-        for i, c in algebra.path_coords(r).items():
-            vec[i] = c
-    memo[(u, v)] = vec
-    return vec
-
-
-def multiply_coords(a, b, algebra):
-    """Product in A of two coordinate vectors over B."""
-    f = algebra.field
-    out = algebra.zero_vector()
-    nz_b = [(j, cb) for j, cb in enumerate(b) if cb]
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in nz_b:
-            c = f.mul(ca, cb)
-            prod = algebra_multiply(i, j, algebra)
-            for k, pk in enumerate(prod):
-                if pk:
-                    out[k] = f.add(out[k], f.mul(c, pk))
-    return out

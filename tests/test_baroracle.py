@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quiverhh import baroracle, exactla
 from quiverhh.exactla import Field, kernel_basis, transpose
-from quiverhh.pathalg import FreeElement, Path, Quiver
-from quiverhh.groebner import complete
-from quiverhh.quotient import algebra_multiply, build_quotient
+from quiverhh.pathalg import FreeElement, Path, Quiver, compose
+from quiverhh.groebner import complete, normal_form
+from quiverhh.quotient import build_quotient
 from quiverhh.ppcomplex import CochainSlice, compute_hh0, compute_hh1, lie_presentation
 from quiverhh.baroracle import (
     BarSlice,
@@ -183,6 +183,17 @@ class TestCochainBracket:
 # -- references: the dense assembly and bracket the oracle had before it
 # read sparse products, kept verbatim (self -> sl) as test-only oracles --
 
+def ref_multiply(u, v, a):
+    """pi(basis[u] * basis[v]) as a dense vector over B, from the normal form
+    of the composed path rather than from path_coords."""
+    vec = [a.field.zero] * a.dim
+    r = compose(a.basis[u], a.basis[v])
+    if r:
+        for p, c in normal_form(FreeElement.from_path(r, a.field), a.gb).terms.items():
+            vec[a.index[p]] = c
+    return vec
+
+
 def ref_build_d0(sl):
     a = sl.algebra
     field = a.field
@@ -192,8 +203,8 @@ def ref_build_d0(sl):
         ib = a.index[b]
         for x in sl._bplus:
             ix = a.index[x]
-            bx = algebra_multiply(ib, ix, a)
-            xb = algebra_multiply(ix, ib, a)
+            bx = ref_multiply(ib, ix, a)
+            xb = ref_multiply(ix, ib, a)
             for j in range(len(a.basis)):
                 c = field.sub(bx[j], xb[j])
                 if c != zero:
@@ -215,7 +226,7 @@ def ref_build_d1(sl, pairs):
 
     for x1, x2 in pairs:
         i1, i2 = a.index[x1], a.index[x2]
-        prod = algebra_multiply(i1, i2, a)
+        prod = ref_multiply(i1, i2, a)
         # -f(pA(x1 x2)): pA drops the trivial-path coordinates
         for j, c in enumerate(prod):
             if c == zero:
@@ -229,14 +240,14 @@ def ref_build_d1(sl, pairs):
         # +x1 f(x2) for f elementary at (x2, b)
         for b in sl._parallels[x2]:
             col = sl.c1_index[(x2, b)]
-            vec = algebra_multiply(i1, a.index[b], a)
+            vec = ref_multiply(i1, a.index[b], a)
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(sl.c2_index[(x1, x2, a.basis[j])], col, c, +1)
         # +f(x1) x2 for f elementary at (x1, b)
         for b in sl._parallels[x1]:
             col = sl.c1_index[(x1, b)]
-            vec = algebra_multiply(a.index[b], i2, a)
+            vec = ref_multiply(a.index[b], i2, a)
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(sl.c2_index[(x1, x2, a.basis[j])], col, c, +1)
@@ -254,7 +265,7 @@ def ref_cochain_map(vec, sl):
         x, b = sl.c1_basis[i]
         val = out.get(x)
         if val is None:
-            val = a.zero_vector()
+            val = [a.field.zero] * a.dim
             out[x] = val
         val[a.index[b]] = a.field.add(val[a.index[b]], c)
     return out
@@ -265,7 +276,7 @@ def ref_apply(fmap, vec, sl):
     a = sl.algebra
     field = a.field
     zero = field.zero
-    out = a.zero_vector()
+    out = [a.field.zero] * a.dim
     for x in sl._bplus:
         c = vec[a.index[x]]
         if c == zero:

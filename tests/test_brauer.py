@@ -8,7 +8,9 @@ from quiverhh.exactla import Field
 from quiverhh.pathalg import format_element
 from quiverhh.groebner import complete
 from quiverhh.quotient import build_quotient
-from quiverhh.cli import brauer_to_text, main
+from quiverhh.ppcomplex import CochainSlice, compute_hh0, lie_presentation
+from quiverhh.baroracle import bar_derived_series, bar_hh_dims, build_bar_slice
+from quiverhh.cli import brauer_to_text, main, parse_brauer
 from quiverhh.brauer import (
     DEFAULT_SEED,
     BrauerGraph,
@@ -28,6 +30,8 @@ from quiverhh.brauer import (
     type3_pairs,
     unbalanced_edges,
 )
+
+from conftest import data_text
 
 
 def path_113():
@@ -259,6 +263,7 @@ class TestInvariantReport:
         assert is_degenerate(graph)
         rep = invariant_report(graph, Field(0))
         assert (rep.dim_a, rep.dim_gr, rep.dim_hh1_a, rep.dim_hh1_gr) == (1, 1, 0, 0)
+        assert algebra_dim(graph) == 1
         status = {c.name: c.status for c in rep.checks}
         for name in ["l00-dim", "l00-dim-gr", "hh1-difference",
                      "hh1-formula-no-loops"]:
@@ -282,6 +287,32 @@ class TestInvariantReport:
         # gr side truncates the short loop at an even power
         assert ("v:0", 2, True) in rep.loop_char_gr
         assert rep.ok  # hypothesis failures are not formula failures
+
+
+class TestHh1DifferenceFixture:
+    """The smallest graph found on which check[hh1-difference] fails: a loop
+    at a vertex of multiplicity 1 and valency 3.  The values are those the
+    parallel-path and bar routes both give; the check's verdict is left out."""
+
+    def test_both_routes_on_a_and_gr(self):
+        field, graph = parse_brauer(data_text("loop_mult1_val3_dim19.bg"))
+        quiver, _ = build_quiver_and_cycles(graph)
+        # (dim, HH0, HH1, derived series)
+        for rels, expected in [(sum(generate_relations(graph, field), []), (19, 7, 5, [5, 3, 0])),
+                               (gr_relations(graph, field), (19, 7, 8, [8, 4, 0]))]:
+            alg = build_quotient(complete(rels, quiver=quiver, field=field))
+            sl = CochainSlice(alg)
+            pres = lie_presentation(alg, sl)
+            pp = (alg.dim, compute_hh0(alg, sl)[0], pres.dim, list(pres.derived_dims))
+            bar = build_bar_slice(alg)
+            bar_hh0, bar_hh1 = bar_hh_dims(alg, bar)
+            assert pp == expected
+            assert (alg.dim, bar_hh0, bar_hh1, list(bar_derived_series(alg, bar))) == expected
+        # the exact dimension is within the cap: the check before building
+        # compares with the same dim the NonTip enumeration reaches
+        rep = invariant_report(graph, field, max_basis=19)
+        assert (rep.dim_a, rep.dim_gr, rep.dim_hh1_a, rep.dim_hh1_gr) == (19, 19, 5, 8)
+        assert (rep.derived_a, rep.derived_gr, rep.gamma) == ([5, 3, 0], [8, 4, 0], 3)
 
 
 class TestCorpus:

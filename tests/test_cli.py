@@ -410,6 +410,21 @@ class TestExitCodes:
                        "repeats pumps (stopped at %d paths, --max-basis 100000)\n"
                        % (window, reached))
 
+    @pytest.mark.parametrize("text,argv,dim", [
+        ("field Q\nvertex v1 mult 10000000\nvertex v2 mult 1\nedge a v1 v2\n",
+         [], 10000001),
+        (data_text("loop_mult1_val3_dim19.bg"), ["--max-basis", "18"], 19),
+    ])
+    def test_report_dimension_cap_is_3_before_building(self, tmp_path, text, argv, dim):
+        bg = tmp_path / "graph.bg"
+        bg.write_text(text)
+        cap = int(argv[1]) if argv else 100000
+        with time_limit(5):
+            rc, out, err = run_cli("report", *argv, str(bg))
+        assert (rc, out) == (3, "")
+        assert err == ("error: Brauer graph algebra dimension exceeds --max-basis %d: "
+                       "the graph gives dimension %d\n" % (cap, dim))
+
     def test_finite_control_is_0(self):
         with time_limit(20):
             rc, out, err = run_cli("hh", fixture("x_cubed_q.alg"))

@@ -13,7 +13,6 @@ from quiverhh.pathalg import (
     format_path,
     llex_compare,
     multiply,
-    tip_of,
 )
 
 from conftest import elem, wnames, written
@@ -116,7 +115,7 @@ class TestFreeElement:
         g = elem(rationals, two_loops,
                  (1, written(two_loops, "x", "x", "x")),
                  (1, written(two_loops, "y", "x", "x")))
-        p, c = tip_of(g)
+        p, c = g.tip()
         assert wnames(two_loops, p) == ("x", "x", "x")
         assert c == rationals.one
 
@@ -124,7 +123,7 @@ class TestFreeElement:
         g = elem(rationals, two_loops,
                  (2, written(two_loops, "y", "y")),
                  (1, written(two_loops, "x", "y")))
-        p, c = tip_of(g)
+        p, c = g.tip()
         assert wnames(two_loops, p) == ("x", "y")
         assert c == rationals.one
 
@@ -224,8 +223,8 @@ class TestOrderProperties:
         if not a.terms or not b.terms:
             return
         prod = multiply(a, b)
-        pa, ca = tip_of(a)
-        pb, cb = tip_of(b)
-        pp, cp = tip_of(prod)
+        pa, ca = a.tip()
+        pb, cb = b.tip()
+        pp, cp = prod.tip()
         assert pp == compose(pa, pb)
         assert cp == f.mul(ca, cb)

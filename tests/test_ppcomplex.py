@@ -18,7 +18,6 @@ from quiverhh.ppcomplex import (
     loop_char_ok,
     loop_char_report,
     substitute,
-    substitute_path,
 )
 
 from conftest import ALG_FIXTURES, elem, fixture_algebra, wnames, written
@@ -168,8 +167,8 @@ class TestSubstitute:
     def test_trivial_target_deletes(self):
         quiver = loops_quiver()
         Q = Field(0)
-        img = substitute_path(written(quiver, "y", "x", "y"),
-                              quiver.arrow_index["x"], quiver.trivial("e"), Q)
+        f = elem(Q, quiver, (1, written(quiver, "y", "x", "y")))
+        img = substitute(f, quiver.arrow_index["x"], quiver.trivial("e"))
         assert img == elem(Q, quiver, (1, written(quiver, "y", "y")))
 
     def test_arrow_as_path_accepted(self):
