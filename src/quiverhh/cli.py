@@ -34,7 +34,7 @@ Subcommands: gb, basis, hh, chains, oracle (algebra files), bga,
 report (Brauer graph files).  Output is line oriented ``key: value``
 text.  Exit status 0 means every check passed, 1 a mathematical
 disagreement or failed check, 2 a syntax or validation error, 3 a cap
-overflow.
+overflow, 4 an internal error (any other exception, reported in one line).
 """
 
 import argparse
@@ -663,6 +663,10 @@ def main(argv=None):
         print("error: Brauer graph algebra dimension exceeds --max-basis %d: the graph "
               "gives dimension %d" % (exc.cap, exc.dim), file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("error: internal error: %s: %s"
+              % (type(exc).__name__, " ".join(str(exc).splitlines())), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ CochainSlice rejects anything else.
 from __future__ import annotations
 
 from .exactla import (
-    coset_coordinates, kernel_basis, row_space, subspace_quotient,
+    NotASubspace, coset_coordinates, kernel_basis, row_space, rref, subspace_quotient,
 )
 from .pathalg import FreeElement, Path, compose, format_combination
 from .quotient import project_sparse
@@ -181,13 +181,6 @@ class CochainSlice:
 
     # -- derived spaces ------------------------------------------------
 
-    def kernel_psi1(self):
-        return kernel_basis(self.psi1, self.algebra.field, ncols=len(self.q1_pairs))
-
-    def image_psi0(self):
-        return row_space(self._psi0_columns(), self.algebra.field,
-                         ambient_dim=len(self.q1_pairs))
-
     def _psi0_columns(self, degree=None):
         """Columns of psi0 whose Q0//B pair (v, gamma) has l(gamma) = degree,
         all columns by default."""
@@ -197,8 +190,9 @@ class CochainSlice:
 
     def hh1_spaces(self):
         if self._hh1 is None:
-            k = self.kernel_psi1()
-            u = self.image_psi0()
+            field, n = self.algebra.field, len(self.q1_pairs)
+            k = kernel_basis(self.psi1, field, ncols=n)
+            u = row_space(self._psi0_columns(), field, ambient_dim=n)
             dim, reps = subspace_quotient(k, u)
             self._hh1 = (k, u, dim, reps)
         return self._hh1
@@ -287,13 +281,10 @@ def _derived_dims(dim, const, field):
                     out[k] = field.add(out[k], field.mul(s, c))
         return out
 
-    current = row_space(
-        [[field.one if i == j else zero for j in range(dim)] for i in range(dim)],
-        field, dim)
-    dims = [current.dim]
+    basis = [[(i, field.one)] for i in range(dim)]
+    dims = [dim]
     while True:
         gens = []
-        basis = [[(i, c) for i, c in enumerate(b) if c] for b in current.basis]
         for i, x in enumerate(basis):
             for y in basis[i + 1:]:
                 w = bracket_coords(x, y)
@@ -303,7 +294,7 @@ def _derived_dims(dim, const, field):
         dims.append(nxt.dim)
         if nxt.dim == 0 or nxt.dim == dims[-2]:
             return dims
-        current = nxt
+        basis = [[(i, c) for i, c in enumerate(b) if c] for b in nxt.basis]
 
 
 def lie_presentation(algebra, slice_=None):
@@ -341,30 +332,6 @@ class GradedReport:
                 f"graded={self.graded_dims})")
 
 
-def _coordinate_section(space, indices):
-    """space cap {x : x_c = 0 outside indices}."""
-    field = space.field
-    zero = field.zero
-    outside = [c for c in range(space.ambient_dim) if c not in indices]
-    if not space.basis:
-        return space
-    # lambda with lambda . M = 0, M = basis restricted to outside columns:
-    # right kernel of the transpose
-    rows = [[vec[c] for vec in space.basis] for c in outside]
-    coeffs = kernel_basis(rows, field, ncols=len(space.basis))
-    vecs = []
-    for lam in coeffs.basis:
-        v = [zero] * space.ambient_dim
-        for li, l in enumerate(lam):
-            if not l:
-                continue
-            for c, x in enumerate(space.basis[li]):
-                if x:
-                    v[c] = field.add(v[c], field.mul(l, x))
-        vecs.append(v)
-    return row_space(vecs, field, space.ambient_dim)
-
-
 def is_homogeneous(gb):
     for g in gb.elements:
         lengths = {p.length for p in g.terms}
@@ -376,37 +343,44 @@ def is_homogeneous(gb):
 def graded_report(algebra, slice_=None):
     """L_{-1}, L_00 always; the L_i dimensions when the ideal is homogeneous.
 
-    Pair (alpha, gamma) has degree l(gamma) - 1; L_i is the degree-i part
-    of Ker psi1 modulo the degree-i image columns (for i = -1 the plain
-    intersection, no quotient).
+    Pair (alpha, gamma) has degree l(gamma) - 1.  Each piece lives on a
+    set S of Q1//B pairs: S is one degree for L_i, the diagonal pairs
+    (alpha, alpha) for L_00.  Ker psi1 meets span{e_c : c in S} in the
+    kernel of the psi1 columns in S, so that part has dimension
+    |S| - rank(psi1[:, S]).  L_00 and L_i subtract the rank of the
+    degree-0 or degree-i psi0 columns (L_{-1} has no image part); every
+    such column must be supported in S, else NotASubspace is raised.
     """
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
-    k, u, hh1_dim, _ = sl.hh1_spaces()
+    sl.hh1_spaces()
+
+    def piece(cols, degree=None):
+        dim = len(cols) - rref([[row[c] for row in sl.psi1] for c in cols], field)[0]
+        if degree is None:
+            return dim
+        image = sl._psi0_columns(degree)
+        for col in image:
+            if any(x for r, x in enumerate(col) if r not in cols):
+                raise NotASubspace(col)
+        return dim - rref(image, field)[0]
 
     deg_indices = {}
     for idx, (arr, b) in enumerate(sl.q1_pairs):
         deg_indices.setdefault(b.length - 1, set()).add(idx)
-    minus1 = _coordinate_section(k, deg_indices.get(-1, set()))
-    dim_l_minus1 = minus1.dim
-
     diag = {
         idx for idx, (arr, b) in enumerate(sl.q1_pairs)
         if b.length == 1 and b.arrows[0] == arr
     }
-    d00 = _coordinate_section(k, diag)
-    u00 = row_space(sl._psi0_columns(0), field, len(sl.q1_pairs))
-    dim_l00 = subspace_quotient(d00, u00)[0]
+    dim_l_minus1 = piece(deg_indices.get(-1, set()))
+    dim_l00 = piece(diag, 0)
 
     homogeneous = is_homogeneous(algebra.gb)
     graded_dims = None
     if homogeneous:
         max_deg = max((b.length - 1 for _, b in sl.q1_pairs), default=-1)
-        graded_dims = []
-        for deg in range(0, max_deg + 1):
-            ki = _coordinate_section(k, deg_indices.get(deg, set()))
-            ui = row_space(sl._psi0_columns(deg), field, len(sl.q1_pairs))
-            graded_dims.append(subspace_quotient(ki, ui)[0])
+        graded_dims = [piece(deg_indices.get(deg, set()), deg)
+                       for deg in range(0, max_deg + 1)]
     return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
 
 

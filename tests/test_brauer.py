@@ -290,16 +290,17 @@ class TestInvariantReport:
 
 
 class TestHh1DifferenceFixture:
-    """The smallest graph found on which check[hh1-difference] fails: a loop
-    at a vertex of multiplicity 1 and valency 3.  The values are those the
+    """Graphs on which check[hh1-difference] fails, each with a loop at a
+    vertex of multiplicity 1 and valency >= 3.  The values are those the
     parallel-path and bar routes both give; the check's verdict is left out."""
 
-    def test_both_routes_on_a_and_gr(self):
-        field, graph = parse_brauer(data_text("loop_mult1_val3_dim19.bg"))
+    @staticmethod
+    def both_routes(name, expected_a, expected_gr, gamma):
+        """expected_a and expected_gr are (dim, HH0, HH1, derived series)."""
+        field, graph = parse_brauer(data_text(name))
         quiver, _ = build_quiver_and_cycles(graph)
-        # (dim, HH0, HH1, derived series)
-        for rels, expected in [(sum(generate_relations(graph, field), []), (19, 7, 5, [5, 3, 0])),
-                               (gr_relations(graph, field), (19, 7, 8, [8, 4, 0]))]:
+        for rels, expected in [(sum(generate_relations(graph, field), []), expected_a),
+                               (gr_relations(graph, field), expected_gr)]:
             alg = build_quotient(complete(rels, quiver=quiver, field=field))
             sl = CochainSlice(alg)
             pres = lie_presentation(alg, sl)
@@ -310,9 +311,30 @@ class TestHh1DifferenceFixture:
             assert (alg.dim, bar_hh0, bar_hh1, list(bar_derived_series(alg, bar))) == expected
         # the exact dimension is within the cap: the check before building
         # compares with the same dim the NonTip enumeration reaches
-        rep = invariant_report(graph, field, max_basis=19)
-        assert (rep.dim_a, rep.dim_gr, rep.dim_hh1_a, rep.dim_hh1_gr) == (19, 19, 5, 8)
-        assert (rep.derived_a, rep.derived_gr, rep.gamma) == ([5, 3, 0], [8, 4, 0], 3)
+        rep = invariant_report(graph, field, max_basis=expected_a[0])
+        assert (rep.dim_a, rep.dim_gr, rep.dim_hh1_a, rep.dim_hh1_gr) == (
+            expected_a[0], expected_gr[0], expected_a[2], expected_gr[2])
+        assert (rep.derived_a, rep.derived_gr, rep.gamma) == (
+            expected_a[3], expected_gr[3], gamma)
+
+    def test_both_routes_on_a_and_gr(self):
+        """The smallest graph found, of dimension 19."""
+        self.both_routes("loop_mult1_val3_dim19.bg",
+                         (19, 7, 5, [5, 3, 0]), (19, 7, 8, [8, 4, 0]), 3)
+
+    @pytest.mark.parametrize("name,expected_a,expected_gr", [
+        ("corpus100_g13.bg", (28, 6, 5, [5, 2, 0]), (28, 6, 8, [8, 4, 0])),
+        ("corpus100_g35.bg", (27, 7, 6, [6, 3, 0]), (27, 7, 8, [8, 4, 0])),
+    ], ids=["g13", "g35"])
+    def test_corpus_graph_both_routes(self, name, expected_a, expected_gr):
+        """Graphs 13 and 35 of corpus(271828, 100, max_dim=40), written by
+        brauer_to_text."""
+        self.both_routes(name, expected_a, expected_gr, 2)
+
+    def test_corpus_fixtures_are_the_corpus_graphs(self):
+        graphs = corpus(DEFAULT_SEED, 100, max_dim=40)
+        for i in (13, 35):
+            assert brauer_to_text(Field(0), graphs[i]) == data_text("corpus100_g%d.bg" % i)
 
 
 class TestCorpus:

@@ -6,6 +6,7 @@ import pytest
 
 from quiverhh.brauer import BGAReport, BrauerGraphError, Check
 from quiverhh.exactla import Field
+from quiverhh import cli
 from quiverhh.cli import (
     ParseError,
     _print_report,
@@ -257,9 +258,11 @@ class TestSubcommands:
 
 
 class TestGolden:
-    """Full stdout, captured before the path map and bracket table existed."""
+    """Full stdout, captured before the path map and bracket table existed;
+    dim19_bga (`bga tests/data/loop_mult1_val3_dim19.bg`, an inhomogeneous
+    ideal) before the graded pieces were read off ranks."""
 
-    @pytest.mark.parametrize("name", ["xy4_q", "xy4_gf2"])
+    @pytest.mark.parametrize("name", ["xy4_q", "xy4_gf2", "dim19_bga"])
     def test_hh_stdout(self, name):
         rc, out, err = run_cli("hh", os.path.join(GOLDEN, name + ".alg"))
         assert (rc, err) == (0, "")
@@ -443,6 +446,16 @@ class TestExitCodes:
         assert _print_report(rep, sink.append) == 1
         assert "check[demo]: fail (1 vs 2)" in sink
         assert sink[-1] == "status: FAIL"
+
+    def test_internal_error_is_4(self, monkeypatch):
+        def broken(args, out):
+            raise RuntimeError("no such state\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_hh", broken)
+        rc, out, err = run_cli("hh", fixture("x_cubed_q.alg"))
+        assert (rc, out) == (4, "")
+        assert err == "error: internal error: RuntimeError: no such state second line\n"
+        assert "Traceback" not in err
 
     def test_report_needs_input(self):
         with pytest.raises(SystemExit):

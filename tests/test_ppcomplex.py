@@ -1,12 +1,21 @@
+import glob
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh.exactla import Field
+from quiverhh import exactla, ppcomplex
+from quiverhh.brauer import (
+    DEFAULT_SEED, build_quiver_and_cycles, corpus, generate_relations, gr_relations,
+)
+from quiverhh.cli import parse_algebra
+from quiverhh.exactla import Field, NotASubspace, kernel_basis, row_space, subspace_quotient
 from quiverhh.pathalg import FreeElement, Path, Quiver
 from quiverhh.groebner import GroebnerBasis, complete, normal_form
 from quiverhh.quotient import build_quotient
 from quiverhh.ppcomplex import (
     CochainSlice,
+    GradedReport,
     NotParallel,
     bracket_pairs,
     compute_hh0,
@@ -445,3 +454,159 @@ class TestGradedFallback:
         lie = lie_presentation(A)
         assert lie.dim == 1
         assert lie.basis_labels == ["(x,x) - (x,x^2)"]
+
+
+# The graded pieces as first written: Ker psi1 cut down to each coordinate
+# subspace as a Subspace, then a quotient by the image columns.  Kept as
+# the reference for the rank formula.
+
+def ref_coordinate_section(space, indices):
+    """space cap {x : x_c = 0 outside indices}."""
+    field = space.field
+    zero = field.zero
+    outside = [c for c in range(space.ambient_dim) if c not in indices]
+    if not space.basis:
+        return space
+    # lambda with lambda . M = 0, M = basis restricted to outside columns:
+    # right kernel of the transpose
+    rows = [[vec[c] for vec in space.basis] for c in outside]
+    coeffs = kernel_basis(rows, field, ncols=len(space.basis))
+    vecs = []
+    for lam in coeffs.basis:
+        v = [zero] * space.ambient_dim
+        for li, l in enumerate(lam):
+            if not l:
+                continue
+            for c, x in enumerate(space.basis[li]):
+                if x:
+                    v[c] = field.add(v[c], field.mul(l, x))
+        vecs.append(v)
+    return row_space(vecs, field, space.ambient_dim)
+
+
+def ref_graded_report(algebra, slice_=None):
+    """L_{-1}, L_00 always; the L_i dimensions when the ideal is homogeneous.
+
+    Pair (alpha, gamma) has degree l(gamma) - 1; L_i is the degree-i part
+    of Ker psi1 modulo the degree-i image columns (for i = -1 the plain
+    intersection, no quotient).
+    """
+    sl = slice_ or CochainSlice(algebra)
+    field = algebra.field
+    k, u, hh1_dim, _ = sl.hh1_spaces()
+
+    deg_indices = {}
+    for idx, (arr, b) in enumerate(sl.q1_pairs):
+        deg_indices.setdefault(b.length - 1, set()).add(idx)
+    minus1 = ref_coordinate_section(k, deg_indices.get(-1, set()))
+    dim_l_minus1 = minus1.dim
+
+    diag = {
+        idx for idx, (arr, b) in enumerate(sl.q1_pairs)
+        if b.length == 1 and b.arrows[0] == arr
+    }
+    d00 = ref_coordinate_section(k, diag)
+    u00 = row_space(sl._psi0_columns(0), field, len(sl.q1_pairs))
+    dim_l00 = subspace_quotient(d00, u00)[0]
+
+    homogeneous = is_homogeneous(algebra.gb)
+    graded_dims = None
+    if homogeneous:
+        max_deg = max((b.length - 1 for _, b in sl.q1_pairs), default=-1)
+        graded_dims = []
+        for deg in range(0, max_deg + 1):
+            ki = ref_coordinate_section(k, deg_indices.get(deg, set()))
+            ui = row_space(sl._psi0_columns(deg), field, len(sl.q1_pairs))
+            graded_dims.append(subspace_quotient(ki, ui)[0])
+    return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
+
+
+TESTS = os.path.dirname(__file__)
+ALG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
+                   for p in glob.glob(os.path.join(TESTS, d, "*.alg")))
+
+
+def text_algebra(text):
+    field, quiver, rels = parse_algebra(text)
+    return build_quotient(complete(rels, quiver=quiver, field=field))
+
+
+def file_algebra(name):
+    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+        return text_algebra(fh.read())
+
+
+def truncated_polynomials(n, field):
+    """k[x,y]/(x^n, y^n)."""
+    return text_algebra("field %s\nvertex e\narrow x: e -> e\narrow y: e -> e\n"
+                        "rel x*y - y*x\nrel x^%d\nrel y^%d\n" % (field, n, n))
+
+
+def graded_key(rep):
+    return rep.homogeneous, rep.dim_L_minus1, rep.dim_L00, rep.graded_dims
+
+
+class TestGradedRanks:
+    """Each graded piece is |S| - rank(psi1[:, S]) less the rank of its
+    image columns; it equals the Subspace reference everywhere."""
+
+    @staticmethod
+    def assert_matches_reference(A):
+        assert graded_key(graded_report(A)) == graded_key(ref_graded_report(A))
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_fixture_files(self, name):
+        self.assert_matches_reference(file_algebra(name))
+
+    @pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(3)"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_truncated_polynomials(self, n, field):
+        self.assert_matches_reference(truncated_polynomials(n, field))
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_corpus_a_and_gr(self, index):
+        graph = corpus(DEFAULT_SEED, 20)[index]
+        field = Field(0)
+        quiver, _ = build_quiver_and_cycles(graph)
+        for rels in (sum(generate_relations(graph, field), []), gr_relations(graph, field)):
+            self.assert_matches_reference(
+                build_quotient(complete(rels, quiver=quiver, field=field)))
+
+    def test_image_column_outside_its_piece_raises(self):
+        """A degree-0 psi0 column with an entry off the diagonal pairs is
+        not in the L_00 coordinate subspace.  hh1_spaces is cached first,
+        so only the graded check can see the change."""
+        for report in (graded_report, ref_graded_report):
+            _, _, A = kronecker_ext()
+            sl = CochainSlice(A)
+            sl.hh1_spaces()
+            col = next(j for j, (_, g) in enumerate(sl.q0_pairs) if g.length == 0)
+            row = next(r for r, (a, b) in enumerate(sl.q1_pairs)
+                       if not (b.length == 1 and b.arrows[0] == a))
+            assert not sl.psi0[row][col]
+            sl.psi0[row][col] = A.field.one
+            with pytest.raises(NotASubspace):
+                report(A, sl)
+
+    @pytest.mark.parametrize("make", [
+        lambda: kronecker_ext()[2],
+        lambda: truncated_polynomials(4, "Q"),
+        lambda: file_algebra(os.path.join("golden", "dim19_bga.alg")),
+    ], ids=["kronecker-ext", "xy4-q", "dim19-inhomogeneous"])
+    def test_each_piece_costs_at_most_two_eliminations(self, make, monkeypatch):
+        A = make()
+        sl = CochainSlice(A)
+        sl.hh1_spaces()
+        calls = [0]
+        real = exactla.rref
+
+        def counting(rows, field):
+            calls[0] += 1
+            return real(rows, field)
+
+        monkeypatch.setattr(exactla, "rref", counting)
+        # a module that binds rref by name calls its own binding
+        monkeypatch.setattr(ppcomplex, "rref", counting)
+        rep = graded_report(A, sl)
+        pieces = 2 + len(rep.graded_dims or [])
+        assert calls[0] <= 2 * pieces
