@@ -170,10 +170,8 @@ class VertexCycle:
     def rotation(self, k):
         return tuple(self.arrow_ids[k:]) + tuple(self.arrow_ids[:k])
 
-    def power_path(self, k, times=None):
-        if times is None:
-            times = self.mult
-        return Path(self.quiver, self.rotation(k) * times)
+    def power_path(self, k):
+        return Path(self.quiver, self.rotation(k) * self.mult)
 
     def successor(self, arrow_id):
         pos = self.arrow_ids.index(arrow_id)
@@ -522,14 +520,15 @@ DEFAULT_SEED = 271828
 _EDGE_NAMES = "abcdefgh"
 
 
-def random_brauer_graph(rng, max_edges=6, max_mult=3, max_dim=18):
-    """One random connected graph, rejection-sampled to stay small.
+def random_brauer_graph(rng, max_dim=18):
+    """One random connected graph with at most 6 edges and multiplicities
+    at most 3, rejection-sampled to algebra dimension at most max_dim.
 
     The degenerate graph (see is_degenerate) is excluded.
     """
     while True:
         nv = rng.randint(1, 4)
-        ne = rng.randint(max(1, nv - 1), max_edges)
+        ne = rng.randint(max(1, nv - 1), 6)
         vnames = [f"v{i + 1}" for i in range(nv)]
         order = list(range(nv))
         rng.shuffle(order)
@@ -542,7 +541,7 @@ def random_brauer_graph(rng, max_edges=6, max_mult=3, max_dim=18):
             (_EDGE_NAMES[i], vnames[v], vnames[w])
             for i, (v, w) in enumerate(ends)
         ]
-        mult = {v: rng.choice((1, 1, 1, 2, 2, max_mult)) for v in vnames}
+        mult = {v: rng.choice((1, 1, 1, 2, 2, 3)) for v in vnames}
         graph = _with_random_cyclic(rng, vnames, mult, edges)
         if graph is None:
             continue
@@ -571,7 +570,7 @@ def _with_random_cyclic(rng, vnames, mult, edges):
         return None
 
 
-def corpus(seed=DEFAULT_SEED, size=20, max_edges=6, max_mult=3, max_dim=18):
+def corpus(seed=DEFAULT_SEED, size=20, max_dim=18):
     """A seeded list of graphs guaranteed to include loops and multi-edges."""
     rng = random.Random(seed)
     graphs = []
@@ -583,7 +582,7 @@ def corpus(seed=DEFAULT_SEED, size=20, max_edges=6, max_mult=3, max_dim=18):
     while (len(graphs) < size
            or not any(g.has_loop() for g in graphs)
            or not any(has_multi(g) for g in graphs)):
-        graphs.append(random_brauer_graph(rng, max_edges, max_mult, max_dim))
+        graphs.append(random_brauer_graph(rng, max_dim))
         # a small corpus may need dozens of draws to see a loop and a multi-edge
         if len(graphs) > max(10 * size, 200):
             raise RuntimeError("corpus generation failed to diversify")

@@ -9,8 +9,8 @@ first applied first).  A subword at traversal offset s corresponds to a
 written occurrence further right, so the leftmost written occurrence of a
 tip is the one with the largest traversal offset.
 
-Every consumer of tips reads one tip index per basis: the tip path and
-tip word of each element, found once, and a dict from tip word to
+A GroebnerBasis is its own tip index: it finds the tip path of each
+element once, as the element enters, and keeps a dict from tip word to
 element, so the tips occurring in a word are found by dict lookups of
 its subwords, one per tip length and offset.
 """
@@ -48,43 +48,50 @@ class CapExceeded(Exception):
         super().__init__(f"NonTip enumeration {what}")
 
 
-class _TipIndex:
-    """The tips of a list of monic elements, found once.
+class GroebnerBasis:
+    """A list of monic elements, indexed by their tips as they enter.
 
-    ``tips[i]`` is the tip path of ``elements[i]`` and ``rests[i]`` its
-    other terms parallel to the tip.  ``first`` maps a tip word to the
-    first element with that tip, and ``lengths`` is the sorted set of tip
-    lengths.
+    When ``reduced`` is set the basis is the unique reduced one, closed
+    under overlap reduction: tips are pairwise non-dividing and every tail
+    is supported on NonTip.  ``_tips[i]`` is the tip path of
+    ``elements[i]`` and ``_rests[i]`` its other terms parallel to the tip.
+    ``_first`` maps a tip word to the first element with that tip, and
+    ``_lengths`` is the sorted set of tip lengths.
     """
 
-    __slots__ = ("elements", "tips", "rests", "first", "lengths")
+    __slots__ = ("quiver", "field", "elements", "reduced", "closure_added",
+                 "_tips", "_rests", "_first", "_lengths")
 
-    def __init__(self, elements=()):
+    def __init__(self, quiver, field, elements, reduced=False, closure_added=0):
+        self.quiver = quiver
+        self.field = field
+        self.reduced = reduced
+        self.closure_added = closure_added
         self.elements = []
-        self.tips = []
-        self.rests = []
-        self.first = {}
-        self.lengths = []
+        self._tips = []
+        self._rests = []
+        self._first = {}
+        self._lengths = []
         for g in elements:
-            self.append(g)
+            self._append(g)
 
-    def append(self, g):
+    def _append(self, g):
         t, _ = g.tip()
         w = t.arrows
-        self.rests.append([(q, x) for q, x in g.terms.items()
-                           if q is not t and q.parallel_to(t)])
-        if w not in self.first:
-            self.first[w] = len(self.elements)
-            if len(w) not in self.lengths:
-                insort(self.lengths, len(w))
+        self._rests.append([(q, x) for q, x in g.terms.items()
+                            if q is not t and q.parallel_to(t)])
+        if w not in self._first:
+            self._first[w] = len(self.elements)
+            if len(w) not in self._lengths:
+                insort(self._lengths, len(w))
         self.elements.append(g)
-        self.tips.append(t)
+        self._tips.append(t)
 
-    def hits(self, word, skip=None):
+    def _hits(self, word, skip=None):
         """(traversal offset, element index) of every tip occurring in word."""
-        first, n = self.first, len(word)
+        first, n = self._first, len(word)
         out = []
-        for m in self.lengths:
+        for m in self._lengths:
             if m > n:
                 break
             for s in range(n - m + 1):
@@ -93,29 +100,11 @@ class _TipIndex:
                     out.append((s, i))
         return out
 
-
-class GroebnerBasis:
-    """A list of monic elements closed under overlap reduction.
-
-    When ``reduced`` is set the basis is the unique reduced one: tips are
-    pairwise non-dividing and every tail is supported on NonTip.
-    """
-
-    __slots__ = ("quiver", "field", "elements", "reduced", "closure_added", "_index")
-
-    def __init__(self, quiver, field, elements, reduced=False, closure_added=0):
-        self.quiver = quiver
-        self.field = field
-        self.elements = list(elements)
-        self.reduced = reduced
-        self.closure_added = closure_added
-        self._index = None
-
     def tips(self):
-        return list(_index_of(self).tips)
+        return list(self._tips)
 
     def tip_words(self):
-        return [t.arrows for t in _index_of(self).tips]
+        return [t.arrows for t in self._tips]
 
     def __len__(self):
         return len(self.elements)
@@ -123,17 +112,6 @@ class GroebnerBasis:
     def __repr__(self):
         tag = "reduced " if self.reduced else ""
         return f"GroebnerBasis({tag}{len(self.elements)} elements)"
-
-
-def _index_of(basis):
-    """The tip index of a GroebnerBasis (cached), an index, or a list."""
-    if isinstance(basis, _TipIndex):
-        return basis
-    if isinstance(basis, GroebnerBasis):
-        if basis._index is None:
-            basis._index = _TipIndex(basis.elements)
-        return basis._index
-    return _TipIndex(basis)
 
 
 def _add_product(terms, field, head, items, tail, subtract=False):
@@ -170,16 +148,18 @@ def normal_form(f, basis, rng=None, skip=None):
     all three choices; confluence of a completed basis makes the result
     identical either way, which the property tests exercise.  Basis
     elements must be monic; ``skip`` leaves the element of that index out.
+    A plain list of monic elements is indexed here first.
     """
-    index = _index_of(basis)
-    if not index.lengths:
+    if not isinstance(basis, GroebnerBasis):
+        basis = GroebnerBasis(f.quiver, f.field, basis)
+    if not basis._lengths:
         return f
     memo = {}
 
     def hits(p):
         got = memo.get(p)
         if got is None:
-            got = memo[p] = index.hits(p.arrows, skip)
+            got = memo[p] = basis._hits(p.arrows, skip)
         return got
 
     reducible = [p for p in f.terms if hits(p)]
@@ -200,8 +180,8 @@ def normal_form(f, basis, rng=None, skip=None):
         word = p.arrows
         # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c (g is monic)
         lam = field.neg(terms.pop(p))
-        _add_product(terms, field, word[:s], [(q, mul(lam, x)) for q, x in index.rests[i]],
-                     word[s + index.tips[i].length:])
+        _add_product(terms, field, word[:s], [(q, mul(lam, x)) for q, x in basis._rests[i]],
+                     word[s + basis._tips[i].length:])
         reducible = [q for q in terms if hits(q)]
     out = FreeElement(f.quiver, field)
     out.terms = terms
@@ -274,12 +254,12 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
     if generators:
         quiver = generators[0].quiver
         field = generators[0].field
-    index = _TipIndex()
+    gb = GroebnerBasis(quiver, field, ())
     for a in generators:
-        h = normal_form(a, index)
+        h = normal_form(a, gb)
         if not h.is_zero:
-            index.append(h.monic())
-    elems, tips = index.elements, index.tips
+            gb._append(h.monic())
+    elems, tips = gb.elements, gb._tips
     queue = deque()
 
     def push_pairs(k):
@@ -296,56 +276,55 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
         tf, tg = tips[i], tips[j]
         for b, c in _overlaps(tf.arrows, tg.arrows):
             o = _overlap_relation(elems[i], elems[j], b, c, tf.source, tg.target, tf, tg)
-            h = normal_form(o, index)
+            h = normal_form(o, gb)
             if h.is_zero:
                 continue
             h = h.monic()
             if h.tip()[0].length > max_tip_length:
                 raise Incomplete(elems, h, max_tip_length)
-            index.append(h)
+            gb._append(h)
             closure_added += 1
             push_pairs(len(elems) - 1)
-    elems = _interreduce(index)
-    return GroebnerBasis(quiver, field, elems, reduced=True,
-                         closure_added=closure_added)
+    return _interreduce(gb, closure_added)
 
 
-def _interreduce(index):
-    """Reduce each element by the others until stable; sort by tip.
+def _interreduce(gb, closure_added):
+    """The reduced basis: each element reduced by the others until stable,
+    sorted by tip.
 
     Tip words are pairwise distinct here, since every element entered in
-    normal form against the earlier ones, so leaving one element out of
-    the index leaves exactly the others.
+    normal form against the earlier ones, so skipping one element leaves
+    exactly the others.
     """
-    elems = list(index.elements)
+    quiver, field = gb.quiver, gb.field
+    elems = list(gb.elements)
     changed = True
     while changed:
         changed = False
         for i in range(len(elems)):
-            h = normal_form(elems[i], index, skip=i)
+            h = normal_form(elems[i], gb, skip=i)
             if h.is_zero:
                 del elems[i]
-                index = _TipIndex(elems)
+                gb = GroebnerBasis(quiver, field, elems)
                 changed = True
                 break
             h = h.monic()
             if h != elems[i]:
                 elems[i] = h
-                index = _TipIndex(elems)
+                gb = GroebnerBasis(quiver, field, elems)
                 changed = True
     elems.sort(key=lambda g: g.tip()[0].key)
-    return elems
+    return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
 
 
 def is_reduced(basis):
     """Check the reduced-GB invariants (monic, tip-reduced, NonTip tails)."""
-    index = _index_of(basis)
-    for i, (g, t) in enumerate(zip(index.elements, index.tips)):
+    for i, (g, t) in enumerate(zip(basis.elements, basis._tips)):
         if g.terms[t] != g.field.one:
             return False
-        if index.hits(t.arrows, skip=i):
+        if basis._hits(t.arrows, skip=i):
             return False
-        if any(index.hits(p.arrows) for p in g.terms if p is not t):
+        if any(basis._hits(p.arrows) for p in g.terms if p is not t):
             return False
     return True
 
@@ -370,9 +349,7 @@ def nontip_enumerate(basis, max_basis=100000):
     length-d windows than there are NonTip paths of length d, one window
     repeats and the stretch between the repeats can be pumped.
     """
-    index = _index_of(basis)
-    quiver = basis.quiver if isinstance(basis, GroebnerBasis) else index.elements[0].quiver
-    first, lengths = index.first, index.lengths
+    quiver, first, lengths = basis.quiver, basis._first, basis._lengths
     d = max(max(lengths, default=0) - 1, 1)
     width = 0  # NonTip paths of length d, known once k reaches d
     out = [quiver.trivial(v) for v in range(quiver.n_vertices)]
@@ -410,74 +387,50 @@ def nontip_enumerate(basis, max_basis=100000):
     return out
 
 
-class UfGraph:
-    """The left-factor graph whose paths from Q0 are the chain sets."""
+def uf_chains(basis, n):
+    """Chain sets W^(-1) .. W^(n) of the Uf-graph.
 
-    __slots__ = ("quiver", "nodes", "succ")
-
-    def __init__(self, quiver, nodes, succ):
-        self.quiver = quiver
-        self.nodes = nodes
-        self.succ = succ
-
-
-def build_uf_graph(basis):
-    """Graph on Q0, Q1 and proper right factors of tips.
-
-    u -> v iff the written concatenation uv contains a tip but no proper
-    written prefix of it does; equivalently some tip ends exactly at the
-    end of uv and none occurs earlier.
+    The Uf-graph has the arrows and the proper right factors of tips as
+    nodes, and u -> v iff the written concatenation uv contains a tip but
+    no proper written prefix of it does; equivalently some tip ends
+    exactly at the end of uv and none occurs earlier.  W^(-1) is the
+    trivial paths; an i-chain is a tuple (w_1, .., w_{i+1}) of graph nodes
+    reachable from a vertex, every node a nontrivial NonTip path.  For a
+    reduced basis W^(0) matches Q1 and W^(1) the tips.
     """
     quiver = basis.quiver
-    index = _index_of(basis)
-    first, lengths = index.first, index.lengths
+    levels = [[quiver.trivial(v) for v in range(quiver.n_vertices)]]
+    if n < 0:
+        return levels[: n + 2]
+    first, lengths = basis._first, basis._lengths
     nodes = {quiver.arrow(a) for a in range(quiver.n_arrows)}
-    for w in index.first:
+    for w in first:
         for k in range(1, len(w)):
             nodes.add(Path(quiver, w[:k]))  # written suffix = right factor
     nodes = sorted(nodes, key=_path_key)
-
-    succ = {u: [] for u in nodes}
+    succ = {}
     for u in nodes:
+        succ[u] = out = []
         for v in nodes:
             if u.source != v.target:
                 continue
             word = v.arrows + u.arrows  # uv: v applied first
-            n = len(word)
             # tip ends at the written front = traversal offset 0
-            if not any(word[:m] in first for m in lengths if m <= n):
+            if not any(word[:m] in first for m in lengths):
                 continue
             # no tip inside the proper written prefix (drop last applied
             # letter = first written letter = final traversal entry)
-            if index.hits(word[1:]):
+            if basis._hits(word[1:]):
                 continue
-            succ[u].append(v)
-    for u in nodes:
-        succ[u].sort(key=_path_key)
-    return UfGraph(quiver, nodes, succ)
-
-
-def uf_chains(basis, n):
-    """Chain sets W^(-1) .. W^(n) of the Uf-graph.
-
-    W^(-1) is the trivial paths; an i-chain is a tuple (w_1, .., w_{i+1})
-    of graph nodes reachable from a vertex, every node a nontrivial
-    NonTip path.  For a reduced basis W^(0) matches Q1 and W^(1) the tips.
-    """
-    graph = build_uf_graph(basis)
-    quiver = basis.quiver
-    index = _index_of(basis)
-    levels = [[quiver.trivial(v) for v in range(quiver.n_vertices)]]
-    if n < 0:
-        return levels[: n + 2]
+            out.append(v)
     chains = [(quiver.arrow(a),) for a in range(quiver.n_arrows)]
     chains.sort(key=lambda ch: ch[0].key)
     levels.append(chains)
     for _ in range(n):
         nxt = []
         for ch in chains:
-            for v in graph.succ.get(ch[-1], ()):  # right factors only
-                if index.hits(v.arrows):
+            for v in succ[ch[-1]]:  # right factors only
+                if basis._hits(v.arrows):
                     continue
                 nxt.append(ch + (v,))
         nxt.sort(key=lambda ch: tuple(p.key for p in ch))

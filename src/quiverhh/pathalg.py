@@ -18,24 +18,7 @@ class ZeroElement(Exception):
     """Raised when an operation needs a nonzero element (e.g. tip of 0)."""
 
 
-class ZeroFlag:
-    """Sentinel value for a product of non-composable paths."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZeroFlag"
-
-    def __bool__(self):
-        return False
-
-
-ZERO = ZeroFlag()
+ZERO = None  # the product of non-composable paths
 
 
 class Quiver:

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 
 import pytest
@@ -20,6 +22,8 @@ from quiverhh.groebner import (
 )
 
 from conftest import ALG_FIXTURES, data_text, elem, time_limit, wnames, written
+
+TESTS = os.path.dirname(__file__)
 
 
 def word(quiver, path):
@@ -452,6 +456,82 @@ def ref_overlap_relation(f, g, b, c):
     return fc.sub(bg)
 
 
+# The Uf-graph and its chain sets as they were before the basis became its
+# own tip index, kept as test-only references.  Tips are looked up in a dict
+# of gb.tip_words() here, so the reference shares no tip lookup with the
+# code under test.
+
+def _ref_tip_dict(basis):
+    first = {}
+    for i, w in enumerate(basis.tip_words()):
+        first.setdefault(w, i)
+    return first, sorted({len(w) for w in first})
+
+
+def _ref_hits(first, lengths, word):
+    n = len(word)
+    return [(s, first[word[s:s + m]]) for m in lengths if m <= n
+            for s in range(n - m + 1) if word[s:s + m] in first]
+
+
+class ref_UfGraph:
+    def __init__(self, quiver, nodes, succ):
+        self.quiver = quiver
+        self.nodes = nodes
+        self.succ = succ
+
+
+def ref_build_uf_graph(basis):
+    quiver = basis.quiver
+    first, lengths = _ref_tip_dict(basis)
+    nodes = {quiver.arrow(a) for a in range(quiver.n_arrows)}
+    for w in first:
+        for k in range(1, len(w)):
+            nodes.add(Path(quiver, w[:k]))  # written suffix = right factor
+    nodes = sorted(nodes, key=lambda p: p.key)
+
+    succ = {u: [] for u in nodes}
+    for u in nodes:
+        for v in nodes:
+            if u.source != v.target:
+                continue
+            word = v.arrows + u.arrows  # uv: v applied first
+            n = len(word)
+            # tip ends at the written front = traversal offset 0
+            if not any(word[:m] in first for m in lengths if m <= n):
+                continue
+            # no tip inside the proper written prefix
+            if _ref_hits(first, lengths, word[1:]):
+                continue
+            succ[u].append(v)
+    for u in nodes:
+        succ[u].sort(key=lambda p: p.key)
+    return ref_UfGraph(quiver, nodes, succ)
+
+
+def ref_uf_chains(basis, n):
+    graph = ref_build_uf_graph(basis)
+    quiver = basis.quiver
+    first, lengths = _ref_tip_dict(basis)
+    levels = [[quiver.trivial(v) for v in range(quiver.n_vertices)]]
+    if n < 0:
+        return levels[: n + 2]
+    chains = [(quiver.arrow(a),) for a in range(quiver.n_arrows)]
+    chains.sort(key=lambda ch: ch[0].key)
+    levels.append(chains)
+    for _ in range(n):
+        nxt = []
+        for ch in chains:
+            for v in graph.succ.get(ch[-1], ()):  # right factors only
+                if _ref_hits(first, lengths, v.arrows):
+                    continue
+                nxt.append(ch + (v,))
+        nxt.sort(key=lambda ch: tuple(p.key for p in ch))
+        levels.append(nxt)
+        chains = nxt
+    return levels
+
+
 # -- the tip-index rewrite equals the reference ------------------------------
 
 REFERENCE_FIXTURES = ALG_FIXTURES + ["sampled_loops_q.alg", "sampled_loops_gf3.alg"]
@@ -610,3 +690,29 @@ class TestInfiniteDimension:
             nontip_enumerate(gb, max_basis=5)
         assert exc.value.window is None
         assert exc.value.reached > 5
+
+
+ALG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
+                   for p in glob.glob(os.path.join(TESTS, d, "*.alg")))
+
+
+def file_relations(name):
+    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+        return parse_algebra(fh.read())
+
+
+class TestChainReference:
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_chains_of_reduced_basis(self, name):
+        field, quiver, rels = file_relations(name)
+        gb = complete(rels, quiver=quiver, field=field)
+        for n in range(-1, 5):
+            assert uf_chains(gb, n) == ref_uf_chains(gb, n), (name, n)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_chains_of_raw_relations(self, name):
+        """Unreduced: tips may divide each other and repeat."""
+        field, quiver, rels = file_relations(name)
+        raw = GroebnerBasis(quiver, field, [r.monic() for r in rels])
+        for n in range(-1, 5):
+            assert uf_chains(raw, n) == ref_uf_chains(raw, n), (name, n)
