@@ -246,7 +246,8 @@ def type3_pairs(quiver, cycles):
 
 
 def _relation_parts(graph, field):
-    """Q_G, the type I path pairs (C_v(a)^m(v), C_w(a')^m(w)), R2 and R3."""
+    """Q_G, the type I path pairs (C_v(a)^m(v), C_w(a')^m(w)), R2, R3 and
+    the type III arrow pairs behind R3."""
     quiver, cycles = build_quiver_and_cycles(graph)
     starts = _edge_starts(quiver, cycles)
     pairs = [
@@ -260,32 +261,32 @@ def _relation_parts(graph, field):
             alpha = quiver.arrow(cyc.arrow_ids[k])
             rel = compose(alpha, cyc.power_path(k))
             r2.append(FreeElement.from_path(rel, field))
-    r3 = []
-    for alpha, beta in type3_pairs(quiver, cycles):
-        p = Path(quiver, (alpha, beta))
-        r3.append(FreeElement.from_path(p, field))
-    return quiver, pairs, r2, r3
+    t3 = type3_pairs(quiver, cycles)
+    r3 = [FreeElement.from_path(Path(quiver, ab), field) for ab in t3]
+    return quiver, pairs, r2, r3, t3
 
 
-def _difference(quiver, field, p, q):
-    return FreeElement(quiver, field, {p: field.one, q: field.neg(field.one)})
+def _type1(quiver, field, pairs, graded=False):
+    """R1 from its path pairs; graded keeps the shorter side of each pair
+    of unequal lengths, the relation of gr(A)."""
+    return [
+        FreeElement.from_path(q if p.length > q.length else p, field)
+        if graded and p.length != q.length
+        else FreeElement(quiver, field, {p: field.one, q: field.neg(field.one)})
+        for p, q in pairs
+    ]
 
 
 def generate_relations(graph, field):
     """(R1, R2, R3) as free elements; may contain redundant members."""
-    quiver, pairs, r2, r3 = _relation_parts(graph, field)
-    return [_difference(quiver, field, p, q) for p, q in pairs], r2, r3
+    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
+    return _type1(quiver, field, pairs), r2, r3
 
 
 def gr_relations(graph, field):
     """Relations of gr(A): shorter side of unbalanced type I, rest kept."""
-    quiver, pairs, r2, r3 = _relation_parts(graph, field)
-    rels = [
-        _difference(quiver, field, p, q) if p.length == q.length
-        else FreeElement.from_path(q if p.length > q.length else p, field)
-        for p, q in pairs
-    ]
-    return rels + r2 + r3
+    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
+    return _type1(quiver, field, pairs, graded=True) + r2 + r3
 
 
 def graded_degree(graph, vname):
@@ -347,13 +348,12 @@ def count_s2(graph):
     vertices, or to be two loops) contributes one kernel element mixing
     the two special cycles.
     """
-    quiver, cycles = build_quiver_and_cycles(graph)
-    r3 = set(type3_pairs(quiver, cycles))
-    count = 0
-    for a, b in combinations(range(quiver.n_arrows), 2):
-        if (a, b) in r3 and (b, a) in r3:
-            count += 1
-    return count
+    return _count_s2(type3_pairs(*build_quiver_and_cycles(graph)))
+
+
+def _count_s2(t3):
+    r3 = set(t3)
+    return sum(1 for a, b in r3 if a < b and (b, a) in r3)
 
 
 def is_mult1_double_edge(graph):
@@ -430,6 +430,10 @@ def _pipeline(relations, quiver, field, max_tip_length=50, max_basis=100000):
 def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
     """Build A and gr(A), compute both cohomologies, check the formulas.
 
+    gr(A) is A when every type I relation joins two cycle powers of one
+    length: no relation then loses a side, so A's algebra and analysis
+    (Lie structure, graded pieces, loop report) serve for gr(A) too.
+
     In characteristic p the formula checks are gated on the loop-power
     condition (char must not divide any loop's minimal tip power) on both
     algebras; failures of the gate are marked hypothesis-failed rather
@@ -441,20 +445,19 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
     dim = algebra_dim(graph)
     if dim > max_basis:
         raise DimensionCapExceeded(max_basis, dim)
-    quiver, _ = build_quiver_and_cycles(graph)
-    r1, r2, r3 = generate_relations(graph, field)
-    gb_a, alg_a, sl_a = _pipeline(r1 + r2 + r3, quiver, field,
-                                  max_tip_length, max_basis)
-    gb_gr, alg_gr, sl_gr = _pipeline(gr_relations(graph, field), quiver, field,
-                                     max_tip_length, max_basis)
-    lie_a = ppcomplex.lie_presentation(alg_a, sl_a)
-    lie_gr = ppcomplex.lie_presentation(alg_gr, sl_gr)
-    graded_a = ppcomplex.graded_report(alg_a, sl_a)
-    graded_gr = ppcomplex.graded_report(alg_gr, sl_gr)
-    loop_a = ppcomplex.loop_char_report(alg_a)
-    loop_gr = ppcomplex.loop_char_report(alg_gr)
+    quiver, pairs, r2, r3, t3 = _relation_parts(graph, field)
+
+    def analyse(graded):
+        relations = _type1(quiver, field, pairs, graded) + r2 + r3
+        gb, alg, sl = _pipeline(relations, quiver, field, max_tip_length, max_basis)
+        return (gb, alg, ppcomplex.lie_presentation(alg, sl),
+                ppcomplex.graded_report(alg, sl), ppcomplex.loop_char_report(alg))
+
+    gb_a, alg_a, lie_a, graded_a, loop_a = analysis_a = analyse(graded=False)
+    gr_is_a = all(p.length == q.length for p, q in pairs)
+    _, alg_gr, lie_gr, graded_gr, loop_gr = analysis_a if gr_is_a else analyse(graded=True)
     gamma = balanced_components(graph)[0]
-    s2 = count_s2(graph)
+    s2 = _count_s2(t3)
     n_e = len(graph.edges)
     n_v = len(graph.vertex_names)
     sum_m = sum(graph.mult.values())

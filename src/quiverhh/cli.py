@@ -42,7 +42,7 @@ import re
 import sys
 
 from .exactla import Field, parse_field
-from .pathalg import ZERO, Quiver, FreeElement, compose, format_path, format_element
+from .pathalg import ZERO, Path, Quiver, FreeElement, compose, format_path, format_element
 from .groebner import Incomplete, CapExceeded, complete, uf_chains
 from .quotient import build_quotient
 from .ppcomplex import (
@@ -198,11 +198,11 @@ class _ExprParser:
             kind, power, pcol = self._take()
             if kind != "int" or power < 1:
                 self._fail("exponent must be a positive integer", pcol)
-            base = path
-            for _ in range(power - 1):
-                path = compose(path, base)
-                if path is ZERO:
+            if path.arrows and power > 1:
+                (a,) = path.arrows
+                if self.quiver.arrow_src[a] != self.quiver.arrow_tgt[a]:
                     self._fail("power of a non-loop path", col)
+                path = Path(self.quiver, path.arrows * power)
         return path
 
 

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -8,13 +9,17 @@ from quiverhh.exactla import Field
 from quiverhh.pathalg import format_element
 from quiverhh.groebner import complete
 from quiverhh.quotient import build_quotient
-from quiverhh.ppcomplex import CochainSlice, compute_hh0, lie_presentation
+from quiverhh.ppcomplex import (
+    CochainSlice, compute_hh0, graded_report, lie_presentation, loop_char_report)
 from quiverhh.baroracle import bar_derived_series, bar_hh_dims, build_bar_slice
 from quiverhh.cli import brauer_to_text, main, parse_brauer
+from quiverhh import brauer
 from quiverhh.brauer import (
     DEFAULT_SEED,
+    BGAReport,
     BrauerGraph,
     BrauerGraphError,
+    Check,
     algebra_dim,
     balanced_components,
     build_quiver_and_cycles,
@@ -32,6 +37,8 @@ from quiverhh.brauer import (
 )
 
 from conftest import data_text
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def path_113():
@@ -370,3 +377,154 @@ class TestCorpus:
             assert algebra_dim(g) <= 18
             if len(g.edges) == 1 and all(m == 1 for m in g.mult.values()):
                 assert g.is_loop(0)
+
+
+def ref_invariant_report(graph, field, max_tip_length=50, max_basis=100000):
+    """Reference report that builds and analyses A and gr(A) separately on
+    every graph, whether or not gr(A) is A, through the public relation
+    builders."""
+    dim = algebra_dim(graph)
+    if dim > max_basis:
+        raise brauer.DimensionCapExceeded(max_basis, dim)
+    quiver, _ = build_quiver_and_cycles(graph)
+    r1, r2, r3 = generate_relations(graph, field)
+    gb_a, alg_a, sl_a = brauer._pipeline(r1 + r2 + r3, quiver, field,
+                                         max_tip_length, max_basis)
+    _, alg_gr, sl_gr = brauer._pipeline(gr_relations(graph, field), quiver, field,
+                                        max_tip_length, max_basis)
+    lie_a = lie_presentation(alg_a, sl_a)
+    lie_gr = lie_presentation(alg_gr, sl_gr)
+    graded_a = graded_report(alg_a, sl_a)
+    graded_gr = graded_report(alg_gr, sl_gr)
+    loop_a = loop_char_report(alg_a)
+    loop_gr = loop_char_report(alg_gr)
+    gamma = balanced_components(graph)[0]
+    s2 = count_s2(graph)
+    n_e = len(graph.edges)
+    n_v = len(graph.vertex_names)
+    sum_m = sum(graph.mult.values())
+
+    gate_ok = field.char == 0 or (
+        all(not d for _, _, d in loop_a) and all(not d for _, _, d in loop_gr))
+    degenerate = is_degenerate(graph)
+    checks = []
+
+    def formula(name, lhs, rhs):
+        detail = f"{lhs} vs {rhs}"
+        if degenerate:
+            checks.append(Check(name, "skipped", f"algebra is k: {detail}"))
+        elif not gate_ok:
+            checks.append(Check(name, "hypothesis-failed", detail))
+        elif lhs == rhs:
+            checks.append(Check(name, "ok", detail))
+        else:
+            checks.append(Check(name, "fail", detail))
+
+    if gb_a.closure_added == 0:
+        checks.append(Check("relations-form-gb", "ok"))
+    else:
+        checks.append(Check("relations-form-gb", "fail",
+                            f"completion added {gb_a.closure_added} elements"))
+    formula("l00-dim", graded_a.dim_L00, n_e - n_v + 2)
+    formula("l00-dim-gr", graded_gr.dim_L00, n_e - n_v + 1 + gamma)
+    formula("hh1-difference", lie_gr.dim - lie_a.dim, gamma - 1)
+    if graph.has_loop():
+        checks.append(Check("hh1-formula-no-loops", "skipped", "graph has loops"))
+    else:
+        formula("hh1-formula-no-loops", lie_a.dim,
+                n_e - 2 * n_v + sum_m + s2 + 2)
+    if is_mult1_double_edge(graph):
+        checks.append(Check("solvable", "skipped",
+                            "multiplicity-1 double edge exception"))
+    elif not gate_ok:
+        checks.append(Check("solvable", "hypothesis-failed",
+                            f"A {lie_a.solvable}, gr {lie_gr.solvable}"))
+    elif lie_a.solvable and lie_gr.solvable:
+        checks.append(Check("solvable", "ok"))
+    else:
+        checks.append(Check("solvable", "fail",
+                            f"A {lie_a.solvable}, gr {lie_gr.solvable}"))
+
+    return BGAReport(
+        graph=graph, field=field, dim_a=alg_a.dim, dim_gr=alg_gr.dim,
+        dim_hh1_a=lie_a.dim, dim_hh1_gr=lie_gr.dim,
+        dim_l00_a=graded_a.dim_L00, dim_l00_gr=graded_gr.dim_L00,
+        gamma=gamma, s2=s2,
+        solvable_a=lie_a.solvable, solvable_gr=lie_gr.solvable,
+        derived_a=lie_a.derived_dims, derived_gr=lie_gr.derived_dims,
+        closure_added_a=gb_a.closure_added,
+        loop_char_a=loop_a, loop_char_gr=loop_gr,
+        checks=checks,
+    )
+
+
+def report_fields(rep):
+    """Every BGAReport field, with each check as (name, status, detail)."""
+    out = {name: getattr(rep, name) for name in BGAReport.__slots__ if name != "checks"}
+    out["checks"] = [(c.name, c.status, c.detail) for c in rep.checks]
+    return out
+
+
+def type1_pairs_balanced(graph, field):
+    """Every type I path pair joins two paths of one length: gr(A) is A."""
+    _, pairs, _, _, _ = brauer._relation_parts(graph, field)
+    return all(p.length == q.length for p, q in pairs)
+
+
+class TestSharedGrAnalysis:
+    """invariant_report reuses A's analysis for gr(A) when gr(A) is A and
+    builds Q_G and the type III pairs once per graph."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return corpus(DEFAULT_SEED, 100, max_dim=40)
+
+    def test_report_matches_reference_on_corpus(self, graphs):
+        field = Field(0)
+        for i, graph in enumerate(graphs):
+            assert report_fields(invariant_report(graph, field)) == \
+                report_fields(ref_invariant_report(graph, field)), i
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_report_matches_reference_under_gate(self, graphs, p):
+        field = Field(p)
+        for i, graph in enumerate(graphs[:25]):
+            assert report_fields(invariant_report(graph, field)) == \
+                report_fields(ref_invariant_report(graph, field)), i
+
+    @pytest.mark.parametrize("graph", [single_loop, single_edge_23, double_edge],
+                             ids=["single_loop", "single_edge_23", "double_edge"])
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_report_matches_reference_on_small_graphs(self, graph, p):
+        graph, field = graph(), Field(p)
+        assert report_fields(invariant_report(graph, field)) == \
+            report_fields(ref_invariant_report(graph, field))
+
+    def test_pair_lengths_agree_with_balance(self, graphs):
+        field = Field(0)
+        flags = [type1_pairs_balanced(g, field) for g in graphs]
+        assert flags == [not unbalanced_edges(g) for g in graphs]
+        assert 0 < sum(flags) < len(graphs)
+
+    def test_gr_relations_are_a_relations_when_balanced(self, graphs):
+        field = Field(0)
+        for graph in graphs:
+            same = gr_relations(graph, field) == sum(generate_relations(graph, field), [])
+            assert same == type1_pairs_balanced(graph, field)
+
+    @pytest.mark.parametrize("name,pipelines", [
+        ("corpus_g12.bg", 1), ("corpus_g06.bg", 2)], ids=["balanced", "unbalanced"])
+    def test_build_counts(self, monkeypatch, name, pipelines):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            field, graph = parse_brauer(fh.read())
+        assert type1_pairs_balanced(graph, field) == (pipelines == 1)
+        calls = {"_pipeline": 0, "build_quiver_and_cycles": 0, "type3_pairs": 0}
+        for attr in calls:
+            def counting(*args, _fn=getattr(brauer, attr), _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(brauer, attr, counting)
+        invariant_report(graph, field)
+        assert calls == {"_pipeline": pipelines, "build_quiver_and_cycles": 1,
+                         "type3_pairs": 1}

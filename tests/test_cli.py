@@ -94,6 +94,38 @@ class TestAlgebraParsing:
         assert exc.value.col == col
         assert fragment in exc.value.message
 
+    def test_loop_power_is_the_explicit_product(self):
+        head = "field Q\nvertex e\narrow x: e -> e\n"
+        _, _, power = parse_algebra(head + "rel x^2000\n")
+        _, _, product = parse_algebra(head + "rel " + "*".join(["x"] * 2000) + "\n")
+        assert power == product
+        (rel,) = power
+        (path,) = rel.terms
+        assert path.length == 2000
+
+    def test_loop_power_parses_in_linear_time(self):
+        with time_limit(5):
+            _, _, rels = parse_algebra(
+                "field Q\nvertex e\narrow x: e -> e\nrel x^100000 - x^99999\n")
+        assert sorted(p.length for p in rels[0].terms) == [99999, 100000]
+
+    def test_vertex_power_is_trivial(self):
+        head = "field Q\nvertex e\narrow x: e -> e\n"
+        assert parse_algebra(head + "rel e^5*x^2*e^3\n")[2] == \
+            parse_algebra(head + "rel x*x\n")[2]
+
+    @pytest.mark.parametrize("rel,col", [("a^2", 5), ("y*a^3", 7), ("y*a^2*e1", 7)])
+    def test_non_loop_power_fails_at_its_factor(self, rel, col):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra("field Q\nvertex e1 e2\narrow a: e1 -> e2\n"
+                          "arrow y: e2 -> e2\nrel %s\n" % rel)
+        assert (exc.value.line, exc.value.col) == (5, col)
+        assert exc.value.message == "power of a non-loop path"
+
+    def test_first_power_of_a_non_loop_arrow_is_the_arrow(self):
+        head = "field Q\nvertex e1 e2\narrow a: e1 -> e2\narrow y: e2 -> e2\n"
+        assert parse_algebra(head + "rel y*a^1\n")[2] == parse_algebra(head + "rel y*a\n")[2]
+
     @pytest.mark.parametrize("name", [
         "trivial_ext_kronecker.alg", "x_cubed_f3.alg", "x_cubed_q.alg",
         "loops_char2.alg", "commuting_loops.alg"])
@@ -272,7 +304,9 @@ class TestGolden:
 
 class TestGoldenCompletion:
     """Full stdout, captured before the tip index existed: algebras whose
-    completion adjoins elements, and two corpus graphs."""
+    completion adjoins elements, and two corpus graphs.  The single loop
+    over GF(2) and GF(3), on which gr(A) is A, was captured before the
+    report shared A's analysis with gr(A)."""
 
     @pytest.mark.parametrize("name", ["sampled_loops_q", "sampled_loops_gf3"])
     @pytest.mark.parametrize("command", ["gb", "hh"])
@@ -287,7 +321,8 @@ class TestGoldenCompletion:
             _, out, _ = run_cli("gb", fixture(name + ".alg"))
             assert int(lines_of(out)["closure-added"]) > 0
 
-    @pytest.mark.parametrize("name", ["corpus_g06", "corpus_g12"])
+    @pytest.mark.parametrize("name", ["corpus_g06", "corpus_g12",
+                                      "single_loop_gf2", "single_loop_gf3"])
     def test_report_stdout(self, name):
         rc, out, err = run_cli("report", os.path.join(GOLDEN, name + ".bg"))
         assert (rc, err) == (0, "")
