@@ -24,23 +24,16 @@ from .pathalg import compose
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis",
-                 "c1_index", "c2_index", "d0", "d1", "_parallels", "_bplus", "_spaces")
+                 "c1_index", "c2_index", "d0", "d1", "_bplus", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
         quiver = algebra.quiver
-        basis = algebra.basis
-        self._bplus = [p for p in basis if p.length > 0]
-        self.c0_basis = [
-            (v, b)
-            for v in range(quiver.n_vertices)
-            for b in basis
-            if b.source == v and b.target == v
-        ]
-        self._parallels = {}
-        for x in self._bplus:
-            self._parallels[x] = [b for b in basis if b.parallel_to(x)]
-        self.c1_basis = [(x, b) for x in self._bplus for b in self._parallels[x]]
+        self._bplus = [p for p in algebra.basis if p.length > 0]
+        self.c0_basis = [(v, b) for v in range(quiver.n_vertices)
+                         for b in algebra.parallel(v, v)]
+        self.c1_basis = [(x, b) for x in self._bplus
+                         for b in algebra.parallel(x.source, x.target)]
         self.c1_index = {pair: i for i, pair in enumerate(self.c1_basis)}
         pairs = [
             (x1, x2)
@@ -48,11 +41,8 @@ class BarSlice:
             for x2 in self._bplus
             if x1.source == x2.target
         ]
-        self.c2_basis = []
-        for x1, x2 in pairs:
-            for b in basis:
-                if b.source == x2.source and b.target == x1.target:
-                    self.c2_basis.append((x1, x2, b))
+        self.c2_basis = [(x1, x2, b) for x1, x2 in pairs
+                         for b in algebra.parallel(x2.source, x1.target)]
         self.c2_index = {t: i for i, t in enumerate(self.c2_basis)}
         self.d0 = self._build_d0()
         self.d1 = self._build_d1(pairs)
@@ -93,15 +83,15 @@ class BarSlice:
                 x = a.basis[j]
                 if x.length == 0:
                     continue
-                for b in self._parallels[x]:
+                for b in a.parallel(x.source, x.target):
                     bump(b, self.c1_index[(x, b)], field.neg(c))
             # +x1 f(x2) for f elementary at (x2, b)
-            for b in self._parallels[x2]:
+            for b in a.parallel(x2.source, x2.target):
                 col = self.c1_index[(x2, b)]
                 for j, c in self._product(x1, b).items():
                     bump(a.basis[j], col, c)
             # +f(x1) x2 for f elementary at (x1, b)
-            for b in self._parallels[x1]:
+            for b in a.parallel(x1.source, x1.target):
                 col = self.c1_index[(x1, b)]
                 for j, c in self._product(b, x2).items():
                     bump(a.basis[j], col, c)

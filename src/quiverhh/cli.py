@@ -43,7 +43,7 @@ import sys
 
 from .exactla import Field, parse_field
 from .pathalg import ZERO, Path, Quiver, FreeElement, compose, format_path, format_element
-from .groebner import Incomplete, CapExceeded, complete, uf_chains
+from .groebner import ChainCapExceeded, Incomplete, CapExceeded, complete, uf_chains
 from .quotient import build_quotient
 from .ppcomplex import (
     CochainSlice,
@@ -59,9 +59,8 @@ from .brauer import (
     BrauerGraphError,
     DimensionCapExceeded,
     _half_token,
-    build_quiver_and_cycles,
-    generate_relations,
-    gr_relations,
+    _relation_parts,
+    _type1,
     invariant_report,
     corpus,
 )
@@ -460,7 +459,7 @@ def cmd_hh(args, out):
 
 
 def cmd_chains(args, out):
-    levels = uf_chains(_completed(args), args.n)
+    levels = uf_chains(_completed(args), args.n, max_basis=args.max_basis)
     for i, level in enumerate(levels):
         out("W[%d]: %d" % (i - 1, len(level)))
     return 0
@@ -489,15 +488,8 @@ def cmd_oracle(args, out):
 
 def cmd_bga(args, out):
     field, graph = _load(args.file, parse_brauer)
-    if args.gr:
-        relations = gr_relations(graph, field)
-    else:
-        r1, r2, r3 = generate_relations(graph, field)
-        relations = r1 + r2 + r3
-    if relations:
-        quiver = relations[0].quiver
-    else:
-        quiver, _ = build_quiver_and_cycles(graph)
+    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
+    relations = _type1(quiver, field, pairs, graded=args.gr) + r2 + r3
     text = algebra_to_text(field, quiver, relations)
     out(text.rstrip("\n"))
     return 0
@@ -658,6 +650,10 @@ def main(argv=None):
         return 3
     except CapExceeded as exc:
         print("error: %s" % _infinite_text(exc), file=sys.stderr)
+        return 3
+    except ChainCapExceeded as exc:
+        print("error: chain sets exceed --max-basis %d: the paths held reached %d "
+              "while building W[%d]" % (exc.cap, exc.reached, exc.level), file=sys.stderr)
         return 3
     except DimensionCapExceeded as exc:
         print("error: Brauer graph algebra dimension exceeds --max-basis %d: the graph "

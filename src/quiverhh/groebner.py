@@ -48,6 +48,16 @@ class CapExceeded(Exception):
         super().__init__(f"NonTip enumeration {what}")
 
 
+class ChainCapExceeded(Exception):
+    """uf_chains passed max_basis, holding ``reached`` paths, at W^(``level``)."""
+
+    def __init__(self, cap, reached, level):
+        self.cap = cap
+        self.reached = reached
+        self.level = level
+        super().__init__(f"chain sets exceeded {cap} paths at W^({level})")
+
+
 class GroebnerBasis:
     """A list of monic elements, indexed by their tips as they enter.
 
@@ -387,7 +397,7 @@ def nontip_enumerate(basis, max_basis=100000):
     return out
 
 
-def uf_chains(basis, n):
+def uf_chains(basis, n, max_basis=100000):
     """Chain sets W^(-1) .. W^(n) of the Uf-graph.
 
     The Uf-graph has the arrows and the proper right factors of tips as
@@ -396,9 +406,14 @@ def uf_chains(basis, n):
     exactly at the end of uv and none occurs earlier.  W^(-1) is the
     trivial paths; an i-chain is a tuple (w_1, .., w_{i+1}) of graph nodes
     reachable from a vertex, every node a nontrivial NonTip path.  For a
-    reduced basis W^(0) matches Q1 and W^(1) the tips.
+    reduced basis W^(0) matches Q1 and W^(1) the tips.  An i-chain holds
+    i+1 paths; ChainCapExceeded is raised before a chain would bring the
+    paths held across all levels past max_basis.
     """
     quiver = basis.quiver
+    held = quiver.n_vertices
+    if held > max_basis:
+        raise ChainCapExceeded(max_basis, held, -1)
     levels = [[quiver.trivial(v) for v in range(quiver.n_vertices)]]
     if n < 0:
         return levels[: n + 2]
@@ -423,15 +438,21 @@ def uf_chains(basis, n):
             if basis._hits(word[1:]):
                 continue
             out.append(v)
+    held += quiver.n_arrows
+    if held > max_basis:
+        raise ChainCapExceeded(max_basis, held, 0)
     chains = [(quiver.arrow(a),) for a in range(quiver.n_arrows)]
     chains.sort(key=lambda ch: ch[0].key)
     levels.append(chains)
-    for _ in range(n):
+    for i in range(1, n + 1):
         nxt = []
         for ch in chains:
             for v in succ[ch[-1]]:  # right factors only
                 if basis._hits(v.arrows):
                     continue
+                held += i + 1
+                if held > max_basis:
+                    raise ChainCapExceeded(max_basis, held, i)
                 nxt.append(ch + (v,))
         nxt.sort(key=lambda ch: tuple(p.key for p in ch))
         levels.append(nxt)

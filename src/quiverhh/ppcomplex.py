@@ -86,42 +86,29 @@ class CochainSlice:
 
     Matrices are dense row-major: psi0 has one row per Q1//B pair and one
     column per Q0//B pair; psi1 one row per Tip//B pair and one column
-    per Q1//B pair.  The bracket of two Q1//B pairs depends on the pairs
-    alone, so it is tabulated by index pair as it is first needed.
+    per Q1//B pair.  Pair spaces are read off ``algebra.parallel``, and
+    pair brackets are not stored: the algebra memoizes their projections.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0", "psi1", "_hh1", "_brackets",
+        "q1_index", "psi0", "psi1", "_hh1",
     )
 
     def __init__(self, algebra):
         self.algebra = algebra
-        quiver, field = algebra.quiver, algebra.field
+        quiver = algebra.quiver
         ensure_uniform(algebra.gb)
-        self.q0_pairs = [
-            (v, b)
-            for v in range(quiver.n_vertices)
-            for b in algebra.basis
-            if b.source == v and b.target == v
-        ]
-        self.q1_pairs = [
-            (a, b)
-            for a in range(quiver.n_arrows)
-            for b in algebra.basis
-            if b.source == quiver.arrow_src[a] and b.target == quiver.arrow_tgt[a]
-        ]
+        self.q0_pairs = [(v, b) for v in range(quiver.n_vertices)
+                         for b in algebra.parallel(v, v)]
+        self.q1_pairs = [(a, b) for a in range(quiver.n_arrows)
+                         for b in algebra.parallel(quiver.arrow_src[a], quiver.arrow_tgt[a])]
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
-        self.tip_pairs = [
-            (t, b)
-            for t in algebra.gb.tips()
-            for b in algebra.basis
-            if b.parallel_to(t)
-        ]
+        self.tip_pairs = [(t, b) for t in algebra.gb.tips()
+                          for b in algebra.parallel(t.source, t.target)]
         self.psi0 = self._build_psi0()
         self.psi1 = self._build_psi1()
         self._hh1 = None
-        self._brackets = {}
 
     def _build_psi0(self):
         a = self.algebra
@@ -144,9 +131,7 @@ class CochainSlice:
     def _build_psi1(self):
         a = self.algebra
         field = a.field
-        tip_index = {}
-        for i, (t, b) in enumerate(self.tip_pairs):
-            tip_index[(t, b)] = i
+        tip_index = {pair: i for i, pair in enumerate(self.tip_pairs)}
         rows = [[field.zero] * len(self.q1_pairs) for _ in self.tip_pairs]
         elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
         for col, (arr, gamma) in enumerate(self.q1_pairs):
@@ -159,10 +144,7 @@ class CochainSlice:
 
     def _pair_bracket(self, i, j):
         """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for pairs i and
-        j, as a sparse {Q1//B index: coeff} dict, memoized."""
-        got = self._brackets.get((i, j))
-        if got is not None:
-            return got
+        j, as a sparse {Q1//B index: coeff} dict."""
         a = self.algebra
         field = a.field
         (ai, gi), (aj, gj) = self.q1_pairs[i], self.q1_pairs[j]
@@ -175,9 +157,7 @@ class CochainSlice:
                 if idx is None:
                     raise AssertionError("bracket left the pair space")
                 got[idx] = field.add(got.get(idx, field.zero), c)
-        got = {k: c for k, c in got.items() if c}
-        self._brackets[(i, j)] = got
-        return got
+        return {k: c for k, c in got.items() if c}
 
     # -- derived spaces ------------------------------------------------
 

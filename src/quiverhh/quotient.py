@@ -2,10 +2,11 @@
 
 A QuotientAlgebra is the reduced Groebner basis plus the NonTip monomial
 basis B in llex order.  Everything downstream (cohomology, the bar
-oracle) works in coordinates over B.  Normal forms are unique for a
-complete basis and pi is linear, so the projection of any element is a
-sum of per-path images; each algebra memoizes those in one map from a
-path to its sparse coordinates.
+oracle) works in coordinates over B, and both routes read their pair
+spaces X//B (b in B parallel to x) off one index of B by endpoints.
+Normal forms are unique for a complete basis and pi is linear, so the
+projection of any element is a sum of per-path images; each algebra
+memoizes those in one map from a path to its sparse coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ InfiniteDimensional = CapExceeded
 
 
 class QuotientAlgebra:
-    __slots__ = ("quiver", "field", "gb", "basis", "index", "_path_coords")
+    __slots__ = ("quiver", "field", "gb", "basis", "index", "_parallel", "_path_coords")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -27,11 +28,19 @@ class QuotientAlgebra:
         self.gb = gb
         self.basis = basis
         self.index = {p: i for i, p in enumerate(basis)}
+        self._parallel = {}
+        for p in basis:
+            self._parallel.setdefault((p.source, p.target), []).append(p)
         self._path_coords = {}
 
     @property
     def dim(self):
         return len(self.basis)
+
+    def parallel(self, source, target):
+        """The basis paths from vertex source to vertex target, in basis
+        order.  Shared between callers: do not mutate the result."""
+        return self._parallel.get((source, target), ())
 
     def path_coords(self, p):
         """pi(p) for one path p as a sparse {basis index: coeff} dict.

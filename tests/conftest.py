@@ -1,3 +1,4 @@
+import glob
 import os
 import signal
 from contextlib import contextmanager
@@ -11,6 +12,10 @@ from quiverhh.pathalg import Quiver, FreeElement, compose
 from quiverhh.quotient import build_quotient
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+# every algebra file, as a path relative to the tests directory
+TESTS = os.path.dirname(__file__)
+ALG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
+                   for p in glob.glob(os.path.join(TESTS, d, "*.alg")))
 ALG_FIXTURES = [
     "trivial_ext_kronecker.alg", "x_cubed_f3.alg", "x_cubed_q.alg",
     "loops_char2.alg", "commuting_loops.alg"]

@@ -224,6 +224,9 @@ def ref_build_d1(sl, pairs):
             c = field.neg(c)
         rows[row][col] = field.add(rows[row][col], c)
 
+    def parallels(x):
+        return [b for b in a.basis if b.parallel_to(x)]
+
     for x1, x2 in pairs:
         i1, i2 = a.index[x1], a.index[x2]
         prod = ref_multiply(i1, i2, a)
@@ -234,18 +237,18 @@ def ref_build_d1(sl, pairs):
             x = a.basis[j]
             if x.length == 0:
                 continue
-            for b in sl._parallels[x]:
+            for b in parallels(x):
                 col = sl.c1_index[(x, b)]
                 bump(sl.c2_index[(x1, x2, b)], col, c, -1)
         # +x1 f(x2) for f elementary at (x2, b)
-        for b in sl._parallels[x2]:
+        for b in parallels(x2):
             col = sl.c1_index[(x2, b)]
             vec = ref_multiply(i1, a.index[b], a)
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(sl.c2_index[(x1, x2, a.basis[j])], col, c, +1)
         # +f(x1) x2 for f elementary at (x1, b)
-        for b in sl._parallels[x1]:
+        for b in parallels(x1):
             col = sl.c1_index[(x1, b)]
             vec = ref_multiply(a.index[b], i2, a)
             for j, c in enumerate(vec):

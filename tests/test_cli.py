@@ -1,3 +1,4 @@
+import glob
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,6 +33,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def fixture(name):
     return os.path.join(DATA, name)
+
+
+def alg_name(path):
+    return os.path.basename(path)[:-len(".alg")]
 
 
 def lines_of(text):
@@ -292,13 +297,23 @@ class TestSubcommands:
 class TestGolden:
     """Full stdout, captured before the path map and bracket table existed;
     dim19_bga (`bga tests/data/loop_mult1_val3_dim19.bg`, an inhomogeneous
-    ideal) before the graded pieces were read off ranks."""
+    ideal) before the graded pieces were read off ranks; the five data
+    fixtures before the pair spaces were read off the parallel-path index."""
 
-    @pytest.mark.parametrize("name", ["xy4_q", "xy4_gf2", "dim19_bga"])
-    def test_hh_stdout(self, name):
-        rc, out, err = run_cli("hh", os.path.join(GOLDEN, name + ".alg"))
+    @pytest.mark.parametrize("path", [
+        os.path.join(GOLDEN, "xy4_q.alg"),
+        os.path.join(GOLDEN, "xy4_gf2.alg"),
+        os.path.join(GOLDEN, "dim19_bga.alg"),
+        fixture("commuting_loops.alg"),
+        fixture("loops_char2.alg"),
+        fixture("trivial_ext_kronecker.alg"),
+        fixture("x_cubed_f3.alg"),
+        fixture("x_cubed_q.alg"),
+    ], ids=alg_name)
+    def test_hh_stdout(self, path):
+        rc, out, err = run_cli("hh", path)
         assert (rc, err) == (0, "")
-        with open(os.path.join(GOLDEN, name + ".hh.out"), encoding="utf-8") as fh:
+        with open(os.path.join(GOLDEN, alg_name(path) + ".hh.out"), encoding="utf-8") as fh:
             assert out == fh.read()
 
 
@@ -332,18 +347,42 @@ class TestGoldenCompletion:
 
 class TestGoldenOracle:
     """Full `oracle` stdout, captured before the bar oracle read sparse
-    products and eliminated each differential once."""
+    products and eliminated each differential once; for the algebras
+    after xy4_q, before the pair spaces were read off the parallel-path
+    index."""
 
     @pytest.mark.parametrize("path", [
         fixture("sampled_loops_q.alg"),
         fixture("sampled_loops_gf3.alg"),
         os.path.join(GOLDEN, "xy4_q.alg"),
-    ], ids=["sampled_loops_q", "sampled_loops_gf3", "xy4_q"])
+        os.path.join(GOLDEN, "xy4_gf2.alg"),
+        os.path.join(GOLDEN, "dim19_bga.alg"),
+        fixture("commuting_loops.alg"),
+        fixture("loops_char2.alg"),
+        fixture("trivial_ext_kronecker.alg"),
+        fixture("x_cubed_f3.alg"),
+        fixture("x_cubed_q.alg"),
+    ], ids=alg_name)
     def test_oracle_stdout(self, path):
         rc, out, err = run_cli("oracle", path)
         assert (rc, err) == (0, "")
-        name = os.path.basename(path)[:-len(".alg")]
-        with open(os.path.join(GOLDEN, name + ".oracle.out"), encoding="utf-8") as fh:
+        with open(os.path.join(GOLDEN, alg_name(path) + ".oracle.out"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
+class TestGoldenBga:
+    """Full `bga` and `bga --gr` stdout for every Brauer graph in the data
+    directory, captured before `bga` built its relations the way `report`
+    does.  single_edge_11 is the one-edge graph with no relations."""
+
+    @pytest.mark.parametrize("name", sorted(
+        os.path.basename(p)[:-len(".bg")] for p in glob.glob(os.path.join(DATA, "*.bg"))))
+    @pytest.mark.parametrize("flags,suffix", [([], "bga"), (["--gr"], "bga-gr")],
+                             ids=["bga", "bga-gr"])
+    def test_bga_stdout(self, name, flags, suffix):
+        rc, out, err = run_cli("bga", *flags, fixture(name + ".bg"))
+        assert (rc, err) == (0, "")
+        with open(os.path.join(GOLDEN, "%s.%s.out" % (name, suffix)), encoding="utf-8") as fh:
             assert out == fh.read()
 
 
@@ -426,6 +465,25 @@ class TestExitCodes:
         assert err == ("error: completion exceeded the tip length cap --max-tip-len 6: "
                        "an adjoined element has a tip of length 7 "
                        "(offender x*y^5*x - x*y^6)\n")
+
+    def test_chains_cap_names_cap_level_and_paths_held(self):
+        # x^3 = 0 has one i-chain of i+1 paths per level: W[-1..446] hold
+        # 1 + 447*448/2 = 100129 paths
+        with time_limit(5):
+            rc, out, err = run_cli("chains", "--n", "100000", fixture("x_cubed_q.alg"))
+        assert (rc, out) == (3, "")
+        assert err == ("error: chain sets exceed --max-basis 100000: the paths held "
+                       "reached 100129 while building W[446]\n")
+
+    @pytest.mark.parametrize("cap,rc", [(16, 0), (15, 3)])
+    def test_chains_below_the_cap_prints_every_level(self, cap, rc):
+        # W[-1..4] of x^3 = 0 hold 1 + 1 + 2 + 3 + 4 + 5 = 16 paths
+        got = run_cli("chains", "--n", "4", "--max-basis", str(cap), fixture("x_cubed_q.alg"))
+        if rc == 0:
+            assert got == (0, "".join("W[%d]: 1\n" % i for i in range(-1, 5)), "")
+        else:
+            assert got == (3, "", "error: chain sets exceed --max-basis 15: the paths "
+                                  "held reached 16 while building W[4]\n")
 
     def test_basis_cap_names_cap_and_paths_reached(self):
         rc, out, err = run_cli("basis", "--max-basis", "10", os.path.join(GOLDEN, "xy4_q.alg"))

@@ -1,4 +1,3 @@
-import glob
 import os
 import random
 
@@ -10,6 +9,7 @@ from quiverhh.exactla import Field
 from quiverhh.pathalg import FreeElement, Path, Quiver, format_element, format_path, multiply
 from quiverhh.groebner import (
     CapExceeded,
+    ChainCapExceeded,
     GroebnerBasis,
     Incomplete,
     complete,
@@ -21,9 +21,8 @@ from quiverhh.groebner import (
     uf_chains,
 )
 
-from conftest import ALG_FIXTURES, data_text, elem, time_limit, wnames, written
+from conftest import ALG_FILES, ALG_FIXTURES, TESTS, data_text, elem, time_limit, wnames, written
 
-TESTS = os.path.dirname(__file__)
 
 
 def word(quiver, path):
@@ -266,6 +265,16 @@ class TestChains:
         gb = complete([FreeElement.from_path(Path(quiver, (0, 0, 0)), Field(0))])
         levels = uf_chains(gb, 4)
         assert [len(lv) for lv in levels] == [1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("cap,level", [(0, -1), (1, 0), (15, 4)])
+    def test_cap_counts_the_paths_held_across_levels(self, cap, level):
+        # W[-1..4] of x^3 = 0 hold 1 + 1 + 2 + 3 + 4 + 5 = 16 paths
+        quiver = Quiver(["e"], [("x", "e", "e")])
+        gb = complete([FreeElement.from_path(Path(quiver, (0, 0, 0)), Field(0))])
+        assert uf_chains(gb, 4, max_basis=16) == uf_chains(gb, 4)
+        with pytest.raises(ChainCapExceeded) as info:
+            uf_chains(gb, 4, max_basis=cap)
+        assert (info.value.cap, info.value.reached, info.value.level) == (cap, cap + 1, level)
 
     def test_monomial_square_counts(self, two_loops):
         Q = Field(0)
@@ -692,8 +701,6 @@ class TestInfiniteDimension:
         assert exc.value.reached > 5
 
 
-ALG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
-                   for p in glob.glob(os.path.join(TESTS, d, "*.alg")))
 
 
 def file_relations(name):

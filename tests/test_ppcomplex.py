@@ -1,4 +1,3 @@
-import glob
 import os
 
 import pytest
@@ -29,7 +28,7 @@ from quiverhh.ppcomplex import (
     substitute,
 )
 
-from conftest import ALG_FIXTURES, elem, fixture_algebra, wnames, written
+from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
 
 
 def pname(quiver, p):
@@ -154,8 +153,8 @@ class TestBracketTable:
         vec = st.lists(st.integers(-2, 2).map(A.field.of), min_size=n, max_size=n)
         pairs = [(data.draw(vec), data.draw(vec)) for _ in range(3)]
         expected = [direct_bracket(u, v, sl) for u, v in pairs]
-        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # cold table
-        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # warm table
+        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # cold path map
+        assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # warm path map
 
 
 class TestSubstitute:
@@ -521,9 +520,6 @@ def ref_graded_report(algebra, slice_=None):
     return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
 
 
-TESTS = os.path.dirname(__file__)
-ALG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
-                   for p in glob.glob(os.path.join(TESTS, d, "*.alg")))
 
 
 def text_algebra(text):

@@ -1,12 +1,19 @@
+import functools
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverhh.baroracle import BarSlice
+from quiverhh.brauer import build_quiver_and_cycles, corpus, generate_relations, gr_relations
+from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose, format_element
 from quiverhh.groebner import CapExceeded, complete, normal_form
+from quiverhh.ppcomplex import CochainSlice
 from quiverhh.quotient import InfiniteDimensional, build_quotient, project_sparse
 
-from conftest import ALG_FIXTURES, elem, fixture_algebra, wnames, written
+from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
 
 
 # -- test-local references: coordinates read off a normal form, and the
@@ -206,3 +213,66 @@ class TestMultiplication:
         rhs = [F5.add(u, v) for u, v in zip(ref_multiply(a, b, A),
                                             ref_multiply(a, c, A))]
         assert lhs == rhs
+
+
+# -- the six X//B pair spaces of both cohomology routes, built by the scans
+# over the whole basis that built them before the parallel-path index --
+
+def ref_pair_spaces(A):
+    """(Q0//B, Q1//B, Tip//B, C0, C1, C2) by endpoint scans of A.basis."""
+    quiver, basis = A.quiver, A.basis
+    q0 = [(v, b) for v in range(quiver.n_vertices) for b in basis
+          if b.source == v and b.target == v]
+    q1 = [(a, b) for a in range(quiver.n_arrows) for b in basis
+          if b.source == quiver.arrow_src[a] and b.target == quiver.arrow_tgt[a]]
+    tips = [(t, b) for t in A.gb.tips() for b in basis if b.parallel_to(t)]
+    bplus = [p for p in basis if p.length > 0]
+    c1 = [(x, b) for x in bplus for b in basis if b.parallel_to(x)]
+    c2 = [(x1, x2, b) for x1 in bplus for x2 in bplus if x1.source == x2.target
+          for b in basis if b.source == x2.source and b.target == x1.target]
+    return q0, q1, tips, list(q0), c1, c2
+
+
+def pair_spaces(A):
+    pp, bar = CochainSlice(A), BarSlice(A)
+    return (pp.q0_pairs, pp.q1_pairs, pp.tip_pairs,
+            bar.c0_basis, bar.c1_basis, bar.c2_basis)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_graphs():
+    return corpus(271828, 100, max_dim=40)[:25]
+
+
+class TestParallelIndex:
+    def test_parallel_lists_basis_paths_in_basis_order(self):
+        A = fixture_algebra("trivial_ext_kronecker.alg")
+        seen = []
+        for s in range(A.quiver.n_vertices):
+            for t in range(A.quiver.n_vertices):
+                got = list(A.parallel(s, t))
+                assert got == [b for b in A.basis if (b.source, b.target) == (s, t)]
+                seen += got
+        assert sorted(seen) == sorted(A.basis)
+
+    def test_no_path_between_vertices_is_empty(self):
+        quiver = Quiver(["u", "v"], [("a", "u", "v")])
+        A = build_quotient(complete([], quiver=quiver, field=Field(0)))
+        assert list(A.parallel(1, 0)) == []
+        assert [b.length for b in A.parallel(0, 1)] == [1]
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_pair_spaces_equal_basis_scans_on_files(self, name):
+        with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+            field, quiver, rels = parse_algebra(fh.read())
+        A = build_quotient(complete(rels, quiver=quiver, field=field))
+        assert pair_spaces(A) == ref_pair_spaces(A)
+
+    @pytest.mark.parametrize("index", range(25))
+    def test_pair_spaces_equal_basis_scans_on_corpus(self, index):
+        graph = corpus_graphs()[index]
+        field = Field(0)
+        quiver, _ = build_quiver_and_cycles(graph)
+        for rels in (sum(generate_relations(graph, field), []), gr_relations(graph, field)):
+            A = build_quotient(complete(rels, quiver=quiver, field=field))
+            assert pair_spaces(A) == ref_pair_spaces(A)
