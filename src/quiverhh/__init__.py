@@ -1,7 +1,7 @@
 """Exact computation of first Hochschild cohomology for quiver algebras.
 
 Subpackages build on each other roughly in this order: exactla (scalars,
-matrices), pathalg (quivers, paths, free-algebra elements), groebner
+sparse vectors), pathalg (quivers, paths, free-algebra elements), groebner
 (noncommutative Groebner bases and chain spaces), quotient (finite
 dimensional quotient algebras), ppcomplex (the parallel-paths cochain
 complex, HH0/HH1 and the Lie structure), baroracle (a deliberately naive

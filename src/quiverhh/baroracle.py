@@ -10,21 +10,26 @@ A+ the span of the nontrivial basis paths B+.  The differentials are
     (D0 a)(x) = ax - xa
     (D1 f)(x1 (x) x2) = x1 f(x2) - f(pA(x1 x2)) + f(x1) x2
 
-and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  The matrices are
-dense and deliberately naive; products and cochain values are sparse
-{basis index: coeff} dicts.  Independence from ppcomplex is the whole
-point.
+and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  D0 is held as
+sparse image columns over C1 and D1 as sparse rows over C1, both
+assembled here straight from the cochain formulas; cochains, products
+and brackets are sparse {index: coeff} dicts.  ``d0`` and ``d1`` are
+dense row-major views, built on first access.  Independence from
+ppcomplex is the whole point: the two share only exactla and the
+quotient algebra.
 """
 
 from __future__ import annotations
 
-from .exactla import column_space, kernel_basis, row_space, subspace_quotient
+from .exactla import (
+    combine, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
+)
 from .pathalg import compose
 
 
 class BarSlice:
-    __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis",
-                 "c1_index", "c2_index", "d0", "d1", "_bplus", "_spaces")
+    __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index", "c2_index",
+                 "d0_cols", "d1_rows", "_d0", "_d1", "_bplus", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -44,9 +49,23 @@ class BarSlice:
         self.c2_basis = [(x1, x2, b) for x1, x2 in pairs
                          for b in algebra.parallel(x2.source, x1.target)]
         self.c2_index = {t: i for i, t in enumerate(self.c2_basis)}
-        self.d0 = self._build_d0()
-        self.d1 = self._build_d1(pairs)
-        self._spaces = None
+        self.d0_cols = self._build_d0()
+        self.d1_rows = self._build_d1(pairs)
+        self._d0 = self._d1 = self._spaces = None
+
+    @property
+    def d0(self):
+        if self._d0 is None:
+            rows = rows_of_columns(self.d0_cols, len(self.c1_basis))
+            self._d0 = [dense(r, len(self.c0_basis), self.algebra.field) for r in rows]
+        return self._d0
+
+    @property
+    def d1(self):
+        if self._d1 is None:
+            n, field = len(self.c1_basis), self.algebra.field
+            self._d1 = [dense(r, n, field) for r in self.d1_rows]
+        return self._d1
 
     def _product(self, p, q):
         """pi(p q) as a sparse {basis index: coeff} dict, {} if p, q do not
@@ -55,28 +74,27 @@ class BarSlice:
         return self.algebra.path_coords(r) if r else {}
 
     def _build_d0(self):
+        # column (v, b): the cochain x -> bx - xb
         a = self.algebra
         field = a.field
-        rows = [[field.zero] * len(self.c0_basis) for _ in self.c1_basis]
-        for col, (_, b) in enumerate(self.c0_basis):
-            for x in self._bplus:
-                for j, c in self._product(b, x).items():
-                    row = rows[self.c1_index[(x, a.basis[j])]]
-                    row[col] = field.add(row[col], c)
-                for j, c in self._product(x, b).items():
-                    row = rows[self.c1_index[(x, a.basis[j])]]
-                    row[col] = field.sub(row[col], c)
-        return rows
+        one, minus = field.one, field.neg(field.one)
+
+        def at(x, val):
+            return {self.c1_index[(x, a.basis[j])]: c for j, c in val.items()}
+
+        return [combine([(at(x, self._product(b, x)), one) for x in self._bplus]
+                        + [(at(x, self._product(x, b)), minus) for x in self._bplus], field)
+                for _, b in self.c0_basis]
 
     def _build_d1(self, pairs):
         a = self.algebra
         field = a.field
-        rows = [[field.zero] * len(self.c1_basis) for _ in self.c2_basis]
+        rows = [{} for _ in self.c2_basis]
         for x1, x2 in pairs:
 
             def bump(b, col, c):
                 row = rows[self.c2_index[(x1, x2, b)]]
-                row[col] = field.add(row[col], c)
+                row[col] = field.add(row.get(col, field.zero), c)
 
             # -f(pA(x1 x2)): pA drops the trivial-path coordinates
             for j, c in self._product(x1, x2).items():
@@ -95,7 +113,7 @@ class BarSlice:
                 col = self.c1_index[(x1, b)]
                 for j, c in self._product(b, x2).items():
                     bump(a.basis[j], col, c)
-        return rows
+        return [{j: c for j, c in row.items() if c} for row in rows]
 
     def spaces(self):
         """(Ker D1, Im D0) as subspaces of C1, each differential eliminated
@@ -103,8 +121,8 @@ class BarSlice:
         if self._spaces is None:
             field = self.algebra.field
             n = len(self.c1_basis)
-            self._spaces = (kernel_basis(self.d1, field, ncols=n),
-                            column_space(self.d0, field, ambient_dim=n))
+            self._spaces = (kernel_basis(self.d1_rows, field, n),
+                            row_space(self.d0_cols, field, n))
         return self._spaces
 
 
@@ -119,44 +137,25 @@ def bar_hh_dims(algebra, slice_=None):
     return len(sl.c0_basis) - u0.dim, k1.dim - u0.dim
 
 
-def _cochain_map(vec, sl):
-    """C1 coordinate vector -> {basis index of x in B+: sparse value f(x)}."""
-    index = sl.algebra.index
-    out = {}
-    for i, c in enumerate(vec):
-        if c:
-            x, b = sl.c1_basis[i]
-            out.setdefault(index[x], {})[index[b]] = c
-    return out
-
-
-def _apply(fmap, val, field):
-    """f(pA(v)) for a sparse v over B; trivial paths have no value under f,
-    which is pA."""
-    out = {}
-    for i, c in val.items():
-        for j, w in fmap.get(i, {}).items():
-            out[j] = field.add(out.get(j, field.zero), field.mul(c, w))
-    return out
-
-
 def bracket_c1(u, v, sl):
-    """[u, v] = u.pA.v - v.pA.u as C1 coordinate vectors."""
-    a = sl.algebra
-    field = a.field
-    umap = _cochain_map(u, sl)
-    vmap = _cochain_map(v, sl)
-    out = [field.zero] * len(sl.c1_basis)
-    for i in umap.keys() | vmap.keys():
-        x = a.basis[i]
-        # every term of f(x) is parallel to x, so (x, b) is a C1 pair
-        for j, c in _apply(umap, vmap.get(i, {}), field).items():
-            k = sl.c1_index[(x, a.basis[j])]
-            out[k] = field.add(out[k], c)
-        for j, c in _apply(vmap, umap.get(i, {}), field).items():
-            k = sl.c1_index[(x, a.basis[j])]
-            out[k] = field.sub(out[k], c)
-    return out
+    """[u, v] = u.pA.v - v.pA.u of C1 cochains u, v (sparse or dense), as a
+    sparse C1 vector."""
+    field = sl.algebra.field
+    basis, index = sl.c1_basis, sl.c1_index
+    u, v = sparse(u), sparse(v)
+
+    def after(f, g):
+        # f.pA.g sends x to the sum of c f(b) over the (x, b) coordinates c
+        # of g; f(b) lives on paths parallel to x, and f(e) = 0 for trivial e
+        values = {}
+        for k, c in f.items():
+            x, b = basis[k]
+            values.setdefault(x, {})[b] = c
+        for k, c in g.items():
+            x, b = basis[k]
+            yield {index[(x, b2)]: c2 for b2, c2 in values.get(b, {}).items()}, c
+
+    return combine([*after(u, v), *((w, field.neg(c)) for w, c in after(v, u))], field)
 
 
 def bar_derived_series(algebra, slice_=None):
@@ -168,17 +167,11 @@ def bar_derived_series(algebra, slice_=None):
     dims = [dim_l]
     if dim_l == 0:
         return dims
-    current = k1
+    basis = k1.basis
     while True:
-        gens = list(u0.basis)
-        basis = current.basis
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                w = bracket_c1(basis[i], basis[j], sl)
-                if any(w):
-                    gens.append(w)
-        nxt = row_space(gens, field, len(sl.c1_basis))
-        dims.append(nxt.dim - u0.dim)
+        gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(basis)
+                           for y in basis[i + 1:]]
+        basis = row_space(gens, field, len(sl.c1_basis)).basis
+        dims.append(len(basis) - u0.dim)
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return dims
-        current = nxt

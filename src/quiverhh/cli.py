@@ -40,6 +40,7 @@ overflow, 4 an internal error (any other exception, reported in one line).
 import argparse
 import re
 import sys
+from itertools import zip_longest
 
 from .exactla import Field, parse_field
 from .pathalg import ZERO, Path, Quiver, FreeElement, compose, format_path, format_element
@@ -431,11 +432,9 @@ def _print_hh(algebra, out):
         out("h[%d]: %s" % (i, label))
     for i in range(pres.dim):
         for j in range(i + 1, pres.dim):
-            coords = pres.structure_constants.get((i, j))
-            if coords is None or not any(coords):
-                continue
-            text = sl.format_vector(coords, lambda k: "h%d" % k)
-            out("[h%d,h%d]: %s" % (i, j, text))
+            coords = pres.structure_constants[(i, j)]
+            if any(coords):
+                out("[h%d,h%d]: %s" % (i, j, sl.format_vector(coords, lambda k: "h%d" % k)))
     out("derived: %s" % _dims_text(pres.derived_dims))
     out("solvable: %s" % _bool(pres.solvable))
     rep = graded_report(algebra, sl)
@@ -480,10 +479,13 @@ def cmd_oracle(args, out):
     out("bar-hh0: %d" % bar_hh0)
     out("bar-hh1: %d" % bar_hh1)
     out("bar-derived: %s" % _dims_text(bar_derived))
-    agree = (pp_hh0 == bar_hh0 and pres.dim == bar_hh1
-             and list(pres.derived_dims) == list(bar_derived))
-    out("verdict: %s" % ("AGREE" if agree else "DISAGREE"))
-    return 0 if agree else 1
+    diffs = ["%s pp=%d bar=%d" % (name, pp, bar) for name, pp, bar
+             in (("hh0", pp_hh0, bar_hh0), ("hh1", pres.dim, bar_hh1)) if pp != bar]
+    derived = zip_longest(pres.derived_dims, bar_derived, fillvalue="-")
+    diffs += ["derived[%d] pp=%s bar=%s" % (i, pp, bar)
+              for i, (pp, bar) in enumerate(derived) if pp != bar][:1]
+    out("verdict: %s" % ("DISAGREE (%s)" % ", ".join(diffs) if diffs else "AGREE"))
+    return 1 if diffs else 0
 
 
 def cmd_bga(args, out):
@@ -568,15 +570,16 @@ def build_parser():
                     "and Brauer graph algebras, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p):
+    def add_caps(p, basis=True):
         p.add_argument("--max-tip-len", type=int, default=50,
                        help="abort completion past this tip length")
-        p.add_argument("--max-basis", type=int, default=100000,
-                       help="abort basis enumeration past this size")
+        if basis:
+            p.add_argument("--max-basis", type=int, default=100000,
+                           help="abort basis enumeration past this size")
 
     p = sub.add_parser("gb", help="reduced noncommutative Groebner basis")
     p.add_argument("file", help="algebra file")
-    add_caps(p)
+    add_caps(p, basis=False)
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("basis", help="monomial basis of the quotient")

@@ -1,13 +1,17 @@
 """Exact linear algebra over Q or a prime field GF(p).
 
-Everything here works on plain list-of-list matrices whose entries are
-either ``fractions.Fraction`` (characteristic 0) or canonical ints in
-``range(p)`` (characteristic p).  No floats, ever: Groebner and cohomology
-computations downstream are only meaningful with exact arithmetic.
+A vector is a sparse row: a dict {index: coeff} that never stores a
+zero, with coefficients either ``fractions.Fraction`` (characteristic 0)
+or canonical ints in ``range(p)`` (characteristic p).  A matrix is a
+list of sparse rows, or of sparse columns where a caller spans an image.
+No floats, ever: Groebner and cohomology computations downstream are
+only meaningful with exact arithmetic.  ``dense`` writes a sparse vector
+out as a list of coordinates, for callers that read entries by
+position; ``sparse`` takes either form back.
 
-Row reduction uses leftmost-column, first-nonzero-row pivoting with no
-heuristics, so every basis produced by this module is deterministic and
-reproducible bit for bit.
+Elimination ends in the reduced row-echelon form, which a subspace
+determines uniquely, so every basis produced by this module depends on
+the subspace alone and is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -103,82 +107,103 @@ def parse_field(text):
     raise ValueError(f"unrecognized field {text!r}; expected Q or GF(p)")
 
 
-def rref(rows, field):
-    """Reduce to the unique reduced row-echelon form.
+def sparse(vec):
+    """vec as a sparse dict: a dict is returned as it is, a sequence of
+    coordinates loses its zeros."""
+    return vec if isinstance(vec, dict) else {i: c for i, c in enumerate(vec) if c}
 
-    Returns (rank, reduced_rows, pivot_columns).  The reduced matrix keeps
-    the input shape; zero rows sink to the bottom.
+
+def dense(vec, n, field):
+    """The n coordinates of the sparse vec as a new list, zeros field.zero."""
+    out = [field.zero] * n
+    for i, c in vec.items():
+        out[i] = c
+    return out
+
+
+def rows_of_columns(cols, nrows):
+    """The nrows sparse rows of the matrix whose sparse columns are cols."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows[i][j] = c
+    return rows
+
+
+def combine(pairs, field):
+    """sum c*vec over (sparse vec, coeff c) pairs as a new sparse dict."""
+    out = {}
+    for vec, c in pairs:
+        # an identity test: comparing Fractions costs more than it saves
+        if c is not field.one:
+            vec = {i: field.mul(c, x) for i, x in vec.items()}
+        for i, x in vec.items():
+            y = out.get(i)
+            out[i] = x if y is None else field.add(y, x)
+    return {i: c for i, c in out.items() if c}
+
+
+def _reduce(vec, rows, field):
+    """vec less the multiples of rows that clear it at their pivots.
+
+    rows maps a pivot column to a sparse row that is one there and zero at
+    every other pivot in rows, so the coefficients are read off vec at once.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+    neg = field.neg
+    return combine([(vec, field.one)]
+                   + [(rows[p], neg(c)) for p, c in vec.items() if p in rows], field)
+
+
+def rref(rows, field):
+    """Reduced row-echelon form of a list of sparse rows.
+
+    Returns (rank, reduced_rows, pivot_columns): the rank nonzero rows of
+    the unique RREF, as new dicts in pivot order.  Rows are taken one at a
+    time: each is reduced by the rows kept so far, and when something is
+    left it is scaled to one at its leftmost column, which is cleared from
+    the kept rows.
+    """
+    kept = {}
+    for row in rows:
+        vec = _reduce(row, kept, field)
+        if not vec:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if lead != field.one:
-            inv = field.inv(lead)
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        # touch only columns where the pivot row is nonzero
-        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i == r or not f:
-                continue
-            row = rows[i]
-            for j, pj in support:
-                row[j] = field.sub(row[j], field.mul(f, pj))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, rows, tuple(pivots)
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
+        p = min(vec)
+        if vec[p] != field.one:
+            inv = field.inv(vec[p])
+            vec = {j: field.mul(inv, x) for j, x in vec.items()}
+        new = {p: vec}
+        for q, r in kept.items():
+            if p in r:
+                kept[q] = _reduce(r, new, field)
+        kept[p] = vec
+    pivots = sorted(kept)
+    return len(pivots), [kept[p] for p in pivots], tuple(pivots)
 
 
 class Subspace:
-    """A subspace of k^n held as an RREF basis (no zero rows)."""
+    """A subspace of k^n held as its RREF basis: sparse rows, no zero rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "field")
+    __slots__ = ("ambient_dim", "basis", "pivots", "field", "_rows")
 
     def __init__(self, ambient_dim, basis, pivots, field):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = tuple(pivots)
         self.field = field
+        self._rows = dict(zip(self.pivots, basis))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def reduce(self, vec):
-        """Normal form of vec modulo this subspace (kill pivot coordinates)."""
-        f = self.field
-        vec = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            c = vec[p]
-            if not c:
-                continue
-            for j in range(p, self.ambient_dim):
-                rj = row[j]
-                if rj:
-                    vec[j] = f.sub(vec[j], f.mul(c, rj))
-        return vec
+        """Normal form of vec (sparse or dense) modulo this subspace, as a
+        sparse dict: every pivot coordinate is killed."""
+        return _reduce(sparse(vec), self._rows, self.field)
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def __eq__(self, other):
         return (
@@ -192,44 +217,30 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def row_space(rows, field, ambient_dim=None):
-    """Subspace spanned by the given row vectors."""
-    if ambient_dim is None:
-        ambient_dim = len(rows[0]) if rows else 0
+def row_space(rows, field, ambient_dim):
+    """Subspace of k^ambient_dim spanned by the sparse rows."""
     rank, red, pivots = rref(rows, field)
-    return Subspace(ambient_dim, red[:rank], pivots, field)
+    return Subspace(ambient_dim, red, pivots, field)
 
 
-def column_space(rows, field, ambient_dim=None):
-    if ambient_dim is None:
-        ambient_dim = len(rows)
-    return row_space(transpose(rows), field, ambient_dim)
-
-
-def kernel_basis(rows, field, ncols=None):
-    """RREF basis of the right null space {x : M x = 0}."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def kernel_basis(rows, field, ncols):
+    """RREF basis of the right null space {x : M x = 0} of the sparse rows."""
     rank, red, pivots = rref(rows, field)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = field.zero, field.one
-    vecs = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(red[i][fc])
-        vecs.append(v)
+    vecs = {c: {c: field.one} for c in range(ncols) if c not in pivot_set}
+    for p, row in zip(pivots, red):
+        for c, x in row.items():
+            if c != p:
+                vecs[c][p] = field.neg(x)
     # the natural basis is echelon in the free columns but not RREF;
     # re-reduce so the Subspace invariant holds
-    return row_space(vecs, field, ncols)
+    return row_space(list(vecs.values()), field, ncols)
 
 
 def subspace_quotient(v, u):
-    """Quotient v/u: (dimension, representative vectors).
+    """Quotient v/u: (dimension, representative sparse rows).
 
-    Representatives are the v-basis vectors whose pivot column is not a
+    Representatives are the v-basis rows whose pivot column is not a
     pivot column of u.  Raises NotASubspace if u is not contained in v.
     """
     for w in u.basis:
@@ -241,7 +252,9 @@ def subspace_quotient(v, u):
 
 
 def coset_coordinates(w, v, u):
-    """Coordinates of w + u in the subspace_quotient(v, u) representatives.
+    """Coordinates of w + u (w sparse or dense) in the
+    subspace_quotient(v, u) representatives, as a sparse dict by
+    representative index.
 
     Valid because pivots(u) is a subset of pivots(v) when u <= v: reducing
     w by u zeroes the u-pivot coordinates, and what is left reads off the
@@ -249,4 +262,5 @@ def coset_coordinates(w, v, u):
     """
     upiv = set(u.pivots)
     red = u.reduce(w)
-    return [red[p] for p in v.pivots if p not in upiv]
+    comp = [p for p in v.pivots if p not in upiv]
+    return {k: red[p] for k, p in enumerate(comp) if p in red}

@@ -19,7 +19,8 @@ CochainSlice rejects anything else.
 from __future__ import annotations
 
 from .exactla import (
-    NotASubspace, coset_coordinates, kernel_basis, row_space, rref, subspace_quotient,
+    NotASubspace, combine, coset_coordinates, dense, kernel_basis, row_space, rows_of_columns,
+    rref, sparse, subspace_quotient,
 )
 from .pathalg import FreeElement, Path, compose, format_combination
 from .quotient import project_sparse
@@ -84,15 +85,19 @@ def ensure_uniform(gb):
 class CochainSlice:
     """Pair spaces and the psi0/psi1 matrices for one algebra.
 
-    Matrices are dense row-major: psi0 has one row per Q1//B pair and one
-    column per Q0//B pair; psi1 one row per Tip//B pair and one column
-    per Q1//B pair.  Pair spaces are read off ``algebra.parallel``, and
-    pair brackets are not stored: the algebra memoizes their projections.
+    psi0 is held as ``psi0_cols``, one sparse column over Q1//B per Q0//B
+    pair, and psi1 as ``psi1_rows``, one sparse row over Q1//B per Tip//B
+    pair: Im psi0 is spanned by the columns and Ker psi1 is cut out by the
+    rows.  ``psi0`` and ``psi1`` are dense row-major views of the same
+    matrices, built on first access for callers that read entries by
+    position; they are shared, do not mutate them.  Pair spaces are read
+    off ``algebra.parallel``, and pair brackets are not stored: the
+    algebra memoizes their projections.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0", "psi1", "_hh1",
+        "q1_index", "psi0_cols", "psi1_rows", "_psi0", "_psi1", "_hh1",
     )
 
     def __init__(self, algebra):
@@ -106,75 +111,91 @@ class CochainSlice:
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
         self.tip_pairs = [(t, b) for t in algebra.gb.tips()
                           for b in algebra.parallel(t.source, t.target)]
-        self.psi0 = self._build_psi0()
-        self.psi1 = self._build_psi1()
-        self._hh1 = None
+        self.psi0_cols = self._build_psi0()
+        self.psi1_rows = self._build_psi1()
+        self._psi0 = self._psi1 = self._hh1 = None
+
+    @property
+    def psi0(self):
+        if self._psi0 is None:
+            rows = rows_of_columns(self.psi0_cols, len(self.q1_pairs))
+            self._psi0 = [dense(r, len(self.q0_pairs), self.algebra.field) for r in rows]
+        return self._psi0
+
+    @property
+    def psi1(self):
+        if self._psi1 is None:
+            n, field = len(self.q1_pairs), self.algebra.field
+            self._psi1 = [dense(r, n, field) for r in self.psi1_rows]
+        return self._psi1
+
+    def _at_arrow(self, arrow, coords):
+        """The sparse vector over Q1//B with coeff c at (arrow, basis[i]) for
+        each i, c of the sparse coords over B."""
+        basis = self.algebra.basis
+        try:
+            return {self.q1_index[(arrow, basis[i])]: c for i, c in coords.items()}
+        except KeyError:
+            raise AssertionError("image left the pair space") from None
 
     def _build_psi0(self):
         a = self.algebra
         quiver, field = a.quiver, a.field
-        rows = [[field.zero] * len(self.q0_pairs) for _ in self.q1_pairs]
-        for col, (v, gamma) in enumerate(self.q0_pairs):
-            for arr in quiver.arrows_from(v):
-                # (arr, pi(arr . gamma)), arrow applied after gamma
-                prod = compose(quiver.arrow(arr), gamma)
-                for bi, c in a.path_coords(prod).items():
-                    r = self.q1_index[(arr, a.basis[bi])]
-                    rows[r][col] = field.add(rows[r][col], c)
-            for arr in quiver.arrows_into(v):
-                prod = compose(gamma, quiver.arrow(arr))
-                for bi, c in a.path_coords(prod).items():
-                    r = self.q1_index[(arr, a.basis[bi])]
-                    rows[r][col] = field.sub(rows[r][col], c)
-        return rows
+        one, minus = field.one, field.neg(field.one)
+        cols = []
+        for v, gamma in self.q0_pairs:
+            # (arr, pi(arr . gamma)) for arrows out of v, arrow applied after
+            # gamma, less (arr, pi(gamma . arr)) for arrows into v
+            terms = [(arr, compose(quiver.arrow(arr), gamma), one)
+                     for arr in quiver.arrows_from(v)]
+            terms += [(arr, compose(gamma, quiver.arrow(arr)), minus)
+                      for arr in quiver.arrows_into(v)]
+            cols.append(combine(((self._at_arrow(arr, a.path_coords(p)), c)
+                                 for arr, p, c in terms), field))
+        return cols
 
     def _build_psi1(self):
         a = self.algebra
-        field = a.field
         tip_index = {pair: i for i, pair in enumerate(self.tip_pairs)}
-        rows = [[field.zero] * len(self.q1_pairs) for _ in self.tip_pairs]
+        rows = [{} for _ in self.tip_pairs]
         elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
         for col, (arr, gamma) in enumerate(self.q1_pairs):
             for tg, terms in elems:
                 img = project_sparse(_substitutions(terms, arr, gamma), a)
                 for bi, c in img.items():
-                    r = tip_index[(tg, a.basis[bi])]
-                    rows[r][col] = field.add(rows[r][col], c)
+                    rows[tip_index[(tg, a.basis[bi])]][col] = c
         return rows
 
     def _pair_bracket(self, i, j):
         """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for pairs i and
-        j, as a sparse {Q1//B index: coeff} dict."""
+        j, as a sparse vector over Q1//B."""
         a = self.algebra
-        field = a.field
+        one = a.field.one
         (ai, gi), (aj, gj) = self.q1_pairs[i], self.q1_pairs[j]
-        got = {}
-        for arrow, path, alpha, gamma, sign in ((aj, gj, ai, gi, field.one),
-                                                (ai, gi, aj, gj, field.neg(field.one))):
-            img = project_sparse(_substitutions(((path, sign),), alpha, gamma), a)
-            for bi, c in img.items():
-                idx = self.q1_index.get((arrow, a.basis[bi]))
-                if idx is None:
-                    raise AssertionError("bracket left the pair space")
-                got[idx] = field.add(got.get(idx, field.zero), c)
-        return {k: c for k, c in got.items() if c}
+        terms = []
+        for arrow, path, alpha, gamma, sign in ((aj, gj, ai, gi, one),
+                                                (ai, gi, aj, gj, a.field.neg(one))):
+            img = project_sparse(_substitutions(((path, one),), alpha, gamma), a)
+            terms.append((self._at_arrow(arrow, img), sign))
+        return combine(terms, a.field)
+
+    def bracket(self, u, v):
+        """[u, v] of sparse vectors over Q1//B, as a sparse vector: the
+        bilinear extension of the pair bracket."""
+        field = self.algebra.field
+        return combine(((self._pair_bracket(i, j), field.mul(ci, cj))
+                        for i, ci in u.items() for j, cj in v.items()), field)
 
     # -- derived spaces ------------------------------------------------
 
-    def _psi0_columns(self, degree=None):
-        """Columns of psi0 whose Q0//B pair (v, gamma) has l(gamma) = degree,
-        all columns by default."""
-        return [[row[j] for row in self.psi0]
-                for j, (_, gamma) in enumerate(self.q0_pairs)
-                if degree is None or gamma.length == degree]
-
     def hh1_spaces(self):
+        """(Ker psi1, Im psi0, dim HH1, representatives as dense lists)."""
         if self._hh1 is None:
             field, n = self.algebra.field, len(self.q1_pairs)
-            k = kernel_basis(self.psi1, field, ncols=n)
-            u = row_space(self._psi0_columns(), field, ambient_dim=n)
+            k = kernel_basis(self.psi1_rows, field, n)
+            u = row_space(self.psi0_cols, field, n)
             dim, reps = subspace_quotient(k, u)
-            self._hh1 = (k, u, dim, reps)
+            self._hh1 = (k, u, dim, [dense(r, n, field) for r in reps])
         return self._hh1
 
     def pair_label(self, i):
@@ -182,43 +203,38 @@ class CochainSlice:
         return f"({self.algebra.quiver.arrow_names[arr]},{b!r})"
 
     def format_vector(self, vec, label=None):
-        """Signed combination of the nonzero coordinates of vec; label(i)
-        names coordinate i, the Q1//B pair by default."""
+        """Signed combination of the nonzero coordinates of vec (sparse or
+        dense) in ascending index order; label(i) names coordinate i, the
+        Q1//B pair by default."""
         label = label or self.pair_label
-        return format_combination(((label(i), c) for i, c in enumerate(vec) if c),
+        vec = sparse(vec)
+        return format_combination(((label(i), vec[i]) for i in sorted(vec)),
                                   self.algebra.field)
 
 
 def compute_hh0(algebra, slice_=None):
-    """(dim, RREF basis vectors) of Ker psi0."""
+    """(dim, RREF basis sparse rows) of Ker psi0."""
     sl = slice_ or CochainSlice(algebra)
-    ker = kernel_basis(sl.psi0, algebra.field, ncols=len(sl.q0_pairs))
+    rows = rows_of_columns(sl.psi0_cols, len(sl.q1_pairs))
+    ker = kernel_basis(rows, algebra.field, len(sl.q0_pairs))
     return ker.dim, ker.basis
 
 
 def compute_hh1(algebra, slice_=None):
-    """(dim, representative vectors over Q1//B) of Ker psi1 / Im psi0."""
+    """(dim, representative dense vectors over Q1//B) of Ker psi1 / Im psi0."""
     sl = slice_ or CochainSlice(algebra)
     _, _, dim, reps = sl.hh1_spaces()
     return dim, reps
 
 
 def bracket_pairs(u, v, slice_):
-    """[(u, v)] on k(Q1//B): bilinear extension of the pair bracket.
+    """[(u, v)] on k(Q1//B) for u, v sparse or dense, as a dense list.
 
+    The bilinear extension of the pair bracket
     [(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))).
     """
-    field = slice_.algebra.field
-    out = [field.zero] * len(slice_.q1_pairs)
-    nz_v = [(j, cj) for j, cj in enumerate(v) if cj]
-    for i, ci in enumerate(u):
-        if not ci:
-            continue
-        for j, cj in nz_v:
-            scale = field.mul(ci, cj)
-            for k, c in slice_._pair_bracket(i, j).items():
-                out[k] = field.add(out[k], field.mul(scale, c))
-    return out
+    w = slice_.bracket(sparse(u), sparse(v))
+    return dense(w, len(slice_.q1_pairs), slice_.algebra.field)
 
 
 class LiePresentation:
@@ -240,41 +256,18 @@ class LiePresentation:
 
 
 def _derived_dims(dim, const, field):
-    """Dims of L, [L,L], ... until stable; brackets via structure constants."""
-    zero = field.zero
-    sparse = {}
-    for ij, cij in const.items():
-        nz = [(k, c) for k, c in enumerate(cij) if c]
-        if nz:
-            sparse[ij] = nz
-
-    def bracket_coords(x, y):
-        # x, y: sparse [(index, coeff)] lists
-        out = [zero] * dim
-        for i, xi in x:
-            for j, yj in y:
-                cij = sparse.get((i, j))
-                if cij is None:
-                    continue
-                s = field.mul(xi, yj)
-                for k, c in cij:
-                    out[k] = field.add(out[k], field.mul(s, c))
-        return out
-
-    basis = [[(i, field.one)] for i in range(dim)]
+    """Dims of L, [L,L], ... until stable; const[(i, j)] is the sparse
+    [h_i, h_j] for every i != j."""
+    basis = [{i: field.one} for i in range(dim)]
     dims = [dim]
     while True:
-        gens = []
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                w = bracket_coords(x, y)
-                if any(w):
-                    gens.append(w)
-        nxt = row_space(gens, field, dim)
-        dims.append(nxt.dim)
-        if nxt.dim == 0 or nxt.dim == dims[-2]:
+        gens = [combine(((const[(i, j)], field.mul(xi, yj))
+                         for i, xi in x.items() for j, yj in y.items() if i != j), field)
+                for n, x in enumerate(basis) for y in basis[n + 1:]]
+        basis = row_space(gens, field, dim).basis
+        dims.append(len(basis))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
             return dims
-        basis = [[(i, c) for i, c in enumerate(b) if c] for b in nxt.basis]
 
 
 def lie_presentation(algebra, slice_=None):
@@ -282,19 +275,20 @@ def lie_presentation(algebra, slice_=None):
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
     k, u, dim, reps = sl.hh1_spaces()
+    vecs = [sparse(r) for r in reps]
     const = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            w = bracket_pairs(reps[i], reps[j], sl)
+            w = sl.bracket(vecs[i], vecs[j])
             if not k.contains(w):
                 raise AssertionError("bracket of cocycles left Ker psi1")
             cij = coset_coordinates(w, k, u)
             const[(i, j)] = cij
-            const[(j, i)] = [field.neg(c) if c else c for c in cij]
+            const[(j, i)] = {m: field.neg(c) for m, c in cij.items()}
     dims = _derived_dims(dim, const, field) if dim else [0]
-    solvable = dims[-1] == 0
-    labels = [sl.format_vector(r) for r in reps]
-    return LiePresentation(dim, labels, reps, const, dims, solvable)
+    labels = [sl.format_vector(v) for v in vecs]
+    table = {ij: dense(c, dim, field) for ij, c in const.items()}
+    return LiePresentation(dim, labels, reps, table, dims, dims[-1] == 0)
 
 
 class GradedReport:
@@ -336,12 +330,14 @@ def graded_report(algebra, slice_=None):
     sl.hh1_spaces()
 
     def piece(cols, degree=None):
-        dim = len(cols) - rref([[row[c] for row in sl.psi1] for c in cols], field)[0]
+        # psi1[:, S] has the rank of the psi1 rows cut down to S
+        cut = [{c: x for c, x in row.items() if c in cols} for row in sl.psi1_rows]
+        dim = len(cols) - rref(cut, field)[0]
         if degree is None:
             return dim
-        image = sl._psi0_columns(degree)
+        image = [col for col, (_, g) in zip(sl.psi0_cols, sl.q0_pairs) if g.length == degree]
         for col in image:
-            if any(x for r, x in enumerate(col) if r not in cols):
+            if any(r not in cols for r in col):
                 raise NotASubspace(col)
         return dim - rref(image, field)[0]
 

@@ -11,6 +11,7 @@ memoizes those in one map from a path to its sparse coordinates.
 
 from __future__ import annotations
 
+from .exactla import combine
 from .groebner import CapExceeded, normal_form, nontip_enumerate
 from .pathalg import FreeElement, Path, compose
 
@@ -64,7 +65,7 @@ class QuotientAlgebra:
             got = memo[p] = {self.index[p]: self.field.one}
         for q in reversed(chain):
             arrow = self.quiver.arrow(q.arrows[-1])
-            got = memo[q] = _combine(
+            got = memo[q] = combine(
                 ((self._arrow_product(arrow, j), c) for j, c in got.items()), self.field)
         return got
 
@@ -96,16 +97,7 @@ def build_quotient(gb, max_basis=100000):
     return QuotientAlgebra(gb.quiver, gb.field, gb, basis)
 
 
-def _combine(pairs, field):
-    """sum c*vec over (sparse vec, coeff c) pairs, zeros dropped."""
-    out = {}
-    for vec, c in pairs:
-        for i, x in vec.items():
-            out[i] = field.add(out.get(i, field.zero), field.mul(c, x))
-    return {i: c for i, c in out.items() if c}
-
-
 def project_sparse(terms, algebra):
     """pi(sum c*p) over (path p, coeff c) pairs as a sparse {basis index: coeff}
     dict, zeros dropped."""
-    return _combine(((algebra.path_coords(p), c) for p, c in terms), algebra.field)
+    return combine(((algebra.path_coords(p), c) for p, c in terms), algebra.field)

@@ -1,15 +1,16 @@
 import glob
 import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverhh import baroracle, exactla
-from quiverhh.exactla import Field, kernel_basis, transpose
+from quiverhh.exactla import Field, dense, kernel_basis
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose
-from quiverhh.groebner import complete, normal_form
-from quiverhh.quotient import build_quotient
+from quiverhh.groebner import Incomplete, complete, normal_form
+from quiverhh.quotient import InfiniteDimensional, build_quotient
 from quiverhh.ppcomplex import CochainSlice, compute_hh0, compute_hh1, lie_presentation
 from quiverhh.baroracle import (
     BarSlice,
@@ -157,23 +158,28 @@ class TestKnownDimensions:
         assert bar_derived_series(A) == [10, 9, 7, 6, 2, 0]
 
 
+def c1_dense(vec, sl):
+    """A sparse C1 vector as the dense list the references work on."""
+    return dense(vec, len(sl.c1_basis), sl.algebra.field)
+
+
 class TestCochainBracket:
     def test_antisymmetry_on_kernel(self):
         A = commuting_loops()
         sl = BarSlice(A)
         field = A.field
-        ker = kernel_basis(sl.d1, field, ncols=len(sl.c1_basis))
+        ker = kernel_basis(sl.d1_rows, field, ncols=len(sl.c1_basis))
         for i in range(len(ker.basis)):
             for j in range(i, len(ker.basis)):
-                uv = bracket_c1(ker.basis[i], ker.basis[j], sl)
-                vu = bracket_c1(ker.basis[j], ker.basis[i], sl)
+                uv = c1_dense(bracket_c1(ker.basis[i], ker.basis[j], sl), sl)
+                vu = c1_dense(bracket_c1(ker.basis[j], ker.basis[i], sl), sl)
                 assert uv == [field.neg(c) for c in vu]
 
     def test_cocycles_close_under_bracket(self):
         A = kronecker_ext()
         sl = BarSlice(A)
         field = A.field
-        ker = kernel_basis(sl.d1, field, ncols=len(sl.c1_basis))
+        ker = kernel_basis(sl.d1_rows, field, ncols=len(sl.c1_basis))
         for i in range(len(ker.basis)):
             for j in range(i + 1, len(ker.basis)):
                 w = bracket_c1(ker.basis[i], ker.basis[j], sl)
@@ -357,10 +363,11 @@ class TestSparseAssembly:
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_bracket_equals_reference_on_kernel(self, tag):
         sl = slice_of(tag)
-        ker = kernel_basis(sl.d1, sl.algebra.field, ncols=len(sl.c1_basis)).basis
+        ker = kernel_basis(sl.d1_rows, sl.algebra.field, ncols=len(sl.c1_basis)).basis
         for u in ker:
             for v in ker:
-                assert typed([bracket_c1(u, v, sl)]) == typed([ref_bracket_c1(u, v, sl)])
+                assert typed([c1_dense(bracket_c1(u, v, sl), sl)]) == typed(
+                    [ref_bracket_c1(c1_dense(u, sl), c1_dense(v, sl), sl)])
 
     # tags by field: Q, GF(2), GF(3)
     BY_FIELD = {
@@ -387,7 +394,7 @@ class TestSparseAssembly:
             return [entries.get(i, field.zero) for i in range(n)]
 
         u, v = cochain(), cochain()
-        assert typed([bracket_c1(u, v, sl)]) == typed([ref_bracket_c1(u, v, sl)])
+        assert typed([c1_dense(bracket_c1(u, v, sl), sl)]) == typed([ref_bracket_c1(u, v, sl)])
 
 
 class TestOneEliminationPerDifferential:
@@ -395,14 +402,13 @@ class TestOneEliminationPerDifferential:
     def test_each_differential_is_reduced_once(self, tag, monkeypatch):
         A = dict(ALGEBRAS)[tag]()
         sl = BarSlice(A)
-        d0t = transpose(sl.d0)
         calls = {"d0": 0, "d1": 0}
         real = exactla.rref
 
         def counting(rows, field):
-            if rows is sl.d1:
+            if rows is sl.d1_rows:
                 calls["d1"] += 1
-            if rows is sl.d0 or rows == d0t:
+            if rows is sl.d0_cols:
                 calls["d0"] += 1
             return real(rows, field)
 
@@ -413,3 +419,95 @@ class TestOneEliminationPerDifferential:
         bar_derived_series(A, sl)
         bar_hh_dims(A, sl)
         assert calls == {"d0": 1, "d1": 1}
+
+
+# -- pp against bar on random quiver algebras --------------------------------
+
+RANDOM_SEED = 20240601
+RANDOM_KEPT = 36
+RANDOM_MAX_DIM = 14
+
+
+def random_quiver(rng):
+    """1-2 vertices and 2-3 arrows, each with a random source and target."""
+    vertices = ["e%d" % i for i in range(rng.randint(1, 2))]
+    arrows = [("a%d" % i, rng.choice(vertices), rng.choice(vertices))
+              for i in range(rng.randint(2, 3))]
+    return Quiver(vertices, arrows)
+
+
+def paths_by_ends(quiver, lengths):
+    """{(source, target): paths of the given lengths}, in a fixed order."""
+    out = {}
+    walks = [(a,) for a in range(quiver.n_arrows)]
+    while walks:
+        word = walks.pop(0)
+        if len(word) in lengths:
+            p = Path(quiver, word)
+            out.setdefault((p.source, p.target), []).append(p)
+        if len(word) < max(lengths):
+            walks += [word + (a,) for a in quiver.arrows_from(quiver.arrow_tgt[word[-1]])]
+    return out
+
+
+def random_relations(rng, quiver, field):
+    """2-4 uniform relations: 1-3 parallel paths of length 2-3 with small
+    integer coefficients; relations that come out zero are dropped."""
+    groups = list(paths_by_ends(quiver, (2, 3)).values())
+    rels = []
+    for _ in range(rng.randint(2, 4)) if groups else ():
+        group = rng.choice(groups)
+        terms = rng.sample(group, rng.randint(1, min(3, len(group))))
+        rel = None
+        for p in terms:
+            t = FreeElement.from_path(p, field, field.of(rng.choice((1, -1, 2, -2))))
+            rel = t if rel is None else rel.add(t)
+        if not rel.is_zero:
+            rels.append(rel)
+    return rels
+
+
+def random_algebras(seed, kept, max_dim):
+    """The first kept algebras of the seeded stream, over Q, GF(2) and GF(3)
+    in turn, that NonTip enumeration proves finite with dim <= max_dim."""
+    rng = random.Random(seed)
+    chars = (0, 2, 3)
+    out = []
+    while len(out) < kept:
+        field = Field(chars[len(out) % len(chars)])
+        quiver = random_quiver(rng)
+        rels = random_relations(rng, quiver, field)
+        if not rels:
+            continue
+        try:
+            gb = complete(rels, max_tip_length=8, quiver=quiver, field=field)
+            out.append(build_quotient(gb, max_basis=max_dim))
+        except (Incomplete, InfiniteDimensional):
+            continue
+    return out
+
+
+def sparse_product_vanishes(rows, cols, field):
+    """Every entry of (sparse rows) x (sparse columns) is zero."""
+    for row in rows:
+        for col in cols:
+            acc = field.zero
+            for k, c in row.items():
+                if k in col:
+                    acc = field.add(acc, field.mul(c, col[k]))
+            if acc:
+                return False
+    return True
+
+
+def test_routes_agree_on_random_algebras():
+    algebras = random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM)
+    assert {A.field.char for A in algebras} == {0, 2, 3}
+    assert {A.quiver.n_vertices for A in algebras} == {1, 2}
+    for n, A in enumerate(algebras):
+        psl, bsl = CochainSlice(A), build_bar_slice(A)
+        assert sparse_product_vanishes(psl.psi1_rows, psl.psi0_cols, A.field), n
+        assert sparse_product_vanishes(bsl.d1_rows, bsl.d0_cols, A.field), n
+        lie = lie_presentation(A, psl)
+        assert bar_hh_dims(A, bsl) == (compute_hh0(A, psl)[0], lie.dim), n
+        assert bar_derived_series(A, bsl) == lie.derived_dims, n

@@ -250,6 +250,20 @@ class TestSubcommands:
         assert got["pp-derived"] == got["bar-derived"] == "10,9,7,6,2,0"
         assert got["verdict"] == "AGREE"
 
+    @pytest.mark.parametrize("bar_dims,bar_derived,verdict", [
+        ((6, 11), [11, 9, 7, 6, 2, 0], "hh1 pp=10 bar=11, derived[0] pp=10 bar=11"),
+        ((5, 10), [10, 9, 7, 6, 2, 0], "hh0 pp=6 bar=5"),
+        ((6, 10), [10, 9, 8, 6, 2, 0], "derived[2] pp=7 bar=8"),
+        ((6, 10), [10, 9, 7, 6, 2, 0, 0], "derived[6] pp=- bar=0"),
+    ])
+    def test_oracle_disagree_names_what_differs(self, monkeypatch, bar_dims, bar_derived,
+                                                verdict):
+        monkeypatch.setattr(cli, "bar_hh_dims", lambda algebra, sl: bar_dims)
+        monkeypatch.setattr(cli, "bar_derived_series", lambda algebra, sl: bar_derived)
+        rc, out, _ = run_cli("oracle", fixture("loops_char2.alg"))
+        assert rc == 1
+        assert out.splitlines()[-1] == "verdict: DISAGREE (%s)" % verdict
+
     def test_bga_emits_parseable_algebra(self):
         rc, out, _ = run_cli("bga", fixture("path_graph_113.bg"))
         assert rc == 0
@@ -559,6 +573,9 @@ class TestExitCodes:
          "error: argument --n: must be at least -1, got -5"),
         (["report", "--corpus", "--size", "0"],
          "error: argument --size: must be at least 1, got 0"),
+        # gb builds no basis, so it takes no basis cap
+        (["gb", "--max-basis", "1", os.path.join(GOLDEN, "xy4_q.alg")],
+         "error: unrecognized arguments: --max-basis"),
     ])
     def test_out_of_range_argument_is_2(self, argv, message):
         out, err = io.StringIO(), io.StringIO()

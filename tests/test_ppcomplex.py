@@ -8,7 +8,9 @@ from quiverhh.brauer import (
     DEFAULT_SEED, build_quiver_and_cycles, corpus, generate_relations, gr_relations,
 )
 from quiverhh.cli import parse_algebra
-from quiverhh.exactla import Field, NotASubspace, kernel_basis, row_space, subspace_quotient
+from quiverhh.exactla import (
+    Field, NotASubspace, dense, kernel_basis, row_space, sparse, subspace_quotient,
+)
 from quiverhh.pathalg import FreeElement, Path, Quiver
 from quiverhh.groebner import GroebnerBasis, complete, normal_form
 from quiverhh.quotient import build_quotient
@@ -466,21 +468,27 @@ def ref_coordinate_section(space, indices):
     outside = [c for c in range(space.ambient_dim) if c not in indices]
     if not space.basis:
         return space
+    basis = [dense(vec, space.ambient_dim, field) for vec in space.basis]
     # lambda with lambda . M = 0, M = basis restricted to outside columns:
     # right kernel of the transpose
-    rows = [[vec[c] for vec in space.basis] for c in outside]
-    coeffs = kernel_basis(rows, field, ncols=len(space.basis))
+    rows = [sparse([vec[c] for vec in basis]) for c in outside]
+    coeffs = kernel_basis(rows, field, ncols=len(basis))
     vecs = []
     for lam in coeffs.basis:
         v = [zero] * space.ambient_dim
-        for li, l in enumerate(lam):
+        for li, l in enumerate(dense(lam, len(basis), field)):
             if not l:
                 continue
-            for c, x in enumerate(space.basis[li]):
+            for c, x in enumerate(basis[li]):
                 if x:
                     v[c] = field.add(v[c], field.mul(l, x))
-        vecs.append(v)
+        vecs.append(sparse(v))
     return row_space(vecs, field, space.ambient_dim)
+
+
+def image_columns(sl, degree):
+    """The sparse psi0 columns of the Q0//B pairs (v, gamma) with l(gamma) = degree."""
+    return [col for col, (_, g) in zip(sl.psi0_cols, sl.q0_pairs) if g.length == degree]
 
 
 def ref_graded_report(algebra, slice_=None):
@@ -505,7 +513,7 @@ def ref_graded_report(algebra, slice_=None):
         if b.length == 1 and b.arrows[0] == arr
     }
     d00 = ref_coordinate_section(k, diag)
-    u00 = row_space(sl._psi0_columns(0), field, len(sl.q1_pairs))
+    u00 = row_space(image_columns(sl, 0), field, len(sl.q1_pairs))
     dim_l00 = subspace_quotient(d00, u00)[0]
 
     homogeneous = is_homogeneous(algebra.gb)
@@ -515,7 +523,7 @@ def ref_graded_report(algebra, slice_=None):
         graded_dims = []
         for deg in range(0, max_deg + 1):
             ki = ref_coordinate_section(k, deg_indices.get(deg, set()))
-            ui = row_space(sl._psi0_columns(deg), field, len(sl.q1_pairs))
+            ui = row_space(image_columns(sl, deg), field, len(sl.q1_pairs))
             graded_dims.append(subspace_quotient(ki, ui)[0])
     return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
 
@@ -579,8 +587,8 @@ class TestGradedRanks:
             col = next(j for j, (_, g) in enumerate(sl.q0_pairs) if g.length == 0)
             row = next(r for r, (a, b) in enumerate(sl.q1_pairs)
                        if not (b.length == 1 and b.arrows[0] == a))
-            assert not sl.psi0[row][col]
-            sl.psi0[row][col] = A.field.one
+            assert row not in sl.psi0_cols[col]
+            sl.psi0_cols[col][row] = A.field.one
             with pytest.raises(NotASubspace):
                 report(A, sl)
 
