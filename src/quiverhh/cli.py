@@ -38,6 +38,7 @@ overflow, 4 an internal error (any other exception, reported in one line).
 """
 
 import argparse
+import os
 import re
 import sys
 from itertools import zip_longest
@@ -76,6 +77,10 @@ class ParseError(Exception):
         self.col = col
         self.message = message
 
+
+# the longest path a relation may spell out: one of this many arrows is a
+# few MB, and a longer one is refused before it is built
+MAX_PATH_LENGTH = 1000000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -178,6 +183,9 @@ class _ExprParser:
             self._take()
             kind, _, col = self._peek()
             nxt = self._factor()
+            if path.length + nxt.length > MAX_PATH_LENGTH:
+                self._fail("path of length %d exceeds the path length cap %d"
+                           % (path.length + nxt.length, MAX_PATH_LENGTH), col)
             path = compose(path, nxt)
             if path is ZERO:
                 self._fail("factors are not composable", col)
@@ -202,6 +210,9 @@ class _ExprParser:
                 (a,) = path.arrows
                 if self.quiver.arrow_src[a] != self.quiver.arrow_tgt[a]:
                     self._fail("power of a non-loop path", col)
+                if power > MAX_PATH_LENGTH:
+                    self._fail("exponent %d exceeds the path length cap %d"
+                               % (power, MAX_PATH_LENGTH), pcol)
                 path = Path(self.quiver, path.arrows * power)
         return path
 
@@ -430,11 +441,8 @@ def _print_hh(algebra, out):
     out("hh1: %d" % pres.dim)
     for i, label in enumerate(pres.basis_labels):
         out("h[%d]: %s" % (i, label))
-    for i in range(pres.dim):
-        for j in range(i + 1, pres.dim):
-            coords = pres.structure_constants[(i, j)]
-            if any(coords):
-                out("[h%d,h%d]: %s" % (i, j, sl.format_vector(coords, lambda k: "h%d" % k)))
+    for (i, j), coords in pres.structure_constants.nonzero.items():
+        out("[h%d,h%d]: %s" % (i, j, sl.format_vector(coords, lambda k: "h%d" % k)))
     out("derived: %s" % _dims_text(pres.derived_dims))
     out("solvable: %s" % _bool(pres.solvable))
     rep = graded_report(algebra, sl)
@@ -642,7 +650,14 @@ def main(argv=None):
         parser.error("report needs a file or --corpus")
     out = lambda line: print(line)
     try:
-        return args.func(args, out)
+        rc = args.func(args, out)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed the pipe and wants no more output; send what is
+        # still buffered to devnull so the flush at shutdown cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, BrauerGraphError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from itertools import repeat
 
 from .pathalg import FreeElement, Path
 
@@ -199,10 +200,38 @@ def normal_form(f, basis, rng=None, skip=None):
 
 
 def _overlaps(tf, tg):
-    """(b, c) traversal words with tf*c = b*tg written, i.e. tf[:l] == tg[n-l:]."""
-    n = len(tg)
-    return [(tf[l:], tg[:n - l])
-            for l in range(1, min(len(tf), n) + 1) if tf[:l] == tg[n - l:]]
+    """Yield the (b, c) traversal words with tf*c = b*tg written, i.e.
+    tf[:l] == tg[n-l:], by ascending l.
+
+    The lengths l are found in O(len(tf) + len(tg)) by a Knuth-Morris-Pratt
+    scan of tg for tf: the scan ends at the longest such l, and the others
+    are the borders of tf[:l], read off the failure table.  The pairs are
+    yielded one at a time, since together they hold O(len(tf) * len(tg))
+    letters.
+    """
+    m, n = len(tf), len(tg)
+    if not m or not n:
+        return
+    fail = [0] * m  # fail[i]: longest proper border of tf[:i+1]
+    k = 0
+    for i in range(1, m):
+        while k and tf[i] != tf[k]:
+            k = fail[k - 1]
+        if tf[i] == tf[k]:
+            k += 1
+        fail[i] = k
+    k = 0
+    for x in tg:
+        while k == m or (k and x != tf[k]):
+            k = fail[k - 1]
+        if x == tf[k]:
+            k += 1
+    lengths = []
+    while k:
+        lengths.append(k)
+        k = fail[k - 1]
+    for l in reversed(lengths):
+        yield tf[l:], tg[:n - l]
 
 
 def _overlap_relation(f, g, b, c, at_f, at_g, tf=None, tg=None):
@@ -408,7 +437,8 @@ def uf_chains(basis, n, max_basis=100000):
     reachable from a vertex, every node a nontrivial NonTip path.  For a
     reduced basis W^(0) matches Q1 and W^(1) the tips.  An i-chain holds
     i+1 paths; ChainCapExceeded is raised before a chain would bring the
-    paths held across all levels past max_basis.
+    paths held across all levels past max_basis.  The levels after the
+    first empty one are that same empty list.
     """
     quiver = basis.quiver
     held = quiver.n_vertices
@@ -445,6 +475,10 @@ def uf_chains(basis, n, max_basis=100000):
     chains.sort(key=lambda ch: ch[0].key)
     levels.append(chains)
     for i in range(1, n + 1):
+        if not chains:
+            # no chain to extend: this and every later level are empty
+            levels.extend(repeat(chains, n + 1 - i))
+            break
         nxt = []
         for ch in chains:
             for v in succ[ch[-1]]:  # right factors only

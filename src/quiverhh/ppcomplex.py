@@ -18,6 +18,8 @@ CochainSlice rejects anything else.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .exactla import (
     NotASubspace, combine, coset_coordinates, dense, kernel_basis, row_space, rows_of_columns,
     rref, sparse, subspace_quotient,
@@ -237,6 +239,46 @@ def bracket_pairs(u, v, slice_):
     return dense(w, len(slice_.q1_pairs), slice_.algebra.field)
 
 
+class StructureConstants(Mapping):
+    """Read-only {(i, j): [h_i, h_j] as a dense list} for every i != j.
+
+    Holds only ``nonzero``, the sparse [h_i, h_j] over the HH1
+    representatives for i < j, in (i, j) order; a value is written out as
+    a new dense list when its key is read, and [h_j, h_i] = -[h_i, h_j].
+    Keys iterate as (0, 1), (1, 0), (0, 2), (2, 0), ...
+    """
+
+    __slots__ = ("dim", "nonzero", "field")
+
+    def __init__(self, dim, nonzero, field):
+        self.dim = dim
+        self.nonzero = nonzero
+        self.field = field
+
+    def __getitem__(self, key):
+        try:
+            i, j = key
+            valid = i != j and 0 <= i < self.dim and 0 <= j < self.dim
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise KeyError(key)
+        field = self.field
+        c = self.nonzero.get((i, j) if i < j else (j, i), {})
+        if i > j:
+            c = {m: field.neg(x) for m, x in c.items()}
+        return dense(c, self.dim, field)
+
+    def __iter__(self):
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                yield (i, j)
+                yield (j, i)
+
+    def __len__(self):
+        return self.dim * (self.dim - 1)
+
+
 class LiePresentation:
     __slots__ = ("dim", "basis_labels", "basis_vectors", "structure_constants",
                  "derived_dims", "solvable")
@@ -255,39 +297,85 @@ class LiePresentation:
                 f"solvable={self.solvable})")
 
 
-def _derived_dims(dim, const, field):
-    """Dims of L, [L,L], ... until stable; const[(i, j)] is the sparse
-    [h_i, h_j] for every i != j."""
-    basis = [{i: field.one} for i in range(dim)]
+def _hh1_bracket(x, y, nonzero, field):
+    """[x, y] of sparse vectors over the HH1 representatives, from the
+    nonzero [h_i, h_j] (i < j)."""
+    mul, neg = field.mul, field.neg
+    terms = []
+    for i, xi in x.items():
+        for j, yj in y.items():
+            c = nonzero.get((i, j) if i < j else (j, i))
+            if c is not None:
+                s = mul(xi, yj)
+                terms.append((c, s if i < j else neg(s)))
+    return combine(terms, field)
+
+
+def _derived_dims(degrees, nonzero, field):
+    """Dims of L, [L,L], ... until stable, for L spanned by the HH1
+    representatives, h_m of degree degrees[m].
+
+    [L_d, L_e] lies in L_{d+e}, so each term is held as RREF rows grouped
+    by degree and only degree pairs whose sum is a representative degree
+    are bracketed; with one degree for all this is a single block.
+    """
+    dim, present = len(degrees), set(degrees)
+    blocks = {}
+    for m, d in enumerate(degrees):
+        blocks.setdefault(d, []).append({m: field.one})
     dims = [dim]
     while True:
-        gens = [combine(((const[(i, j)], field.mul(xi, yj))
-                         for i, xi in x.items() for j, yj in y.items() if i != j), field)
-                for n, x in enumerate(basis) for y in basis[n + 1:]]
-        basis = row_space(gens, field, dim).basis
-        dims.append(len(basis))
+        gens = {}
+        for d, rows in blocks.items():
+            for e, cols in blocks.items():
+                if d > e or d + e not in present:
+                    continue
+                pairs = ((x, y) for n, x in enumerate(rows)
+                         for y in (rows[n + 1:] if d == e else cols))
+                gens.setdefault(d + e, []).extend(
+                    _hh1_bracket(x, y, nonzero, field) for x, y in pairs)
+        blocks = {d: row_space(g, field, dim).basis for d, g in gens.items()}
+        dims.append(sum(len(rows) for rows in blocks.values()))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return dims
 
 
 def lie_presentation(algebra, slice_=None):
-    """Structure constants, derived series and solvability of HH1."""
+    """Structure constants, derived series and solvability of HH1.
+
+    For a homogeneous ideal HH1 is graded, [L_d, L_e] in L_{d+e}, and the
+    RREF representatives are homogeneous (AssertionError if one is not):
+    a bracket whose degree d + e carries no Q1//B pair is 0 and is not
+    computed.  Otherwise every representative counts as degree 0.
+    """
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
     k, u, dim, reps = sl.hh1_spaces()
     vecs = [sparse(r) for r in reps]
-    const = {}
+    if is_homogeneous(algebra.gb):
+        present = {b.length - 1 for _, b in sl.q1_pairs}
+        degrees = []
+        for v in vecs:
+            ds = {sl.q1_pairs[i][1].length - 1 for i in v}
+            if len(ds) != 1:
+                raise AssertionError(f"HH1 representative of degrees {sorted(ds)}")
+            degrees.append(ds.pop())
+    else:
+        present, degrees = {0}, [0] * dim
+    nonzero = {}
     for i in range(dim):
         for j in range(i + 1, dim):
+            if degrees[i] + degrees[j] not in present:
+                continue
             w = sl.bracket(vecs[i], vecs[j])
             if not k.contains(w):
                 raise AssertionError("bracket of cocycles left Ker psi1")
             cij = coset_coordinates(w, k, u)
-            const[(i, j)] = cij
-            const[(j, i)] = {m: field.neg(c) for m, c in cij.items()}
-    dims = _derived_dims(dim, const, field) if dim else [0]
+            if cij:
+                nonzero[(i, j)] = cij
+    dims = _derived_dims(degrees, nonzero, field) if dim else [0]
     labels = [sl.format_vector(v) for v in vecs]
-    table = {ij: dense(c, dim, field) for ij, c in const.items()}
+    table = StructureConstants(dim, nonzero, field)
     return LiePresentation(dim, labels, reps, table, dims, dims[-1] == 0)
 
 

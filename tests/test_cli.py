@@ -1,6 +1,9 @@
 import glob
 import io
 import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -26,6 +29,16 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(list(argv))
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(argv, stdout, preexec_fn=None):
+    """``python -m quiverhh.cli argv`` in a child process, stderr captured."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "quiverhh.cli"] + argv, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+                          preexec_fn=preexec_fn)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -113,6 +126,16 @@ class TestAlgebraParsing:
             _, _, rels = parse_algebra(
                 "field Q\nvertex e\narrow x: e -> e\nrel x^100000 - x^99999\n")
         assert sorted(p.length for p in rels[0].terms) == [99999, 100000]
+
+    @pytest.mark.parametrize("rel,col,message", [
+        ("x^1000001", 7, "exponent 1000001 exceeds the path length cap 1000000"),
+        ("x^999999*x^2", 14, "path of length 1000001 exceeds the path length cap 1000000"),
+    ])
+    def test_path_past_the_length_cap_fails(self, rel, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra("field Q\nvertex e\narrow x: e -> e\nrel %s\n" % rel)
+        assert (exc.value.line, exc.value.col) == (4, col)
+        assert exc.value.message == message
 
     def test_vertex_power_is_trivial(self):
         head = "field Q\nvertex e\narrow x: e -> e\n"
@@ -436,6 +459,39 @@ class TestExitCodes:
         rc, _, err = run_cli("gb", str(bad))
         assert rc == 2
         assert "line 2, col 1" in err
+
+    def test_huge_exponent_is_2_before_the_path_is_built(self, tmp_path):
+        # x^99999999 would be a path of 10^8 arrows, far past the 512 MB
+        # address space the child gets
+        alg = tmp_path / "huge.alg"
+        alg.write_text("field Q\nvertex e\narrow x: e -> e\nrel x^99999999\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = run_cli_process(["gb", str(alg)], subprocess.PIPE, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: line 4, col 7: exponent 99999999 exceeds "
+                               b"the path length cap 1000000\n")
+
+    @pytest.mark.parametrize("argv", [
+        # all of stdout fits the buffer: the write fails at the final flush
+        ["hh", fixture("trivial_ext_kronecker.alg")],
+        # 20,000 lines of "W[i]: 0": a write fails mid-run
+        ["chains", "--n", "20000", "path.alg"],
+    ], ids=["at-flush", "mid-run"])
+    def test_closed_pipe_is_0_and_silent(self, argv, tmp_path):
+        alg = tmp_path / "path.alg"
+        alg.write_text("field Q\nvertex u v w\narrow a: u -> v\narrow b: v -> w\nrel b*a\n")
+        argv = [str(alg) if a == "path.alg" else a for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli_process(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_graph_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.bg"

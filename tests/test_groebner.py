@@ -20,6 +20,7 @@ from quiverhh.groebner import (
     overlap_relation,
     uf_chains,
 )
+from quiverhh.groebner import _overlaps
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, data_text, elem, time_limit, wnames, written
 
@@ -144,6 +145,20 @@ class TestOverlaps:
         # the trivial self-match relation is identically zero
         b, c = pairs[1]
         assert overlap_relation(g, g, b, c).is_zero
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), letters=st.integers(1, 3))
+    def test_kmp_matches_slicing(self, data, letters):
+        words = st.lists(st.integers(0, letters - 1), max_size=12).map(tuple)
+        tf, tg = data.draw(words), data.draw(words)
+        assert list(_overlaps(tf, tg)) == ref_overlaps(tf, tg)
+
+    def test_self_overlaps_are_yielded_one_at_a_time(self):
+        # every l matches: all pairs at once would hold about L^2 letters
+        word = (0,) * 2000
+        pairs = _overlaps(word, word)
+        assert iter(pairs) is pairs
+        assert next(pairs) == (word[1:], word[:-1])
 
     def test_relation_value(self, two_loops):
         # o(x^2 - y^2 with itself, b = c = x) = x*y^2 - y^2*x
@@ -287,6 +302,17 @@ class TestChains:
         words = sorted("".join(word(two_loops, p) for p in ch)
                        for ch in levels[3])
         assert words == ["xxx", "xxy", "xyy", "yyy"]
+
+    def test_levels_after_the_first_empty_one_are_not_built(self):
+        # W[1] of b*a = 0 on u -> v -> w is the tip, W[2] and later are empty
+        field, quiver, rels = parse_algebra(
+            "field Q\nvertex u v w\narrow a: u -> v\narrow b: v -> w\nrel b*a\n")
+        gb = complete(rels, quiver=quiver, field=field)
+        assert uf_chains(gb, 6) == ref_uf_chains(gb, 6)
+        levels = uf_chains(gb, 10 ** 6)
+        assert [len(lv) for lv in levels[:4]] == [3, 2, 1, 0]
+        assert len(levels) == 10 ** 6 + 2
+        assert all(lv is levels[3] for lv in levels[3:])
 
     def test_first_level_matches_tips(self):
         quiver, field, rels = kronecker_ext_relations()
@@ -432,6 +458,14 @@ def ref_normal_form(f, basis, rng=None):
         bgc = multiply(multiply(FreeElement.from_path(b, field), g),
                        FreeElement.from_path(c, field))
         work = work.sub(bgc.scale(lam))
+
+
+def ref_overlaps(tf, tg):
+    """(b, c) traversal words with tf*c = b*tg written, by slicing at every
+    overlap length."""
+    n = len(tg)
+    return [(tf[l:], tg[:n - l])
+            for l in range(1, min(len(tf), n) + 1) if tf[:l] == tg[n - l:]]
 
 
 def ref_overlap_pairs(f, g):

@@ -1,4 +1,6 @@
+import glob
 import os
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from quiverhh import exactla, ppcomplex
 from quiverhh.brauer import (
     DEFAULT_SEED, build_quiver_and_cycles, corpus, generate_relations, gr_relations,
 )
-from quiverhh.cli import parse_algebra
+from quiverhh.cli import parse_algebra, parse_brauer
 from quiverhh.exactla import (
     Field, NotASubspace, dense, kernel_basis, row_space, sparse, subspace_quotient,
 )
@@ -31,6 +33,7 @@ from quiverhh.ppcomplex import (
 )
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
+from test_baroracle import RANDOM_KEPT, RANDOM_MAX_DIM, RANDOM_SEED, random_algebras
 
 
 def pname(quiver, p):
@@ -614,3 +617,155 @@ class TestGradedRanks:
         rep = graded_report(A, sl)
         pieces = 2 + len(rep.graded_dims or [])
         assert calls[0] <= 2 * pieces
+
+
+# The Lie step as first written: every pair of representatives bracketed,
+# every constant stored both ways round as a dense list, and the derived
+# series eliminated in one block.  Kept as the reference for the graded step.
+
+def ref_derived_dims(dim, const, field):
+    """Dims of L, [L,L], ... until stable; const[(i, j)] is the sparse
+    [h_i, h_j] for every i != j."""
+    basis = [{i: field.one} for i in range(dim)]
+    dims = [dim]
+    while True:
+        gens = [exactla.combine(((const[(i, j)], field.mul(xi, yj))
+                                 for i, xi in x.items() for j, yj in y.items() if i != j),
+                                field)
+                for n, x in enumerate(basis) for y in basis[n + 1:]]
+        basis = row_space(gens, field, dim).basis
+        dims.append(len(basis))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return dims
+
+
+def ref_lie_presentation(algebra, slice_=None):
+    """Structure constants, derived series and solvability of HH1."""
+    sl = slice_ or CochainSlice(algebra)
+    field = algebra.field
+    k, u, dim, reps = sl.hh1_spaces()
+    vecs = [sparse(r) for r in reps]
+    const = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = sl.bracket(vecs[i], vecs[j])
+            if not k.contains(w):
+                raise AssertionError("bracket of cocycles left Ker psi1")
+            cij = exactla.coset_coordinates(w, k, u)
+            const[(i, j)] = cij
+            const[(j, i)] = {m: field.neg(c) for m, c in cij.items()}
+    dims = ref_derived_dims(dim, const, field) if dim else [0]
+    labels = [sl.format_vector(v) for v in vecs]
+    table = {ij: dense(c, dim, field) for ij, c in const.items()}
+    return ppcomplex.LiePresentation(dim, labels, reps, table, dims, dims[-1] == 0)
+
+
+def brauer_file_algebras(name):
+    """A and gr A of a Brauer graph file."""
+    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+        field, graph = parse_brauer(fh.read())
+    quiver, _ = build_quiver_and_cycles(graph)
+    return [build_quotient(complete(rels, quiver=quiver, field=field))
+            for rels in (sum(generate_relations(graph, field), []),
+                         gr_relations(graph, field))]
+
+
+BG_FILES = sorted(os.path.relpath(p, TESTS) for d in ("data", "golden")
+                  for p in glob.glob(os.path.join(TESTS, d, "*.bg")))
+
+
+def pair_degrees(sl, vec):
+    return {sl.q1_pairs[i][1].length - 1 for i in sparse(vec)}
+
+
+class TestGradedLieStep:
+    """The graded Lie step gives the reference's labels, constants, derived
+    series and solvability, and skips only brackets that are zero by degree."""
+
+    @staticmethod
+    def assert_matches_reference(A, monkeypatch):
+        sl = CochainSlice(A)
+        homogeneous = is_homogeneous(A.gb)
+        _, _, dim, reps = sl.hh1_spaces()
+        degrees = [pair_degrees(sl, r) for r in reps]
+        if homogeneous:
+            assert all(len(d) == 1 for d in degrees), degrees
+        present = {b.length - 1 for _, b in sl.q1_pairs}
+        calls = []
+        real = CochainSlice.bracket
+
+        def counting(self, u, v):
+            calls.append((pair_degrees(sl, u), pair_degrees(sl, v)))
+            return real(self, u, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(CochainSlice, "bracket", counting)
+            lie = lie_presentation(A, sl)
+        if homogeneous:
+            sums = [min(du) + min(dv) for du, dv in calls]
+            assert all(s in present for s in sums)
+            wanted = sum(1 for i in range(dim) for j in range(i + 1, dim)
+                         if min(degrees[i]) + min(degrees[j]) in present)
+            assert len(calls) == wanted
+        else:
+            assert len(calls) == dim * (dim - 1) // 2
+        ref = ref_lie_presentation(A, CochainSlice(A))
+        assert (lie.dim, lie.basis_labels, lie.basis_vectors) == \
+            (ref.dim, ref.basis_labels, ref.basis_vectors)
+        const = lie.structure_constants
+        assert len(const) == len(ref.structure_constants)
+        assert list(const) == list(ref.structure_constants)
+        for ij, c in ref.structure_constants.items():
+            assert const[ij] == c and const.get(ij) == c, ij
+        assert dict(const.items()) == ref.structure_constants
+        assert (lie.derived_dims, lie.solvable) == (ref.derived_dims, ref.solvable)
+        return dim * (dim - 1) // 2 - len(calls)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_fixture_files(self, name, monkeypatch):
+        self.assert_matches_reference(file_algebra(name), monkeypatch)
+
+    @pytest.mark.parametrize("name", BG_FILES)
+    def test_brauer_files(self, name, monkeypatch):
+        for A in brauer_file_algebras(name):
+            self.assert_matches_reference(A, monkeypatch)
+
+    @pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(3)"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_truncated_polynomials(self, n, field, monkeypatch):
+        skipped = self.assert_matches_reference(truncated_polynomials(n, field), monkeypatch)
+        # the top degree 2n-3 carries pairs, twice it does not
+        assert skipped > 0
+
+    def test_random_algebras(self, monkeypatch):
+        algebras = random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM)
+        assert {is_homogeneous(A.gb) for A in algebras} == {False, True}
+        for A in algebras:
+            self.assert_matches_reference(A, monkeypatch)
+
+    def test_mixed_degree_representative_raises(self):
+        A = truncated_polynomials(4, "Q")
+        sl = CochainSlice(A)
+        k, u, dim, reps = sl.hh1_spaces()
+        i = next(i for i in range(dim) if pair_degrees(sl, reps[i]) != pair_degrees(sl, reps[0]))
+        mixed = [A.field.add(x, y) for x, y in zip(reps[0], reps[i])]
+        sl._hh1 = (k, u, dim, [mixed] + reps[1:])
+        with pytest.raises(AssertionError, match="degrees"):
+            lie_presentation(A, sl)
+
+    def test_structure_constants_are_a_read_only_mapping(self):
+        quiver, Q, A = kronecker_ext()
+        const = lie_presentation(A).structure_constants
+        assert isinstance(const, Mapping)
+        assert (0, 2) in const and (2, 0) in const
+        for key in [(1, 1), (0, 4), (-1, 0), 3, "ab", (0, 1, 2)]:
+            assert key not in const
+            assert const.get(key) is None
+            with pytest.raises(KeyError):
+                const[key]
+        with pytest.raises(TypeError):
+            const[(0, 2)] = [Q.zero] * 4
+        # every read is a new list
+        const[(0, 2)][3] = Q.one
+        assert const[(0, 2)] == [Q.zero, Q.zero, Q.zero, Q.of(-2)]
+        assert const[(2, 0)] == [Q.zero, Q.zero, Q.zero, Q.of(2)]
