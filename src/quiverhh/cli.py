@@ -78,8 +78,8 @@ class ParseError(Exception):
         self.message = message
 
 
-# the longest path a relation may spell out: one of this many arrows is a
-# few MB, and a longer one is refused before it is built
+# the longest path a relation, or all terms of a file, may spell out: this
+# many arrows is a few MB, and a longer one is refused before it is built
 MAX_PATH_LENGTH = 1000000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:]*")
@@ -125,13 +125,10 @@ class _ExprParser:
     factor := name ('^' int)?
     """
 
-    def __init__(self, tokens, lineno, end_col, quiver, field):
-        self.toks = tokens
-        self.pos = 0
-        self.lineno = lineno
-        self.end_col = end_col
+    def __init__(self, quiver, field):
         self.quiver = quiver
         self.field = field
+        self.spent = 0  # arrows of the file's terms parsed so far
 
     def _peek(self):
         if self.pos < len(self.toks):
@@ -149,7 +146,8 @@ class _ExprParser:
             col = self._peek()[2]
         raise ParseError(message, self.lineno, col)
 
-    def parse(self):
+    def parse(self, tokens, lineno, end_col):
+        self.toks, self.pos, self.lineno, self.end_col = tokens, 0, lineno, end_col
         terms = {}
         sign = 1
         kind, _, _ = self._peek()
@@ -157,6 +155,7 @@ class _ExprParser:
             sign = -1 if self._take()[0] == "-" else 1
         while True:
             coeff, path = self._term()
+            self.spent += path.length
             value = self.field.of(sign * coeff)
             prev = terms.get(path, self.field.zero)
             terms[path] = self.field.add(prev, value)
@@ -183,9 +182,7 @@ class _ExprParser:
             self._take()
             kind, _, col = self._peek()
             nxt = self._factor()
-            if path.length + nxt.length > MAX_PATH_LENGTH:
-                self._fail("path of length %d exceeds the path length cap %d"
-                           % (path.length + nxt.length, MAX_PATH_LENGTH), col)
+            self._check_cap("path of length", path.length + nxt.length, col)
             path = compose(path, nxt)
             if path is ZERO:
                 self._fail("factors are not composable", col)
@@ -210,11 +207,18 @@ class _ExprParser:
                 (a,) = path.arrows
                 if self.quiver.arrow_src[a] != self.quiver.arrow_tgt[a]:
                     self._fail("power of a non-loop path", col)
-                if power > MAX_PATH_LENGTH:
-                    self._fail("exponent %d exceeds the path length cap %d"
-                               % (power, MAX_PATH_LENGTH), pcol)
+                self._check_cap("exponent", power, pcol)
                 path = Path(self.quiver, path.arrows * power)
         return path
+
+    def _check_cap(self, what, length, col):
+        # a term of this length, alone and after the file's terms so far
+        cap = MAX_PATH_LENGTH
+        if length > cap:
+            self._fail("%s %d exceeds the path length cap %d" % (what, length, cap), col)
+        if self.spent + length > cap:
+            self._fail("relations spell out %d arrows in all, past the path length cap %d"
+                       % (self.spent + length, cap), col)
 
 
 def _split_directive(raw, lineno):
@@ -284,9 +288,9 @@ def parse_algebra(text):
         raise ParseError("no vertices declared", 1, 1)
     quiver = Quiver(vertices, arrows)
     relations = []
+    parser = _ExprParser(quiver, field)
     for lineno, expr, rest_col, end_col in rels:
-        tokens = _tokenize(expr, lineno, rest_col)
-        elem = _ExprParser(tokens, lineno, end_col, quiver, field).parse()
+        elem = parser.parse(_tokenize(expr, lineno, rest_col), lineno, end_col)
         if not elem.terms:
             raise ParseError("relation reduces to zero", lineno, rest_col)
         if min(p.length for p in elem.terms) < 2:

@@ -154,17 +154,19 @@ def _reduce(vec, rows, field):
                    + [(rows[p], neg(c)) for p, c in vec.items() if p in rows], field)
 
 
-def rref(rows, field):
-    """Reduced row-echelon form of a list of sparse rows.
+def rref(rows, field, limit=None):
+    """Reduced row-echelon form of an iterable of sparse rows.
 
     Returns (rank, reduced_rows, pivot_columns): the rank nonzero rows of
     the unique RREF, as new dicts in pivot order.  Rows are taken one at a
     time: each is reduced by the rows kept so far, and when something is
     left it is scaled to one at its leftmost column, which is cleared from
-    the kept rows.
+    the kept rows.  Once the rank reaches limit no further row is read, so
+    the result is the RREF of the rows read up to then.
     """
     kept = {}
-    for row in rows:
+    rows = iter(rows)
+    while len(kept) != limit and (row := next(rows, None)) is not None:
         vec = _reduce(row, kept, field)
         if not vec:
             continue
@@ -184,7 +186,7 @@ def rref(rows, field):
 class Subspace:
     """A subspace of k^n held as its RREF basis: sparse rows, no zero rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "field", "_rows")
+    __slots__ = ("ambient_dim", "basis", "pivots", "field", "_rows", "_complements")
 
     def __init__(self, ambient_dim, basis, pivots, field):
         self.ambient_dim = ambient_dim
@@ -192,6 +194,7 @@ class Subspace:
         self.pivots = tuple(pivots)
         self.field = field
         self._rows = dict(zip(self.pivots, basis))
+        self._complements = {}
 
     @property
     def dim(self):
@@ -258,9 +261,10 @@ def coset_coordinates(w, v, u):
 
     Valid because pivots(u) is a subset of pivots(v) when u <= v: reducing
     w by u zeroes the u-pivot coordinates, and what is left reads off the
-    coefficients of the complement rows.
+    coefficients of the complement rows, whose pivots v indexes once per u.
     """
-    upiv = set(u.pivots)
-    red = u.reduce(w)
-    comp = [p for p in v.pivots if p not in upiv]
-    return {k: red[p] for k, p in enumerate(comp) if p in red}
+    if id(u) not in v._complements:  # u is kept with its entry: its id stays unique
+        comp = (p for p in v.pivots if p not in u._rows)
+        v._complements[id(u)] = (u, {p: k for k, p in enumerate(comp)})
+    index, red = v._complements[id(u)][1], u.reduce(w)
+    return {index[p]: red[p] for p in sorted(red) if p in index}

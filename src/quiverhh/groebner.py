@@ -312,6 +312,8 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
     closure_added = 0
     while queue:
         i, j = queue.popleft()
+        if len(elems[i].terms) == 1 == len(elems[j].terms):
+            continue  # tf*c - b*tg = 0 for two monic monomials
         tf, tg = tips[i], tips[j]
         for b, c in _overlaps(tf.arrows, tg.arrows):
             o = _overlap_relation(elems[i], elems[j], b, c, tf.source, tg.target, tf, tg)

@@ -18,7 +18,7 @@ CochainSlice rejects anything else.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .exactla import (
     NotASubspace, combine, coset_coordinates, dense, kernel_basis, row_space, rows_of_columns,
@@ -63,13 +63,9 @@ def _substitutions(terms, alpha, gamma):
     for p, coeff in terms:
         word = p.arrows
         for i, a in enumerate(word):
-            if a != alpha:
-                continue
-            new = word[:i] + gamma.arrows + word[i + 1:]
-            if new:
-                yield Path(p.quiver, new), coeff
-            else:
-                yield Path(p.quiver, (), base=p.source), coeff
+            if a == alpha:
+                # the base vertex is read only when the new path is trivial
+                yield Path(p.quiver, word[:i] + gamma.arrows + word[i + 1:], p.source), coeff
 
 
 def ensure_uniform(gb):
@@ -93,13 +89,13 @@ class CochainSlice:
     rows.  ``psi0`` and ``psi1`` are dense row-major views of the same
     matrices, built on first access for callers that read entries by
     position; they are shared, do not mutate them.  Pair spaces are read
-    off ``algebra.parallel``, and pair brackets are not stored: the
-    algebra memoizes their projections.
+    off ``algebra.parallel``; pair brackets are not stored, but their
+    substitution images are, in ``_images``.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0_cols", "psi1_rows", "_psi0", "_psi1", "_hh1",
+        "q1_index", "psi0_cols", "psi1_rows", "_psi0", "_psi1", "_hh1", "_images",
     )
 
     def __init__(self, algebra):
@@ -116,6 +112,7 @@ class CochainSlice:
         self.psi0_cols = self._build_psi0()
         self.psi1_rows = self._build_psi1()
         self._psi0 = self._psi1 = self._hh1 = None
+        self._images = {}
 
     @property
     def psi0(self):
@@ -161,8 +158,11 @@ class CochainSlice:
         tip_index = {pair: i for i, pair in enumerate(self.tip_pairs)}
         rows = [{} for _ in self.tip_pairs]
         elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
+        # an arrow is substituted only into the elements that use it, in order
+        uses = {arr: [(t, terms) for t, terms in elems if any(arr in p.arrows for p, _ in terms)]
+                for arr in range(a.quiver.n_arrows)}
         for col, (arr, gamma) in enumerate(self.q1_pairs):
-            for tg, terms in elems:
+            for tg, terms in uses[arr]:
                 img = project_sparse(_substitutions(terms, arr, gamma), a)
                 for bi, c in img.items():
                     rows[tip_index[(tg, a.basis[bi])]][col] = c
@@ -170,14 +170,18 @@ class CochainSlice:
 
     def _pair_bracket(self, i, j):
         """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for pairs i and
-        j, as a sparse vector over Q1//B."""
+        j, as a sparse vector over Q1//B.  pi(e^(a,g)), sparse over B, is
+        kept in ``_images`` under (i, e)."""
         a = self.algebra
         one = a.field.one
-        (ai, gi), (aj, gj) = self.q1_pairs[i], self.q1_pairs[j]
         terms = []
-        for arrow, path, alpha, gamma, sign in ((aj, gj, ai, gi, one),
-                                                (ai, gi, aj, gj, a.field.neg(one))):
-            img = project_sparse(_substitutions(((path, one),), alpha, gamma), a)
+        for k, (arrow, path), sign in ((i, self.q1_pairs[j], one),
+                                       (j, self.q1_pairs[i], a.field.neg(one))):
+            img = self._images.get((k, path))
+            if img is None:
+                alpha, gamma = self.q1_pairs[k]
+                img = self._images[(k, path)] = project_sparse(
+                    _substitutions(((path, one),), alpha, gamma), a)
             terms.append((self._at_arrow(arrow, img), sign))
         return combine(terms, a.field)
 
@@ -311,13 +315,29 @@ def _hh1_bracket(x, y, nonzero, field):
     return combine(terms, field)
 
 
+class _Brackets(Sequence):
+    """[x, y] for each (x, y) in pairs, computed when it is read: a sized
+    sequence, so its length is known before any bracket is."""
+
+    def __init__(self, pairs, nonzero, field):
+        self.pairs, self.nonzero, self.field = pairs, nonzero, field
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, n):
+        return _hh1_bracket(*self.pairs[n], self.nonzero, self.field)
+
+
 def _derived_dims(degrees, nonzero, field):
     """Dims of L, [L,L], ... until stable, for L spanned by the HH1
     representatives, h_m of degree degrees[m].
 
     [L_d, L_e] lies in L_{d+e}, so each term is held as RREF rows grouped
     by degree and only degree pairs whose sum is a representative degree
-    are bracketed; with one degree for all this is a single block.
+    are bracketed; with one degree for all this is a single block.  The
+    next term's degree-s part lies in this one's, so its elimination stops
+    at that rank, where the RREFs must be equal (AssertionError if not).
     """
     dim, present = len(degrees), set(degrees)
     blocks = {}
@@ -325,16 +345,21 @@ def _derived_dims(degrees, nonzero, field):
         blocks.setdefault(d, []).append({m: field.one})
     dims = [dim]
     while True:
-        gens = {}
+        pairs = {}
         for d, rows in blocks.items():
             for e, cols in blocks.items():
                 if d > e or d + e not in present:
                     continue
-                pairs = ((x, y) for n, x in enumerate(rows)
-                         for y in (rows[n + 1:] if d == e else cols))
-                gens.setdefault(d + e, []).extend(
-                    _hh1_bracket(x, y, nonzero, field) for x, y in pairs)
-        blocks = {d: row_space(g, field, dim).basis for d, g in gens.items()}
+                pairs.setdefault(d + e, []).extend(
+                    (x, y) for n, x in enumerate(rows)
+                    for y in (rows[n + 1:] if d == e else cols))
+        new = {}
+        for s, ps in pairs.items():
+            old = blocks.get(s, [])
+            rank, new[s], _ = rref(_Brackets(ps, nonzero, field), field, len(old))
+            if rank == len(old) and new[s] != old:
+                raise AssertionError("derived term left the previous term")
+        blocks = new
         dims.append(sum(len(rows) for rows in blocks.values()))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return dims
@@ -346,7 +371,8 @@ def lie_presentation(algebra, slice_=None):
     For a homogeneous ideal HH1 is graded, [L_d, L_e] in L_{d+e}, and the
     RREF representatives are homogeneous (AssertionError if one is not):
     a bracket whose degree d + e carries no Q1//B pair is 0 and is not
-    computed.  Otherwise every representative counts as degree 0.
+    computed, and a computed one must lie in degree d + e (AssertionError
+    if not).  Otherwise every representative counts as degree 0.
     """
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
@@ -371,6 +397,8 @@ def lie_presentation(algebra, slice_=None):
             if not k.contains(w):
                 raise AssertionError("bracket of cocycles left Ker psi1")
             cij = coset_coordinates(w, k, u)
+            if any(degrees[m] != degrees[i] + degrees[j] for m in cij):
+                raise AssertionError(f"[h{i},h{j}] left degree {degrees[i] + degrees[j]}")
             if cij:
                 nonzero[(i, j)] = cij
     dims = _derived_dims(degrees, nonzero, field) if dim else [0]
@@ -405,46 +433,48 @@ def is_homogeneous(gb):
 def graded_report(algebra, slice_=None):
     """L_{-1}, L_00 always; the L_i dimensions when the ideal is homogeneous.
 
-    Pair (alpha, gamma) has degree l(gamma) - 1.  Each piece lives on a
-    set S of Q1//B pairs: S is one degree for L_i, the diagonal pairs
-    (alpha, alpha) for L_00.  Ker psi1 meets span{e_c : c in S} in the
-    kernel of the psi1 columns in S, so that part has dimension
-    |S| - rank(psi1[:, S]).  L_00 and L_i subtract the rank of the
-    degree-0 or degree-i psi0 columns (L_{-1} has no image part); every
-    such column must be supported in S, else NotASubspace is raised.
+    Pair (alpha, gamma) has degree l(gamma) - 1, and psi0 sends the Q0//B
+    pair (v, gamma) to degree l(gamma).  L_{-1} and L_00 live on a set S
+    of Q1//B pairs, degree -1 and the diagonal (alpha, alpha): Ker psi1
+    meets span{e_c : c in S} in the kernel of psi1[:, S], of dimension
+    |S| - rank(psi1[:, S]); L_00 subtracts the rank of the degree-0 psi0
+    columns.  For a homogeneous ideal Ker psi1 and Im psi0 are graded, so
+    their RREF rows are homogeneous, and L_i is the number of degree-i
+    pivots of the first less that of the second.  A psi0 column outside
+    its S or its degree raises NotASubspace.
     """
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
-    sl.hh1_spaces()
+    k, u, _, _ = sl.hh1_spaces()
 
-    def piece(cols, degree=None):
+    def piece(cols):
         # psi1[:, S] has the rank of the psi1 rows cut down to S
         cut = [{c: x for c, x in row.items() if c in cols} for row in sl.psi1_rows]
-        dim = len(cols) - rref(cut, field)[0]
-        if degree is None:
-            return dim
-        image = [col for col, (_, g) in zip(sl.psi0_cols, sl.q0_pairs) if g.length == degree]
-        for col in image:
+        return len(cols) - rref(cut, field)[0]
+
+    def image(cols, degree):
+        # the psi0 columns of this degree, each supported in cols
+        out = [col for col, (_, g) in zip(sl.psi0_cols, sl.q0_pairs) if g.length == degree]
+        for col in out:
             if any(r not in cols for r in col):
                 raise NotASubspace(col)
-        return dim - rref(image, field)[0]
+        return out
 
     deg_indices = {}
     for idx, (arr, b) in enumerate(sl.q1_pairs):
         deg_indices.setdefault(b.length - 1, set()).add(idx)
-    diag = {
-        idx for idx, (arr, b) in enumerate(sl.q1_pairs)
-        if b.length == 1 and b.arrows[0] == arr
-    }
+    diag = {idx for idx, (arr, b) in enumerate(sl.q1_pairs) if b.arrows == (arr,)}
     dim_l_minus1 = piece(deg_indices.get(-1, set()))
-    dim_l00 = piece(diag, 0)
+    dim_l00 = piece(diag) - rref(image(diag, 0), field)[0]
 
     homogeneous = is_homogeneous(algebra.gb)
     graded_dims = None
     if homogeneous:
-        max_deg = max((b.length - 1 for _, b in sl.q1_pairs), default=-1)
-        graded_dims = [piece(deg_indices.get(deg, set()), deg)
-                       for deg in range(0, max_deg + 1)]
+        graded_dims = []
+        for deg in range(max(deg_indices, default=-1) + 1):
+            cols = deg_indices.get(deg, set())
+            image(cols, deg)
+            graded_dims.append(len(cols.intersection(k.pivots)) - len(cols.intersection(u.pivots)))
     return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
 
 

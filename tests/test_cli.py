@@ -475,6 +475,37 @@ class TestExitCodes:
         assert proc.stderr == (b"error: line 4, col 7: exponent 99999999 exceeds "
                                b"the path length cap 1000000\n")
 
+    def test_file_of_long_terms_is_2_before_its_paths_are_built(self, tmp_path):
+        # 150 terms, each under the cap, would spell out 1.5 * 10^8 arrows
+        alg = tmp_path / "long.alg"
+        terms = " + ".join("x^%d" % (999999 - i) for i in range(150))
+        alg.write_text("field Q\nvertex e\narrow x: e -> e\nrel %s\n" % terms)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = run_cli_process(["gb", str(alg)], subprocess.PIPE, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: line 4, col 18: relations spell out 1999997 arrows "
+                               b"in all, past the path length cap 1000000\n")
+
+    @pytest.mark.parametrize("text, col", [
+        ("rel x^600000\nrel x^400001\n", 7),
+        ("rel x^600000\nrel x^2*x^400000\n", 9),
+        ("rel x^999999\nrel x*x\n", 7),
+    ])
+    def test_arrows_of_a_file_are_capped_in_all(self, text, col):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra("field Q\nvertex e\narrow x: e -> e\n" + text)
+        assert (exc.value.line, exc.value.col) == (5, col)
+        assert "past the path length cap 1000000" in exc.value.message
+
+    def test_arrows_up_to_the_cap_parse(self):
+        _, _, rels = parse_algebra("field Q\nvertex e\narrow x: e -> e\n"
+                                   "rel x^600000\nrel x^2*x^399998\n")
+        assert [p.length for r in rels for p in r.terms] == [600000, 400000]
+
     @pytest.mark.parametrize("argv", [
         # all of stdout fits the buffer: the write fails at the final flush
         ["hh", fixture("trivial_ext_kronecker.alg")],

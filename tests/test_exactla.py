@@ -344,6 +344,32 @@ class TestAgainstDenseReference:
         assert all(all(red_row.values()) for red_row in red)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bounded_rref_stops_at_its_limit(self, data):
+        """rref(rows, f, limit) reads rows only until the rank reaches
+        limit, and gives the RREF of the rows it read."""
+        f, rows, ncols = data.draw(dense_matrices())
+        full = ref_rref(rows, f)[0]
+        limit = data.draw(st.integers(0, full + 1))
+        read = []
+
+        def lazy():
+            for row in rows:
+                read.append(row)
+                yield sparse(row)
+
+        rank, red, piv = rref(lazy(), f, limit)
+        assert rank == min(limit, full)
+        if rank == limit:
+            # the last row read is the one that brought the rank to limit
+            assert limit == 0 and not read or ref_rref(read[:-1], f)[0] == limit - 1
+        else:
+            assert read == rows
+        ref_rank, ref_red, ref_piv = ref_rref(read, f)
+        assert (rank, piv) == (ref_rank, ref_piv)
+        assert typed(D(red, ncols, f)) == typed(ref_red[:ref_rank])
+
+    @settings(max_examples=100, deadline=None)
     @given(dense_matrices())
     def test_kernel_and_row_space(self, m):
         f, rows, ncols = m
@@ -386,6 +412,7 @@ class TestAgainstDenseReference:
         for form in (w, sparse(w)):
             got = coset_coordinates(form, v, u)
             assert typed([dense(got, dim, f)]) == typed([want])
+            assert list(got) == sorted(got)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

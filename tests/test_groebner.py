@@ -1,5 +1,6 @@
 import os
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,14 @@ from quiverhh.groebner import (
     overlap_relation,
     uf_chains,
 )
+from quiverhh import groebner
 from quiverhh.groebner import _overlaps
+from quiverhh.quotient import InfiniteDimensional, build_quotient
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, data_text, elem, time_limit, wnames, written
+from test_baroracle import (
+    RANDOM_KEPT, RANDOM_MAX_DIM, RANDOM_SEED, random_quiver, random_relations,
+)
 
 
 
@@ -235,6 +241,89 @@ class TestCompletion:
             complete([FreeElement(two_loops, Q)])
         with pytest.raises(ValueError):
             complete([elem(Q, two_loops, (1, written(two_loops, "x")))])
+
+
+def ref_complete(generators, max_tip_length, quiver, field):
+    """Completion as first written: the overlaps of every queued pair are
+    reduced, pairs of two monomials included, in the same queue order."""
+    gb = GroebnerBasis(quiver, field, ())
+    for a in generators:
+        h = normal_form(a, gb)
+        if not h.is_zero:
+            gb._append(h.monic())
+    queue, queued, added = deque(), 0, 0
+    while True:
+        for k in range(queued, len(gb.elements)):
+            queue.extend([(i, k) for i in range(k + 1)] + [(k, i) for i in range(k)])
+        queued = len(gb.elements)
+        if not queue:
+            return groebner._interreduce(gb, added)
+        f, g = (gb.elements[i] for i in queue.popleft())
+        for b, c in overlap_pairs(f, g):
+            h = normal_form(overlap_relation(f, g, b, c), gb)
+            if h.is_zero:
+                continue
+            h = h.monic()
+            if h.tip()[0].length > max_tip_length:
+                raise Incomplete(gb.elements, h, max_tip_length)
+            gb._append(h)
+            added += 1
+
+
+class TestMonomialPairsSkipped:
+    """complete never forms the overlap relation of two monomials, which is
+    identically zero, and ends where the unskipped completion does."""
+
+    @staticmethod
+    def checked_complete(monkeypatch, rels, **kwargs):
+        real = groebner._overlap_relation
+
+        def checked(f, g, *args):
+            assert len(f.terms) > 1 or len(g.terms) > 1, (f, g)
+            return real(f, g, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_overlap_relation", checked)
+            return complete(rels, **kwargs)
+
+    def test_random_relations_complete_as_unskipped(self, monkeypatch):
+        # the draws of test_baroracle.random_algebras, rejected ones included
+        rng = random.Random(RANDOM_SEED)
+        kept = 0
+        while kept < RANDOM_KEPT:
+            field = Field((0, 2, 3)[kept % 3])
+            quiver = random_quiver(rng)
+            rels = random_relations(rng, quiver, field)
+            if not rels:
+                continue
+            kwargs = dict(max_tip_length=8, quiver=quiver, field=field)
+            try:
+                ref = ref_complete(rels, 8, quiver, field)
+            except Incomplete:
+                with pytest.raises(Incomplete):
+                    self.checked_complete(monkeypatch, rels, **kwargs)
+                continue
+            gb = self.checked_complete(monkeypatch, rels, **kwargs)
+            assert (gb.elements, gb.closure_added) == (ref.elements, ref.closure_added)
+            try:
+                build_quotient(gb, max_basis=RANDOM_MAX_DIM)
+                kept += 1
+            except InfiniteDimensional:
+                pass
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_fixture_files(self, name, monkeypatch):
+        with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+            _, quiver, rels = parse_algebra(fh.read())
+        gb = self.checked_complete(monkeypatch, rels)
+        ref = ref_complete(rels, 50, quiver, rels[0].field)
+        assert (gb.elements, gb.closure_added) == (ref.elements, ref.closure_added)
+
+    def test_long_loop_power_is_not_sliced(self, monkeypatch):
+        _, _, rels = parse_algebra("field Q\nvertex e\narrow x: e -> e\nrel x^20000\n")
+        with time_limit(5):
+            gb = self.checked_complete(monkeypatch, rels)
+        assert [g.tip()[0].length for g in gb.elements] == [20000]
 
 
 class TestReducedPredicate:

@@ -15,7 +15,7 @@ from quiverhh.exactla import (
 )
 from quiverhh.pathalg import FreeElement, Path, Quiver
 from quiverhh.groebner import GroebnerBasis, complete, normal_form
-from quiverhh.quotient import build_quotient
+from quiverhh.quotient import build_quotient, project_sparse
 from quiverhh.ppcomplex import (
     CochainSlice,
     GradedReport,
@@ -543,6 +543,15 @@ def file_algebra(name):
         return text_algebra(fh.read())
 
 
+def corpus_algebras(graphs):
+    """A and gr A over Q of each graph."""
+    field = Field(0)
+    for graph in graphs:
+        quiver, _ = build_quiver_and_cycles(graph)
+        for rels in (sum(generate_relations(graph, field), []), gr_relations(graph, field)):
+            yield build_quotient(complete(rels, quiver=quiver, field=field))
+
+
 def truncated_polynomials(n, field):
     """k[x,y]/(x^n, y^n)."""
     return text_algebra("field %s\nvertex e\narrow x: e -> e\narrow y: e -> e\n"
@@ -579,6 +588,14 @@ class TestGradedRanks:
             self.assert_matches_reference(
                 build_quotient(complete(rels, quiver=quiver, field=field)))
 
+    def test_corpus_of_100_a_and_gr(self):
+        for A in corpus_algebras(corpus(DEFAULT_SEED, 100, max_dim=40)):
+            self.assert_matches_reference(A)
+
+    def test_random_algebras(self):
+        for A in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM):
+            self.assert_matches_reference(A)
+
     def test_image_column_outside_its_piece_raises(self):
         """A degree-0 psi0 column with an entry off the diagonal pairs is
         not in the L_00 coordinate subspace.  hh1_spaces is cached first,
@@ -591,6 +608,18 @@ class TestGradedRanks:
             row = next(r for r, (a, b) in enumerate(sl.q1_pairs)
                        if not (b.length == 1 and b.arrows[0] == a))
             assert row not in sl.psi0_cols[col]
+            sl.psi0_cols[col][row] = A.field.one
+            with pytest.raises(NotASubspace):
+                report(A, sl)
+
+    def test_image_column_outside_its_degree_raises(self):
+        """The same for a degree-1 psi0 column given an entry of degree 2."""
+        for report in (graded_report, ref_graded_report):
+            A = truncated_polynomials(4, "Q")
+            sl = CochainSlice(A)
+            sl.hh1_spaces()
+            col = next(j for j, (_, g) in enumerate(sl.q0_pairs) if g.length == 1)
+            row = next(r for r, (_, b) in enumerate(sl.q1_pairs) if b.length == 3)
             sl.psi0_cols[col][row] = A.field.one
             with pytest.raises(NotASubspace):
                 report(A, sl)
@@ -753,6 +782,84 @@ class TestGradedLieStep:
         with pytest.raises(AssertionError, match="degrees"):
             lie_presentation(A, sl)
 
+    def test_bounded_series_brackets_less_than_the_reference(self, monkeypatch):
+        A = truncated_polynomials(6, "Q")
+        calls, formed = [0], [0]
+        real = ppcomplex._hh1_bracket
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        class Formed(ppcomplex._Brackets):
+            def __init__(self, pairs, *args):
+                formed[0] += len(pairs)
+                super().__init__(pairs, *args)
+
+        monkeypatch.setattr(ppcomplex, "_hh1_bracket", counting)
+        monkeypatch.setattr(ppcomplex, "_Brackets", Formed)
+        lie = lie_presentation(A)
+        assert lie.derived_dims == ref_lie_presentation(A).derived_dims
+        # the reference brackets every pair of basis rows of each term, the
+        # graded series every pair whose degrees add up to a present one
+        wanted = sum(d * (d - 1) // 2 for d in lie.derived_dims[:-1])
+        assert 0 < calls[0] < formed[0] < wanted
+
+    def test_substitution_images_are_computed_once_per_slice(self, monkeypatch):
+        A = truncated_polynomials(4, "Q")
+        sl = CochainSlice(A)
+        calls = [0]
+        real = ppcomplex.project_sparse
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ppcomplex, "project_sparse", counting)
+        first = lie_presentation(A, sl)
+        assert 0 < calls[0] == len(sl._images)
+        again = lie_presentation(A, sl)
+        assert calls[0] == len(sl._images)
+        assert again.structure_constants == first.structure_constants
+
+    @staticmethod
+    def graded_constants(n):
+        """A = k[x,y]/(x^n, y^n) over Q, the degrees of its HH1
+        representatives, and the constants with one wrong-degree entry
+        added to each: a representative whose degree is not that of the
+        others in the bracket."""
+        A = truncated_polynomials(n, "Q")
+        sl = CochainSlice(A)
+        lie = lie_presentation(A, sl)
+        degrees = [min(pair_degrees(sl, r)) for r in lie.basis_vectors]
+
+        def corrupt(c):
+            m = next(m for m, d in enumerate(degrees) if d != degrees[min(c)])
+            return {**c, m: A.field.one}
+
+        return A, degrees, lie.structure_constants.nonzero, corrupt
+
+    def test_bracket_off_its_degree_raises(self, monkeypatch):
+        A, _, _, corrupt = self.graded_constants(4)
+        real = ppcomplex.coset_coordinates
+
+        def corrupted(w, k, u):
+            c = real(w, k, u)
+            return corrupt(c) if c else c
+
+        monkeypatch.setattr(ppcomplex, "coset_coordinates", corrupted)
+        with pytest.raises(AssertionError, match="left degree"):
+            lie_presentation(A, CochainSlice(A))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_derived_term_off_the_previous_raises(self, n):
+        A, degrees, nonzero, corrupt = self.graded_constants(n)
+        assert ppcomplex._derived_dims(degrees, nonzero, A.field) == \
+            ref_lie_presentation(A).derived_dims
+        bad = {ij: corrupt(c) for ij, c in nonzero.items()}
+        with pytest.raises(AssertionError, match="left the previous term"):
+            ppcomplex._derived_dims(degrees, bad, A.field)
+
     def test_structure_constants_are_a_read_only_mapping(self):
         quiver, Q, A = kronecker_ext()
         const = lie_presentation(A).structure_constants
@@ -769,3 +876,46 @@ class TestGradedLieStep:
         const[(0, 2)][3] = Q.one
         assert const[(0, 2)] == [Q.zero, Q.zero, Q.zero, Q.of(-2)]
         assert const[(2, 0)] == [Q.zero, Q.zero, Q.zero, Q.of(2)]
+
+
+def ref_build_psi1(sl):
+    """psi1 rows as first written: every Q1//B pair substituted into every
+    Groebner element, whether or not the element uses its arrow."""
+    a = sl.algebra
+    tip_index = {pair: i for i, pair in enumerate(sl.tip_pairs)}
+    rows = [{} for _ in sl.tip_pairs]
+    elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
+    for col, (arr, gamma) in enumerate(sl.q1_pairs):
+        for tg, terms in elems:
+            img = project_sparse(ppcomplex._substitutions(terms, arr, gamma), a)
+            for bi, c in img.items():
+                rows[tip_index[(tg, a.basis[bi])]][col] = c
+    return rows
+
+
+class TestPsi1ByArrow:
+    """Substituting each arrow only into the elements that use it gives the
+    reference rows, entry order included."""
+
+    @staticmethod
+    def assert_matches_reference(A):
+        sl = CochainSlice(A)
+        ref = ref_build_psi1(sl)
+        assert [list(r.items()) for r in sl.psi1_rows] == [list(r.items()) for r in ref]
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_fixture_files(self, name):
+        self.assert_matches_reference(file_algebra(name))
+
+    @pytest.mark.parametrize("name", BG_FILES)
+    def test_brauer_files(self, name):
+        for A in brauer_file_algebras(name):
+            self.assert_matches_reference(A)
+
+    def test_random_algebras(self):
+        for A in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM):
+            self.assert_matches_reference(A)
+
+    @pytest.mark.parametrize("field", ["Q", "GF(3)"])
+    def test_truncated_polynomials(self, field):
+        self.assert_matches_reference(truncated_polynomials(5, field))
