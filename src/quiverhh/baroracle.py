@@ -22,7 +22,7 @@ quotient algebra.
 from __future__ import annotations
 
 from .exactla import (
-    combine, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
+    add_to, combine, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
 )
 from .pathalg import compose
 
@@ -93,8 +93,7 @@ class BarSlice:
         for x1, x2 in pairs:
 
             def bump(b, col, c):
-                row = rows[self.c2_index[(x1, x2, b)]]
-                row[col] = field.add(row.get(col, field.zero), c)
+                add_to(rows[self.c2_index[(x1, x2, b)]], {col: c}, field.one, field)
 
             # -f(pA(x1 x2)): pA drops the trivial-path coordinates
             for j, c in self._product(x1, x2).items():
@@ -113,7 +112,7 @@ class BarSlice:
                 col = self.c1_index[(x1, b)]
                 for j, c in self._product(b, x2).items():
                     bump(a.basis[j], col, c)
-        return [{j: c for j, c in row.items() if c} for row in rows]
+        return rows
 
     def spaces(self):
         """(Ker D1, Im D0) as subspaces of C1, each differential eliminated

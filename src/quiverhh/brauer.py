@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .pathalg import FreeElement, Path, Quiver, compose
+from .pathalg import MAX_PATH_LENGTH, FreeElement, Path, Quiver, compose
 from . import groebner
 from .quotient import build_quotient
 from . import ppcomplex
@@ -247,9 +247,18 @@ def type3_pairs(quiver, cycles):
 
 def _relation_parts(graph, field):
     """Q_G, the type I path pairs (C_v(a)^m(v), C_w(a')^m(w)), R2, R3 and
-    the type III arrow pairs behind R3."""
+    the type III arrow pairs behind R3.  BrauerGraphError, before any
+    relation is built, when R1 and R2 would spell out more than
+    MAX_PATH_LENGTH arrows in all."""
     quiver, cycles = build_quiver_and_cycles(graph)
     starts = _edge_starts(quiver, cycles)
+    # C_v(a)^m(v) has m(v)*val(v) arrows: count them before building any
+    spelled = sum(c1.mult * c1.val + c2.mult * c2.val for at in starts.values()
+                  for (c1, _), (c2, _) in combinations(at, 2))
+    spelled += sum(cyc.mult * cyc.val + 1 for at in starts.values() for cyc, _ in at)
+    if spelled > MAX_PATH_LENGTH:
+        raise BrauerGraphError(f"type I and II relations spell out {spelled} arrows in all, "
+                               f"past the path length cap {MAX_PATH_LENGTH}")
     pairs = [
         (c1.power_path(k1), c2.power_path(k2))
         for i in range(quiver.n_vertices)

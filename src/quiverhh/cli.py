@@ -43,8 +43,10 @@ import re
 import sys
 from itertools import zip_longest
 
-from .exactla import Field, parse_field
-from .pathalg import ZERO, Path, Quiver, FreeElement, compose, format_path, format_element
+from .exactla import Field, add_to, parse_field
+from .pathalg import (
+    MAX_PATH_LENGTH, ZERO, Path, Quiver, FreeElement, compose, format_path, format_element,
+)
 from .groebner import ChainCapExceeded, Incomplete, CapExceeded, complete, uf_chains
 from .quotient import build_quotient
 from .ppcomplex import (
@@ -77,10 +79,6 @@ class ParseError(Exception):
         self.col = col
         self.message = message
 
-
-# the longest path a relation, or all terms of a file, may spell out: this
-# many arrows is a few MB, and a longer one is refused before it is built
-MAX_PATH_LENGTH = 1000000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -156,9 +154,8 @@ class _ExprParser:
         while True:
             coeff, path = self._term()
             self.spent += path.length
-            value = self.field.of(sign * coeff)
-            prev = terms.get(path, self.field.zero)
-            terms[path] = self.field.add(prev, value)
+            if value := self.field.of(sign * coeff):
+                add_to(terms, {path: value}, self.field.one, self.field)
             kind, _, _ = self._peek()
             if kind is None:
                 break
@@ -471,8 +468,9 @@ def cmd_hh(args, out):
 
 def cmd_chains(args, out):
     levels = uf_chains(_completed(args), args.n, max_basis=args.max_basis)
-    for i, level in enumerate(levels):
-        out("W[%d]: %d" % (i - 1, len(level)))
+    # the levels past the first empty one are empty and are not built
+    for i in range(args.n + 2):
+        out("W[%d]: %d" % (i - 1, len(levels[i]) if i < len(levels) else 0))
     return 0
 
 

@@ -130,17 +130,32 @@ def rows_of_columns(cols, nrows):
     return rows
 
 
+def add_to(out, vec, c, field):
+    """out += c*vec in place for a sparse dict out and a nonzero c; a
+    coordinate that cancels is deleted, so out never stores a zero.
+    Returns out."""
+    add, mul = field.add, field.mul
+    # an identity test: comparing Fractions costs more than it saves
+    scaled = c is not field.one
+    for i, x in vec.items():
+        if scaled:
+            x = mul(c, x)
+        y = out.get(i)
+        if y is None:
+            out[i] = x
+        elif y := add(y, x):
+            out[i] = y
+        else:
+            del out[i]
+    return out
+
+
 def combine(pairs, field):
-    """sum c*vec over (sparse vec, coeff c) pairs as a new sparse dict."""
+    """sum c*vec over (sparse vec, nonzero coeff c) pairs as a new sparse dict."""
     out = {}
     for vec, c in pairs:
-        # an identity test: comparing Fractions costs more than it saves
-        if c is not field.one:
-            vec = {i: field.mul(c, x) for i, x in vec.items()}
-        for i, x in vec.items():
-            y = out.get(i)
-            out[i] = x if y is None else field.add(y, x)
-    return {i: c for i, c in out.items() if c}
+        add_to(out, vec, c, field)
+    return out
 
 
 def _reduce(vec, rows, field):

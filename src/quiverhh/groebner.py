@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from itertools import repeat
 
+from .exactla import add_to
 from .pathalg import FreeElement, Path
 
 
@@ -125,25 +125,13 @@ class GroebnerBasis:
         return f"GroebnerBasis({tag}{len(self.elements)} elements)"
 
 
-def _add_product(terms, field, head, items, tail, subtract=False):
-    """terms += (or -=) sum x*(head q tail) over (q, x) in items, in place.
+def _product(head, items, tail):
+    """{head q tail: x} over (q, x) in items.
 
     head and tail are traversal words that compose with every q; a
     trivial product is q itself, so it keeps its base vertex.
     """
-    op = field.sub if subtract else field.add
-    for q, x in items:
-        arrows = head + q.arrows + tail
-        r = Path(q.quiver, arrows) if arrows else q
-        old = terms.get(r)
-        if old is None:
-            terms[r] = field.neg(x) if subtract else x
-        else:
-            v = op(old, x)
-            if v:
-                terms[r] = v
-            else:
-                del terms[r]
+    return {Path(q.quiver, w) if (w := head + q.arrows + tail) else q: x for q, x in items}
 
 
 def _path_key(p):
@@ -176,7 +164,7 @@ def normal_form(f, basis, rng=None, skip=None):
     reducible = [p for p in f.terms if hits(p)]
     if not reducible:
         return f
-    field, mul = f.field, f.field.mul
+    field = f.field
     terms = dict(f.terms)
     while reducible:
         if rng is None:
@@ -191,12 +179,10 @@ def normal_form(f, basis, rng=None, skip=None):
         word = p.arrows
         # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c (g is monic)
         lam = field.neg(terms.pop(p))
-        _add_product(terms, field, word[:s], [(q, mul(lam, x)) for q, x in basis._rests[i]],
-                     word[s + basis._tips[i].length:])
+        add_to(terms, _product(word[:s], basis._rests[i], word[s + basis._tips[i].length:]),
+               lam, field)
         reducible = [q for q in terms if hits(q)]
-    out = FreeElement(f.quiver, field)
-    out.terms = terms
-    return out
+    return FreeElement(f.quiver, field, terms)
 
 
 def _overlaps(tf, tg):
@@ -239,14 +225,12 @@ def _overlap_relation(f, g, b, c, at_f, at_g, tf=None, tg=None):
     at_f and those of g end at at_g to compose.  Pass the tips tf and tg
     when f and g are monic and tf*c = b*tg: these two terms cancel."""
     field = f.field
-    terms = {}
-    _add_product(terms, field, c, [(q, x) for q, x in f.terms.items()
-                                   if q is not tf and q.source == at_f], ())
-    _add_product(terms, field, (), [(q, x) for q, x in g.terms.items()
-                                    if q is not tg and q.target == at_g], b, subtract=True)
-    out = FreeElement(f.quiver, field)
-    out.terms = terms
-    return out
+    terms = _product(c, ((q, x) for q, x in f.terms.items()
+                         if q is not tf and q.source == at_f), ())
+    add_to(terms, _product((), ((q, x) for q, x in g.terms.items()
+                                if q is not tg and q.target == at_g), b),
+           field.neg(field.one), field)
+    return FreeElement(f.quiver, field, terms)
 
 
 def overlap_pairs(f, g):
@@ -439,8 +423,9 @@ def uf_chains(basis, n, max_basis=100000):
     reachable from a vertex, every node a nontrivial NonTip path.  For a
     reduced basis W^(0) matches Q1 and W^(1) the tips.  An i-chain holds
     i+1 paths; ChainCapExceeded is raised before a chain would bring the
-    paths held across all levels past max_basis.  The levels after the
-    first empty one are that same empty list.
+    paths held across all levels past max_basis.  The list ends at the
+    first empty level, since every later one is empty too, so it may hold
+    fewer than n + 2 levels.
     """
     quiver = basis.quiver
     held = quiver.n_vertices
@@ -478,9 +463,7 @@ def uf_chains(basis, n, max_basis=100000):
     levels.append(chains)
     for i in range(1, n + 1):
         if not chains:
-            # no chain to extend: this and every later level are empty
-            levels.extend(repeat(chains, n + 1 - i))
-            break
+            break  # no chain to extend
         nxt = []
         for ch in chains:
             for v in succ[ch[-1]]:  # right factors only

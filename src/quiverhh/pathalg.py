@@ -13,12 +13,18 @@ so the first declared arrow is the smallest.
 
 from __future__ import annotations
 
+from .exactla import combine
+
 
 class ZeroElement(Exception):
     """Raised when an operation needs a nonzero element (e.g. tip of 0)."""
 
 
 ZERO = None  # the product of non-composable paths
+
+# the longest path the relations of one input may spell out, all together:
+# this many arrows is a few MB, and a longer one is refused before it is built
+MAX_PATH_LENGTH = 1000000
 
 
 class Quiver:
@@ -200,12 +206,7 @@ class FreeElement:
     def __init__(self, quiver, field, terms=None):
         self.quiver = quiver
         self.field = field
-        self.terms = {}
-        if terms:
-            zero = field.zero
-            for p, c in terms.items():
-                if c != zero:
-                    self.terms[p] = c
+        self.terms = {p: c for p, c in terms.items() if c} if terms else {}
 
     @classmethod
     def from_path(cls, path, field, coeff=None):
@@ -225,29 +226,17 @@ class FreeElement:
         return p, self.terms[p]
 
     def add(self, other):
-        f = self.field
-        terms = dict(self.terms)
-        zero = f.zero
-        for p, c in other.terms.items():
-            s = f.add(terms.get(p, zero), c)
-            if s == zero:
-                terms.pop(p, None)
-            else:
-                terms[p] = s
-        out = FreeElement(self.quiver, f)
-        out.terms = terms
-        return out
+        return FreeElement(self.quiver, self.field, combine(
+            [(self.terms, self.field.one), (other.terms, self.field.one)], self.field))
 
     def scale(self, c):
-        f = self.field
-        if c == f.zero:
-            return FreeElement(self.quiver, f)
-        out = FreeElement(self.quiver, f)
-        out.terms = {p: f.mul(c, x) for p, x in self.terms.items()}
-        return out
+        return FreeElement(self.quiver, self.field,
+                           combine([(self.terms, c)], self.field) if c else None)
 
     def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        f = self.field
+        return FreeElement(self.quiver, f, combine(
+            [(self.terms, f.one), (other.terms, f.neg(f.one))], f))
 
     def monic(self):
         _, c = self.tip()
@@ -268,22 +257,10 @@ class FreeElement:
 
 def multiply(a, b):
     """Free-algebra product a*b (paths of a composed after paths of b)."""
-    f = a.field
-    zero = f.zero
-    acc = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            r = compose(p, q)
-            if r is ZERO:
-                continue
-            s = f.add(acc.get(r, zero), f.mul(cp, cq))
-            if s == zero:
-                acc.pop(r, None)
-            else:
-                acc[r] = s
-    out = FreeElement(a.quiver, f)
-    out.terms = acc
-    return out
+    # for one p the products p*q of distinct q are distinct paths
+    return FreeElement(a.quiver, a.field, combine(
+        (({r: cq for q, cq in b.terms.items() if (r := compose(p, q)) is not ZERO}, cp)
+         for p, cp in a.terms.items()), a.field))
 
 
 def format_combination(pairs, field):

@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .exactla import (
-    NotASubspace, combine, coset_coordinates, dense, kernel_basis, row_space, rows_of_columns,
-    rref, sparse, subspace_quotient,
+    NotASubspace, add_to, combine, coset_coordinates, dense, kernel_basis, row_space,
+    rows_of_columns, rref, sparse, subspace_quotient,
 )
 from .pathalg import FreeElement, Path, compose, format_combination
 from .quotient import project_sparse
@@ -53,7 +53,7 @@ def substitute(eps, alpha, gamma):
         raise TypeError("eps must be a FreeElement")
     acc = {}
     for q, coeff in _substitutions(eps.terms.items(), alpha, gamma):
-        acc[q] = field.add(acc.get(q, field.zero), coeff)
+        add_to(acc, {q: coeff}, field.one, field)
     return FreeElement(quiver, field, acc)
 
 

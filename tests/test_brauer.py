@@ -185,6 +185,42 @@ class TestRelations:
         assert "v:1^2" in formatted
 
 
+class TestPathCap:
+    """R1 and R2 together may spell out at most MAX_PATH_LENGTH arrows."""
+
+    EDGE = "field Q\nvertex v1 mult %d\nvertex v2 mult %d\nedge a v1 v2\n"
+    LOOP = "field Q\nvertex v mult %d\nedge a v v\ncyclic v: a.1 a.2\n"
+
+    @pytest.mark.parametrize("text,spelled", [
+        (EDGE % (999999, 1), 1000000),  # R2 only: v2 is truncated
+        (EDGE % (249999, 250000), 1000000),  # R1 joins both cycle powers
+        (LOOP % 124999, 999994),  # two starts on the loop, val 2
+    ])
+    def test_relations_up_to_the_cap_are_built(self, text, spelled):
+        _, graph = parse_brauer(text)
+        r1, r2, _ = generate_relations(graph, Field(0))
+        assert sum(p.length for r in r1 + r2 for p in r.terms) == spelled
+
+    @pytest.mark.parametrize("text,spelled", [
+        (EDGE % (1000000, 1), 1000001),
+        (EDGE % (250000, 250000), 1000002),
+        (LOOP % 125000, 1000002),
+        (EDGE % (10 ** 100, 1), 10 ** 100 + 1),
+    ])
+    def test_relations_past_the_cap_are_refused_before_any_is_built(
+            self, monkeypatch, text, spelled):
+        def no_power(cyc, k):
+            raise AssertionError("a cycle power was built")
+
+        monkeypatch.setattr(brauer.VertexCycle, "power_path", no_power)
+        _, graph = parse_brauer(text)
+        for build in (generate_relations, gr_relations):
+            with pytest.raises(BrauerGraphError) as exc:
+                build(graph, Field(0))
+            assert str(exc.value) == ("type I and II relations spell out %d arrows in all, "
+                                      "past the path length cap 1000000" % spelled)
+
+
 class TestGradedCombinatorics:
     def test_degrees_inherit_across_truncated_vertices(self):
         g = path_113()

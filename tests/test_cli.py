@@ -490,6 +490,23 @@ class TestExitCodes:
         assert proc.stderr == (b"error: line 4, col 18: relations spell out 1999997 arrows "
                                b"in all, past the path length cap 1000000\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["bga"], ["bga", "--gr"], ["report", "--max-basis", "1000000000"],
+    ], ids=["bga", "bga-gr", "report"])
+    def test_brauer_multiplicity_is_2_before_its_paths_are_built(self, tmp_path, argv):
+        # C_v1(a)^(10^8) would be a path of 10^8 arrows, far past the 512 MB
+        # address space the child gets; dim A = 10^8 + 1 is under the report cap
+        bg = tmp_path / "big.bg"
+        bg.write_text("field Q\nvertex v1 mult 100000000\nvertex v2 mult 1\nedge a v1 v2\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = run_cli_process(argv + [str(bg)], subprocess.PIPE, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (b"error: type I and II relations spell out 100000001 arrows "
+                               b"in all, past the path length cap 1000000\n")
+
     @pytest.mark.parametrize("text, col", [
         ("rel x^600000\nrel x^400001\n", 7),
         ("rel x^600000\nrel x^2*x^400000\n", 9),

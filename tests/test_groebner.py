@@ -1,11 +1,13 @@
+import io
 import os
 import random
 from collections import deque
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh.cli import parse_algebra
+from quiverhh.cli import main, parse_algebra
 from quiverhh.exactla import Field
 from quiverhh.pathalg import FreeElement, Path, Quiver, format_element, format_path, multiply
 from quiverhh.groebner import (
@@ -392,16 +394,25 @@ class TestChains:
                        for ch in levels[3])
         assert words == ["xxx", "xxy", "xyy", "yyy"]
 
-    def test_levels_after_the_first_empty_one_are_not_built(self):
+    def test_levels_after_the_first_empty_one_are_not_built(self, tmp_path):
         # W[1] of b*a = 0 on u -> v -> w is the tip, W[2] and later are empty
-        field, quiver, rels = parse_algebra(
-            "field Q\nvertex u v w\narrow a: u -> v\narrow b: v -> w\nrel b*a\n")
+        text = "field Q\nvertex u v w\narrow a: u -> v\narrow b: v -> w\nrel b*a\n"
+        field, quiver, rels = parse_algebra(text)
         gb = complete(rels, quiver=quiver, field=field)
-        assert uf_chains(gb, 6) == ref_uf_chains(gb, 6)
+        ref = ref_uf_chains(gb, 6)
+        assert uf_chains(gb, 6) == ref[:4]
+        assert ref[3:] == [[]] * 5
         levels = uf_chains(gb, 10 ** 6)
-        assert [len(lv) for lv in levels[:4]] == [3, 2, 1, 0]
-        assert len(levels) == 10 ** 6 + 2
-        assert all(lv is levels[3] for lv in levels[3:])
+        assert [len(lv) for lv in levels] == [3, 2, 1, 0]
+        assert levels == ref[:4]
+        # the CLI still prints every level up to W[n]
+        alg = tmp_path / "path.alg"
+        alg.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["chains", "--n", str(10 ** 6), str(alg)]) == 0
+        assert out.getvalue() == ("W[-1]: 3\nW[0]: 2\nW[1]: 1\n"
+                                  + "".join("W[%d]: 0\n" % i for i in range(2, 10 ** 6 + 1)))
 
     def test_first_level_matches_tips(self):
         quiver, field, rels = kronecker_ext_relations()
