@@ -41,7 +41,8 @@ class DimensionCapExceeded(Exception):
     def __init__(self, cap, dim):
         self.cap = cap
         self.dim = dim
-        super().__init__(f"algebra dimension {dim} exceeds cap {cap}")
+        super().__init__(f"Brauer graph algebra dimension exceeds --max-basis {cap}: "
+                         f"the graph gives dimension {dim}")
 
 
 def _half_token(edge_name, end, is_loop):

@@ -60,7 +60,6 @@ from .baroracle import build_bar_slice, bar_hh_dims, bar_derived_series
 from .brauer import (
     DEFAULT_SEED,
     BrauerGraph,
-    BrauerGraphError,
     DimensionCapExceeded,
     _half_token,
     _relation_parts,
@@ -634,17 +633,6 @@ def build_parser():
     return parser
 
 
-def _infinite_text(exc):
-    """Why NonTip enumeration stopped, with the numbers."""
-    if exc.window is not None:
-        return ("quotient algebra is not finite dimensional: proven infinite, a NonTip "
-                "path repeats the window %s and the stretch between the repeats pumps "
-                "(stopped at %d paths, --max-basis %d)"
-                % (format_path(exc.window), exc.reached, exc.cap))
-    return ("quotient algebra dimension exceeds --max-basis %d: NonTip enumeration "
-            "reached %d paths" % (exc.cap, exc.reached))
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -660,24 +648,11 @@ def main(argv=None):
         # still buffered to devnull so the flush at shutdown cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, BrauerGraphError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Incomplete as exc:
-        print("error: completion exceeded the tip length cap --max-tip-len %s: "
-              "an adjoined element has a tip of length %d (offender %s)"
-              % (exc.cap, exc.tip_length, format_element(exc.offender)), file=sys.stderr)
-        return 3
-    except CapExceeded as exc:
-        print("error: %s" % _infinite_text(exc), file=sys.stderr)
-        return 3
-    except ChainCapExceeded as exc:
-        print("error: chain sets exceed --max-basis %d: the paths held reached %d "
-              "while building W[%d]" % (exc.cap, exc.reached, exc.level), file=sys.stderr)
-        return 3
-    except DimensionCapExceeded as exc:
-        print("error: Brauer graph algebra dimension exceeds --max-basis %d: the graph "
-              "gives dimension %d" % (exc.cap, exc.dim), file=sys.stderr)
+    except (Incomplete, CapExceeded, ChainCapExceeded, DimensionCapExceeded) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:
         print("error: internal error: %s: %s"

@@ -55,10 +55,11 @@ class Field:
     __slots__ = ("char", "zero", "one", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, char=0):
+        # the bound first: trial division of a large number never ends
+        if char >= 1 << 31:
+            raise ValueError(f"field characteristic {char} exceeds the cap 2^31")
         if char != 0 and not _is_prime(char):
             raise ValueError(f"field characteristic must be 0 or prime, got {char}")
-        if char >= 1 << 31:
-            raise ValueError(f"prime too large: {char}")
         self.char = char
         # bound once per field, so no call branches on the characteristic
         if char == 0:
@@ -103,6 +104,8 @@ def parse_field(text):
     if text.startswith("GF(") and text.endswith(")"):
         inner = text[3:-1].strip()
         if inner.isdigit():
+            if int(inner) == 0:
+                raise ValueError("GF(0) is not a field; write Q for characteristic 0")
             return Field(int(inner))
     raise ValueError(f"unrecognized field {text!r}; expected Q or GF(p)")
 

@@ -21,19 +21,20 @@ from bisect import insort
 from collections import deque
 
 from .exactla import add_to
-from .pathalg import FreeElement, Path
+from .pathalg import FreeElement, Path, format_element, format_path
 
 
 class Incomplete(Exception):
     """Completion hit the tip-length cap; carries the partial basis."""
 
-    def __init__(self, partial, offender, cap=None):
+    def __init__(self, partial, offender, cap):
         self.partial = partial
         self.offender = offender
         self.cap = cap
         self.tip_length = offender.tip()[0].length
-        super().__init__(f"completion exceeded tip-length cap {cap} at tip of length "
-                         f"{self.tip_length}")
+        super().__init__(f"completion exceeded the tip length cap --max-tip-len {cap}: an "
+                         f"adjoined element has a tip of length {self.tip_length} "
+                         f"(offender {format_element(offender)})")
 
 
 class CapExceeded(Exception):
@@ -41,12 +42,18 @@ class CapExceeded(Exception):
     when ``window`` is set, at a proof of infinite dimension (a NonTip path
     repeats that window; see nontip_enumerate)."""
 
-    def __init__(self, cap, reached=None, window=None):
+    def __init__(self, cap, reached, window=None):
         self.cap = cap
         self.reached = reached
         self.window = window
-        what = "is infinite dimensional" if window is not None else f"exceeded {cap} paths"
-        super().__init__(f"NonTip enumeration {what}")
+        if window is None:
+            text = (f"quotient algebra dimension exceeds --max-basis {cap}: NonTip "
+                    f"enumeration reached {reached} paths")
+        else:
+            text = (f"quotient algebra is not finite dimensional: proven infinite, a NonTip "
+                    f"path repeats the window {format_path(window)} and the stretch between "
+                    f"the repeats pumps (stopped at {reached} paths, --max-basis {cap})")
+        super().__init__(text)
 
 
 class ChainCapExceeded(Exception):
@@ -56,7 +63,8 @@ class ChainCapExceeded(Exception):
         self.cap = cap
         self.reached = reached
         self.level = level
-        super().__init__(f"chain sets exceeded {cap} paths at W^({level})")
+        super().__init__(f"chain sets exceed --max-basis {cap}: the paths held reached "
+                         f"{reached} while building W[{level}]")
 
 
 class GroebnerBasis:
@@ -314,30 +322,19 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
 
 
 def _interreduce(gb, closure_added):
-    """The reduced basis: each element reduced by the others until stable,
-    sorted by tip.
+    """The reduced basis, sorted by tip: the elements whose tip no other tip
+    divides, each reduced once by the others.
 
     Tip words are pairwise distinct here, since every element entered in
     normal form against the earlier ones, so skipping one element leaves
-    exactly the others.
+    exactly the others.  The kept tips divide every dropped one, so the
+    kept elements are still a Groebner basis of the ideal: each tail's
+    normal form is unique, and one pass reaches the reduced basis.
     """
     quiver, field = gb.quiver, gb.field
-    elems = list(gb.elements)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(elems)):
-            h = normal_form(elems[i], gb, skip=i)
-            if h.is_zero:
-                del elems[i]
-                gb = GroebnerBasis(quiver, field, elems)
-                changed = True
-                break
-            h = h.monic()
-            if h != elems[i]:
-                elems[i] = h
-                gb = GroebnerBasis(quiver, field, elems)
-                changed = True
+    kept = GroebnerBasis(quiver, field, [g for i, (g, t) in enumerate(zip(gb.elements, gb._tips))
+                                         if not gb._hits(t.arrows, skip=i)])
+    elems = [normal_form(g, kept, skip=i) for i, g in enumerate(kept.elements)]
     elems.sort(key=lambda g: g.tip()[0].key)
     return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
 
