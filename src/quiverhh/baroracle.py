@@ -13,8 +13,8 @@ A+ the span of the nontrivial basis paths B+.  The differentials are
 and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  D0 is held as
 sparse image columns over C1 and D1 as sparse rows over C1, both
 assembled here straight from the cochain formulas; cochains, products
-and brackets are sparse {index: coeff} dicts.  ``d0`` and ``d1`` are
-dense row-major views, built on first access.  Independence from
+and brackets are sparse {index: coeff} dicts.  ``d0`` and ``d1`` write
+them out as new dense row-major lists.  Independence from
 ppcomplex is the whole point: the two share only exactla and the
 quotient algebra.
 """
@@ -29,7 +29,7 @@ from .pathalg import compose
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index", "c2_index",
-                 "d0_cols", "d1_rows", "_d0", "_d1", "_bplus", "_spaces")
+                 "d0_cols", "d1_rows", "_bplus", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -49,23 +49,19 @@ class BarSlice:
         self.c2_basis = [(x1, x2, b) for x1, x2 in pairs
                          for b in algebra.parallel(x2.source, x1.target)]
         self.c2_index = {t: i for i, t in enumerate(self.c2_basis)}
-        self.d0_cols = self._build_d0()
-        self.d1_rows = self._build_d1(pairs)
-        self._d0 = self._d1 = self._spaces = None
+        self.d0_cols = self._image_columns()
+        self.d1_rows = self._kernel_rows(pairs)
+        self._spaces = None
 
     @property
     def d0(self):
-        if self._d0 is None:
-            rows = rows_of_columns(self.d0_cols, len(self.c1_basis))
-            self._d0 = [dense(r, len(self.c0_basis), self.algebra.field) for r in rows]
-        return self._d0
+        rows = rows_of_columns(self.d0_cols, len(self.c1_basis))
+        return [dense(r, len(self.c0_basis), self.algebra.field) for r in rows]
 
     @property
     def d1(self):
-        if self._d1 is None:
-            n, field = len(self.c1_basis), self.algebra.field
-            self._d1 = [dense(r, n, field) for r in self.d1_rows]
-        return self._d1
+        n, field = len(self.c1_basis), self.algebra.field
+        return [dense(r, n, field) for r in self.d1_rows]
 
     def _product(self, p, q):
         """pi(p q) as a sparse {basis index: coeff} dict, {} if p, q do not
@@ -73,7 +69,7 @@ class BarSlice:
         r = compose(p, q)
         return self.algebra.path_coords(r) if r else {}
 
-    def _build_d0(self):
+    def _image_columns(self):
         # column (v, b): the cochain x -> bx - xb
         a = self.algebra
         field = a.field
@@ -86,7 +82,7 @@ class BarSlice:
                         + [(at(x, self._product(x, b)), minus) for x in self._bplus], field)
                 for _, b in self.c0_basis]
 
-    def _build_d1(self, pairs):
+    def _kernel_rows(self, pairs):
         a = self.algebra
         field = a.field
         rows = [{} for _ in self.c2_basis]

@@ -83,6 +83,16 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:]*")
 _INT_RE = re.compile(r"[0-9]+")
 _PLAIN_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARROW_RE = re.compile(r"(.*\S)\s*:\s*(\S+)\s*->\s*(\S+)\Z")
+# under the 4300 digits past which int() refuses a string, naming no position
+MAX_LITERAL_DIGITS = 4000
+
+
+def _literal(digits, lineno, col):
+    """int(digits) for the literal at (lineno, col), refused past the cap."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError("integer literal of %d digits exceeds the cap of %d digits"
+                         % (len(digits), MAX_LITERAL_DIGITS), lineno, col)
+    return int(digits)
 
 
 def _tokenize(text, lineno, base_col):
@@ -102,7 +112,7 @@ def _tokenize(text, lineno, base_col):
             continue
         m = _INT_RE.match(text, i)
         if m:
-            out.append(("int", int(m.group()), col))
+            out.append(("int", _literal(m.group(), lineno, col), col))
             i = m.end()
             continue
         m = _NAME_RE.match(text, i)
@@ -217,29 +227,19 @@ class _ExprParser:
                        % (self.spent + length, cap), col)
 
 
-def _split_directive(raw, lineno):
-    line = raw.split("#", 1)[0].rstrip()
-    if not line.strip():
-        return None
-    head = line.split(None, 1)[0]
-    col = line.index(head) + 1
-    rest = line[col - 1 + len(head):]
-    rest_col = col + len(head) + (len(rest) - len(rest.lstrip()) if rest else 0)
-    return head, col, rest.strip(), rest_col, len(line) + 1
-
-
-def parse_algebra(text):
-    """Parse an algebra file into (field, quiver, relations)."""
+def _directives(text, handlers):
+    """The field of text's one ``field`` line.  Every other directive goes,
+    in file order, to handlers[head](rest, lineno, col, rest_col, end_col):
+    rest stripped, the columns of head and rest, and the one past the line."""
     field = None
-    vertices = []
-    arrows = []
-    seen = {}
-    rels = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        item = _split_directive(raw, lineno)
-        if item is None:
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
             continue
-        head, col, rest, rest_col, end_col = item
+        head = line.split(None, 1)[0]
+        col = line.index(head) + 1
+        rest = line[col - 1 + len(head):]
+        rest_col = col + len(head) + len(rest) - len(rest.lstrip())
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field line", lineno, col)
@@ -247,39 +247,55 @@ def parse_algebra(text):
                 field = parse_field(rest)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, rest_col) from None
-        elif head == "vertex":
-            names = rest.split()
-            if not names:
-                raise ParseError("vertex line needs at least one name", lineno, col)
-            for name in names:
-                if not _NAME_RE.fullmatch(name):
-                    raise ParseError("bad vertex name %r" % name, lineno, rest_col)
-                if name in seen:
-                    raise ParseError("duplicate name %r" % name, lineno, rest_col)
-                seen[name] = "vertex"
-                vertices.append(name)
-        elif head == "arrow":
-            m = _ARROW_RE.match(rest)
-            if m is None:
-                raise ParseError("expected 'arrow <name>: <src> -> <tgt>'", lineno, col)
-            name, src, tgt = m.groups()
-            if not _NAME_RE.fullmatch(name):
-                raise ParseError("bad arrow name %r" % name, lineno, rest_col)
-            if name in seen:
-                raise ParseError("duplicate name %r" % name, lineno, rest_col)
-            for v in (src, tgt):
-                if v not in seen or seen[v] != "vertex":
-                    raise ParseError("unknown vertex %r" % v, lineno, rest_col)
-            seen[name] = "arrow"
-            arrows.append((name, src, tgt))
-        elif head == "rel":
-            if not rest:
-                raise ParseError("empty relation", lineno, col)
-            rels.append((lineno, rest, rest_col, end_col))
+        elif head in handlers:
+            handlers[head](rest.strip(), lineno, col, rest_col, len(line) + 1)
         else:
             raise ParseError("unknown directive %r" % head, lineno, col)
     if field is None:
         raise ParseError("missing field line", 1, 1)
+    return field
+
+
+def parse_algebra(text):
+    """Parse an algebra file into (field, quiver, relations)."""
+    vertices = []
+    arrows = []
+    seen = {}
+    rels = []
+
+    def vertex(rest, lineno, col, rest_col, _):
+        names = rest.split()
+        if not names:
+            raise ParseError("vertex line needs at least one name", lineno, col)
+        for name in names:
+            if not _NAME_RE.fullmatch(name):
+                raise ParseError("bad vertex name %r" % name, lineno, rest_col)
+            if name in seen:
+                raise ParseError("duplicate name %r" % name, lineno, rest_col)
+            seen[name] = "vertex"
+            vertices.append(name)
+
+    def arrow(rest, lineno, col, rest_col, _):
+        m = _ARROW_RE.match(rest)
+        if m is None:
+            raise ParseError("expected 'arrow <name>: <src> -> <tgt>'", lineno, col)
+        name, src, tgt = m.groups()
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError("bad arrow name %r" % name, lineno, rest_col)
+        if name in seen:
+            raise ParseError("duplicate name %r" % name, lineno, rest_col)
+        for v in (src, tgt):
+            if v not in seen or seen[v] != "vertex":
+                raise ParseError("unknown vertex %r" % v, lineno, rest_col)
+        seen[name] = "arrow"
+        arrows.append((name, src, tgt))
+
+    def rel(rest, lineno, col, rest_col, end_col):
+        if not rest:
+            raise ParseError("empty relation", lineno, col)
+        rels.append((lineno, rest, rest_col, end_col))
+
+    field = _directives(text, {"vertex": vertex, "arrow": arrow, "rel": rel})
     if not vertices:
         raise ParseError("no vertices declared", 1, 1)
     quiver = Quiver(vertices, arrows)
@@ -309,70 +325,60 @@ def algebra_to_text(field, quiver, relations):
 
 def parse_brauer(text):
     """Parse a Brauer graph file into (field, BrauerGraph)."""
-    field = None
-    vertices = []
-    vnames = set()
+    mults = {}
     edges = []
-    enames = set()
+    kinds = {}  # a name is one vertex or one edge
     cyclic = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        item = _split_directive(raw, lineno)
-        if item is None:
-            continue
-        head, col, rest, rest_col, _ = item
-        if head == "field":
-            if field is not None:
-                raise ParseError("duplicate field line", lineno, col)
-            try:
-                field = parse_field(rest)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, rest_col) from None
-        elif head == "vertex":
-            parts = rest.split()
-            if len(parts) != 3 or parts[1] != "mult":
-                raise ParseError("expected 'vertex <name> mult <m>'", lineno, col)
-            name, _, mtext = parts
-            if not _PLAIN_NAME_RE.match(name):
-                raise ParseError("bad vertex name %r" % name, lineno, rest_col)
-            if name in vnames:
-                raise ParseError("duplicate vertex %r" % name, lineno, rest_col)
-            if not mtext.isdigit() or int(mtext) < 1:
-                raise ParseError("multiplicity must be a positive integer", lineno, rest_col)
-            vnames.add(name)
-            vertices.append((name, int(mtext)))
-        elif head == "edge":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError("expected 'edge <name> <vertex> <vertex>'", lineno, col)
-            name, v, w = parts
-            if not _PLAIN_NAME_RE.match(name):
-                raise ParseError("bad edge name %r" % name, lineno, rest_col)
-            if name in enames:
-                raise ParseError("duplicate edge %r" % name, lineno, rest_col)
-            for x in (v, w):
-                if x not in vnames:
-                    raise ParseError("unknown vertex %r" % x, lineno, rest_col)
-            enames.add(name)
-            edges.append((name, v, w))
-        elif head == "cyclic":
-            if ":" not in rest:
-                raise ParseError("expected 'cyclic <vertex>: <half-edges>'", lineno, col)
-            vname, tail = rest.split(":", 1)
-            vname = vname.strip()
-            if vname not in vnames:
-                raise ParseError("unknown vertex %r" % vname, lineno, rest_col)
-            if vname in cyclic:
-                raise ParseError("duplicate cyclic line for %r" % vname, lineno, rest_col)
-            tokens = tail.split()
-            if not tokens:
-                raise ParseError("empty cyclic ordering", lineno, col)
-            cyclic[vname] = tokens
-        else:
-            raise ParseError("unknown directive %r" % head, lineno, col)
-    if field is None:
-        raise ParseError("missing field line", 1, 1)
-    graph = BrauerGraph(vertices, edges, cyclic)
-    return field, graph
+
+    def claim(name, kind, lineno, col):
+        if name in kinds:
+            what = kind if kinds[name] == kind else "name"
+            raise ParseError("duplicate %s %r" % (what, name), lineno, col)
+        kinds[name] = kind
+
+    def vertex(rest, lineno, col, rest_col, _):
+        parts = rest.split()
+        if len(parts) != 3 or parts[1] != "mult":
+            raise ParseError("expected 'vertex <name> mult <m>'", lineno, col)
+        name, _, mtext = parts
+        if not _PLAIN_NAME_RE.match(name):
+            raise ParseError("bad vertex name %r" % name, lineno, rest_col)
+        claim(name, "vertex", lineno, rest_col)
+        mult = (_INT_RE.fullmatch(mtext)
+                and _literal(mtext, lineno, rest_col + len(rest) - len(mtext)))
+        if not mult:
+            raise ParseError("multiplicity must be a positive integer", lineno, rest_col)
+        mults[name] = mult
+
+    def edge(rest, lineno, col, rest_col, _):
+        parts = rest.split()
+        if len(parts) != 3:
+            raise ParseError("expected 'edge <name> <vertex> <vertex>'", lineno, col)
+        name, v, w = parts
+        if not _PLAIN_NAME_RE.match(name):
+            raise ParseError("bad edge name %r" % name, lineno, rest_col)
+        claim(name, "edge", lineno, rest_col)
+        for x in (v, w):
+            if x not in mults:
+                raise ParseError("unknown vertex %r" % x, lineno, rest_col)
+        edges.append((name, v, w))
+
+    def cyclic_line(rest, lineno, col, rest_col, _):
+        if ":" not in rest:
+            raise ParseError("expected 'cyclic <vertex>: <half-edges>'", lineno, col)
+        vname, tail = rest.split(":", 1)
+        vname = vname.strip()
+        if vname not in mults:
+            raise ParseError("unknown vertex %r" % vname, lineno, rest_col)
+        if vname in cyclic:
+            raise ParseError("duplicate cyclic line for %r" % vname, lineno, rest_col)
+        tokens = tail.split()
+        if not tokens:
+            raise ParseError("empty cyclic ordering", lineno, col)
+        cyclic[vname] = tokens
+
+    field = _directives(text, {"vertex": vertex, "edge": edge, "cyclic": cyclic_line})
+    return field, BrauerGraph(list(mults.items()), edges, cyclic)
 
 
 def brauer_to_text(field, graph):

@@ -103,10 +103,13 @@ def parse_field(text):
         return Field(0)
     if text.startswith("GF(") and text.endswith(")"):
         inner = text[3:-1].strip()
-        if inner.isdigit():
-            if int(inner) == 0:
+        if inner.isascii() and inner.isdigit():
+            digits = inner.lstrip("0")
+            if not digits:
                 raise ValueError("GF(0) is not a field; write Q for characteristic 0")
-            return Field(int(inner))
+            if len(digits) > 10:  # past 2^31; counted, as int() refuses 4300+ digits
+                raise ValueError(f"field characteristic {digits} exceeds the cap 2^31")
+            return Field(int(digits))
     raise ValueError(f"unrecognized field {text!r}; expected Q or GF(p)")
 
 

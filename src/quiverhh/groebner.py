@@ -396,7 +396,6 @@ def nontip_enumerate(basis, max_basis=100000):
                         break
                 else:
                     nxt.append(Path(quiver, word))
-        nxt.sort(key=_path_key)
         out.extend(nxt)
         if k == d:
             width = len(nxt)

@@ -86,16 +86,15 @@ class CochainSlice:
     psi0 is held as ``psi0_cols``, one sparse column over Q1//B per Q0//B
     pair, and psi1 as ``psi1_rows``, one sparse row over Q1//B per Tip//B
     pair: Im psi0 is spanned by the columns and Ker psi1 is cut out by the
-    rows.  ``psi0`` and ``psi1`` are dense row-major views of the same
-    matrices, built on first access for callers that read entries by
-    position; they are shared, do not mutate them.  Pair spaces are read
-    off ``algebra.parallel``; pair brackets are not stored, but their
-    substitution images are, in ``_images``.
+    rows.  ``psi0`` and ``psi1`` write the same matrices out as new dense
+    row-major lists, for callers that read entries by position.  Pair
+    spaces are read off ``algebra.parallel``; pair brackets are not
+    stored, but their substitution images are, in ``_images``.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0_cols", "psi1_rows", "_psi0", "_psi1", "_hh1", "_images",
+        "q1_index", "psi0_cols", "psi1_rows", "_hh1", "_images",
     )
 
     def __init__(self, algebra):
@@ -109,24 +108,20 @@ class CochainSlice:
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
         self.tip_pairs = [(t, b) for t in algebra.gb.tips()
                           for b in algebra.parallel(t.source, t.target)]
-        self.psi0_cols = self._build_psi0()
-        self.psi1_rows = self._build_psi1()
-        self._psi0 = self._psi1 = self._hh1 = None
+        self.psi0_cols = self._image_columns()
+        self.psi1_rows = self._kernel_rows()
+        self._hh1 = None
         self._images = {}
 
     @property
     def psi0(self):
-        if self._psi0 is None:
-            rows = rows_of_columns(self.psi0_cols, len(self.q1_pairs))
-            self._psi0 = [dense(r, len(self.q0_pairs), self.algebra.field) for r in rows]
-        return self._psi0
+        rows = rows_of_columns(self.psi0_cols, len(self.q1_pairs))
+        return [dense(r, len(self.q0_pairs), self.algebra.field) for r in rows]
 
     @property
     def psi1(self):
-        if self._psi1 is None:
-            n, field = len(self.q1_pairs), self.algebra.field
-            self._psi1 = [dense(r, n, field) for r in self.psi1_rows]
-        return self._psi1
+        n, field = len(self.q1_pairs), self.algebra.field
+        return [dense(r, n, field) for r in self.psi1_rows]
 
     def _at_arrow(self, arrow, coords):
         """The sparse vector over Q1//B with coeff c at (arrow, basis[i]) for
@@ -137,7 +132,7 @@ class CochainSlice:
         except KeyError:
             raise AssertionError("image left the pair space") from None
 
-    def _build_psi0(self):
+    def _image_columns(self):
         a = self.algebra
         quiver, field = a.quiver, a.field
         one, minus = field.one, field.neg(field.one)
@@ -153,7 +148,7 @@ class CochainSlice:
                                  for arr, p, c in terms), field))
         return cols
 
-    def _build_psi1(self):
+    def _kernel_rows(self):
         a = self.algebra
         tip_index = {pair: i for i, pair in enumerate(self.tip_pairs)}
         rows = [{} for _ in self.tip_pairs]

@@ -361,6 +361,18 @@ class TestSparseAssembly:
         assert typed(sl.d1) == typed(ref_build_d1(sl, ref_pairs(sl)))
 
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
+    def test_dense_views_are_new_on_each_read(self, tag):
+        # written out from d0_cols and d1_rows on each read, never cached
+        sl = slice_of(tag)
+        for name in ("d0", "d1"):
+            first, second = getattr(sl, name), getattr(sl, name)
+            assert first == second and first, (tag, name)
+            assert first is not second and first[0] is not second[0]
+            first[0][0] = "mutated"
+            first.append([])
+            assert getattr(sl, name) == second, (tag, name)
+
+    @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_bracket_equals_reference_on_kernel(self, tag):
         sl = slice_of(tag)
         ker = kernel_basis(sl.d1_rows, sl.algebra.field, ncols=len(sl.c1_basis)).basis

@@ -23,7 +23,7 @@ from quiverhh.groebner import (
     overlap_relation,
     uf_chains,
 )
-from quiverhh import groebner
+from quiverhh import brauer, groebner
 from quiverhh.groebner import _overlaps
 from quiverhh.quotient import InfiniteDimensional, build_quotient
 
@@ -363,6 +363,25 @@ class TestNonTip:
         basis = nontip_enumerate(char2_gb)
         keys = [p.key for p in basis]
         assert keys == sorted(keys)
+
+    # each level is built arrow by arrow from the llex-sorted level below
+    # and is not sorted again: these pin that the result is in llex order
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_llex_sorted_on_every_algebra_file(self, name):
+        field, quiver, rels = file_relations(name)
+        basis = nontip_enumerate(complete(rels, quiver=quiver, field=field))
+        assert all(p.key < q.key for p, q in zip(basis, basis[1:])), name
+
+    def test_llex_sorted_on_the_bench_corpus(self):
+        # A and gr A of each graph of the bench corpus workload
+        field = Field(0)
+        for i, graph in enumerate(brauer.corpus(seed=271828, size=100, max_dim=40)):
+            quiver, pairs, r2, r3, _ = brauer._relation_parts(graph, field)
+            for graded in (False, True):
+                rels = brauer._type1(quiver, field, pairs, graded=graded) + r2 + r3
+                basis = nontip_enumerate(complete(rels, quiver=quiver, field=field))
+                assert all(p.key < q.key for p, q in zip(basis, basis[1:])), (i, graded)
 
 
 class TestChains:

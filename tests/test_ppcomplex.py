@@ -253,6 +253,18 @@ class TestKroneckerExtTables:
         assert cols[("e1", "b1b2")] == {}
         assert cols[("e2", "b2b1")] == {}
 
+    def test_dense_views_are_new_on_each_read(self):
+        # written out from psi0_cols and psi1_rows on each read, never cached
+        _, _, A = kronecker_ext()
+        sl = CochainSlice(A)
+        for name in ("psi0", "psi1"):
+            first, second = getattr(sl, name), getattr(sl, name)
+            assert first == second and any(c for row in first for c in row), name
+            assert first is not second and first[0] is not second[0]
+            first[0][0] = "mutated"
+            first.append([])
+            assert getattr(sl, name) == second, name
+
     def test_psi1_table(self):
         quiver, Q, A = kronecker_ext()
         sl = CochainSlice(A)
