@@ -45,7 +45,8 @@ class DimensionCapExceeded(Exception):
                          f"the graph gives dimension {dim}")
 
 
-def _half_token(edge_name, end, is_loop):
+def half_token(edge_name, end, is_loop):
+    """The file token of one end of an edge: the name, suffixed .1/.2 on a loop."""
     return f"{edge_name}.{end + 1}" if is_loop else edge_name
 
 
@@ -88,27 +89,19 @@ class BrauerGraph:
 
     # -- setup ----------------------------------------------------------
 
-    def half_edges_at(self, vname):
-        """(edge_index, end) pairs attached to the vertex, declaration order."""
-        out = []
-        for i, (_, v, w) in enumerate(self.edges):
-            if v == vname:
-                out.append((i, 0))
-            if w == vname:
-                out.append((i, 1))
-        return out
-
     def _resolve_cyclic(self, given):
+        # (edge_index, end) pairs per vertex, declaration order, end 0 first
+        at = {vname: [] for vname in self.vertex_names}
         token_of = {}
         for i, (name, v, w) in enumerate(self.edges):
-            loop = v == w
-            token_of[(i, 0)] = _half_token(name, 0, loop)
-            token_of[(i, 1)] = _half_token(name, 1, loop)
+            for end, x in enumerate((v, w)):
+                at[x].append((i, end))
+                token_of[(i, end)] = half_token(name, end, v == w)
         for vname in given:
             if vname not in self._vertex_index:
                 raise BrauerGraphError(f"cyclic order for unknown vertex {vname!r}")
         for vname in self.vertex_names:
-            incident = self.half_edges_at(vname)
+            incident = at[vname]
             # a non-loop token is unambiguous once restricted to the
             # half-edges at this vertex; loops carry .1/.2 suffixes
             by_token = {token_of[h]: h for h in incident}
@@ -124,7 +117,7 @@ class BrauerGraph:
                 if h is None:
                     raise BrauerGraphError(f"unknown half-edge {t!r} at {vname!r}")
                 halves.append(h)
-            if sorted(halves) != sorted(incident):
+            if sorted(halves) != incident:
                 raise BrauerGraphError(
                     f"cyclic order at {vname!r} must list each incident "
                     f"half-edge exactly once")
@@ -174,10 +167,6 @@ class VertexCycle:
     def power_path(self, k):
         return Path(self.quiver, self.rotation(k) * self.mult)
 
-    def successor(self, arrow_id):
-        pos = self.arrow_ids.index(arrow_id)
-        return self.arrow_ids[(pos + 1) % self.val]
-
 
 def build_quiver_and_cycles(graph):
     """Q_G plus the special cycle at every non-truncated vertex.
@@ -208,14 +197,6 @@ def build_quiver_and_cycles(graph):
     return quiver, cycles
 
 
-def _cycle_of_arrow(cycles):
-    where = {}
-    for cyc in cycles:
-        for pos, a in enumerate(cyc.arrow_ids):
-            where[a] = (cyc, pos)
-    return where
-
-
 def _edge_starts(quiver, cycles):
     """Per quiver vertex (edge) i: list of (cycle, k) with source(a_k) = i."""
     starts = {i: [] for i in range(quiver.n_vertices)}
@@ -232,18 +213,10 @@ def type3_pairs(quiver, cycles):
     alpha at alpha's vertex; at a valency-1 vertex the successor of the
     loop is itself, which realizes the stated loop exception.
     """
-    where = _cycle_of_arrow(cycles)
-    out = []
-    for alpha in range(quiver.n_arrows):
-        cyc, _ = where[alpha]
-        succ = cyc.successor(alpha)
-        for beta in range(quiver.n_arrows):
-            if quiver.arrow_src[beta] != quiver.arrow_tgt[alpha]:
-                continue
-            if beta == succ:
-                continue
-            out.append((alpha, beta))
-    return out
+    successor = {a: b for cyc in cycles for a, b in zip(cyc.arrow_ids, cyc.rotation(1))}
+    return [(alpha, beta) for alpha in range(quiver.n_arrows)
+            for beta in range(quiver.n_arrows)
+            if quiver.arrow_src[beta] == quiver.arrow_tgt[alpha] and beta != successor[alpha]]
 
 
 def _relation_parts(graph, field):
@@ -293,10 +266,15 @@ def generate_relations(graph, field):
     return _type1(quiver, field, pairs), r2, r3
 
 
+def relations(graph, field, graded=False):
+    """(Q_G, R1 + R2 + R3): the relations of A, or of gr(A) when graded."""
+    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
+    return quiver, _type1(quiver, field, pairs, graded) + r2 + r3
+
+
 def gr_relations(graph, field):
     """Relations of gr(A): shorter side of unbalanced type I, rest kept."""
-    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
-    return _type1(quiver, field, pairs, graded=True) + r2 + r3
+    return relations(graph, field, graded=True)[1]
 
 
 def graded_degree(graph, vname):
@@ -305,13 +283,10 @@ def graded_degree(graph, vname):
     if own > 1:
         return own
     # truncated: exactly one half-edge; look across its edge
-    (ei, _), = graph.half_edges_at(vname)
+    (ei, _), = graph.cyclic[vname]
     _, v, w = graph.edges[ei]
     other = w if v == vname else v
-    other_deg = graph.mult[other] * graph.val(other)
-    if other_deg > 1:
-        return other_deg
-    return 1
+    return graph.mult[other] * graph.val(other)
 
 
 def unbalanced_edges(graph):
@@ -429,8 +404,8 @@ class BGAReport:
                 f"gamma={self.gamma}, s2={self.s2}, ok={self.ok})")
 
 
-def _pipeline(relations, quiver, field, max_tip_length=50, max_basis=100000):
-    gb = groebner.complete(relations, max_tip_length=max_tip_length,
+def _pipeline(rels, quiver, field, max_tip_length=50, max_basis=100000):
+    gb = groebner.complete(rels, max_tip_length=max_tip_length,
                            quiver=quiver, field=field)
     algebra = build_quotient(gb, max_basis=max_basis)
     sl = ppcomplex.CochainSlice(algebra)
@@ -458,8 +433,8 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
     quiver, pairs, r2, r3, t3 = _relation_parts(graph, field)
 
     def analyse(graded):
-        relations = _type1(quiver, field, pairs, graded) + r2 + r3
-        gb, alg, sl = _pipeline(relations, quiver, field, max_tip_length, max_basis)
+        rels = _type1(quiver, field, pairs, graded) + r2 + r3
+        gb, alg, sl = _pipeline(rels, quiver, field, max_tip_length, max_basis)
         return (gb, alg, ppcomplex.lie_presentation(alg, sl),
                 ppcomplex.graded_report(alg, sl), ppcomplex.loop_char_report(alg))
 
@@ -556,8 +531,6 @@ def random_brauer_graph(rng, max_dim=18):
         ]
         mult = {v: rng.choice((1, 1, 1, 2, 2, 3)) for v in vnames}
         graph = _with_random_cyclic(rng, vnames, mult, edges)
-        if graph is None:
-            continue
         if is_degenerate(graph):
             continue
         if algebra_dim(graph) > max_dim:
@@ -568,19 +541,13 @@ def random_brauer_graph(rng, max_dim=18):
 def _with_random_cyclic(rng, vnames, mult, edges):
     tokens = {v: [] for v in vnames}
     for name, v, w in edges:
-        if v == w:
-            tokens[v].extend([f"{name}.1", f"{name}.2"])
-        else:
-            tokens[v].append(name)
-            tokens[w].append(name)
+        tokens[v].append(half_token(name, 0, v == w))
+        tokens[w].append(half_token(name, 1, v == w))
     cyclic = {}
     for v, toks in tokens.items():
         rng.shuffle(toks)
         cyclic[v] = toks
-    try:
-        return BrauerGraph([(v, mult[v]) for v in vnames], edges, cyclic)
-    except BrauerGraphError:
-        return None
+    return BrauerGraph([(v, mult[v]) for v in vnames], edges, cyclic)
 
 
 def corpus(seed=DEFAULT_SEED, size=20, max_dim=18):

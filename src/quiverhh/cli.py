@@ -61,11 +61,10 @@ from .brauer import (
     DEFAULT_SEED,
     BrauerGraph,
     DimensionCapExceeded,
-    _half_token,
-    _relation_parts,
-    _type1,
+    half_token,
     invariant_report,
     corpus,
+    relations,
 )
 
 
@@ -83,7 +82,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:]*")
 _INT_RE = re.compile(r"[0-9]+")
 _PLAIN_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARROW_RE = re.compile(r"(.*\S)\s*:\s*(\S+)\s*->\s*(\S+)\Z")
-# under the 4300 digits past which int() refuses a string, naming no position
+# the program's own bound on an integer literal, checked before int(): main
+# lifts CPython's int-to-str digit limit so that long results can print
 MAX_LITERAL_DIGITS = 4000
 
 
@@ -389,7 +389,7 @@ def brauer_to_text(field, graph):
     for name, v, w in graph.edges:
         lines.append("edge %s %s %s" % (name, v, w))
     for vname in graph.vertex_names:
-        tokens = [_half_token(graph.edges[ei][0], end, graph.is_loop(ei))
+        tokens = [half_token(graph.edges[ei][0], end, graph.is_loop(ei))
                   for ei, end in graph.cyclic[vname]]
         lines.append("cyclic %s: %s" % (vname, " ".join(tokens)))
     return "\n".join(lines) + "\n"
@@ -505,10 +505,7 @@ def cmd_oracle(args, out):
 
 def cmd_bga(args, out):
     field, graph = _load(args.file, parse_brauer)
-    quiver, pairs, r2, r3, _ = _relation_parts(graph, field)
-    relations = _type1(quiver, field, pairs, graded=args.gr) + r2 + r3
-    text = algebra_to_text(field, quiver, relations)
-    out(text.rstrip("\n"))
+    out(algebra_to_text(field, *relations(graph, field, args.gr)).rstrip("\n"))
     return 0
 
 
@@ -530,14 +527,11 @@ def _print_report(rep, out):
     out("derivedA: %s" % _dims_text(rep.derived_a))
     out("derivedGr: %s" % _dims_text(rep.derived_gr))
     out("closure-added: %d" % rep.closure_added_a)
-    failed = False
     for check in rep.checks:
         detail = " (%s)" % check.detail if check.detail else ""
         out("check[%s]: %s%s" % (check.name, check.status, detail))
-        if check.status == "fail":
-            failed = True
-    out("status: %s" % ("FAIL" if failed else "PASS"))
-    return 1 if failed else 0
+    out("status: %s" % ("PASS" if rep.ok else "FAIL"))
+    return 0 if rep.ok else 1
 
 
 def cmd_report(args, out):
@@ -645,6 +639,12 @@ def main(argv=None):
     if args.command == "report" and not args.corpus and args.file is None:
         parser.error("report needs a file or --corpus")
     out = lambda line: print(line)
+    # a result may outgrow CPython's int-to-str limit (a squared 4,000-digit
+    # coefficient); the limit is restored for the caller
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         rc = args.func(args, out)
         sys.stdout.flush()
@@ -664,6 +664,9 @@ def main(argv=None):
         print("error: internal error: %s: %s"
               % (type(exc).__name__, " ".join(str(exc).splitlines())), file=sys.stderr)
         return 4
+    finally:
+        if set_digits:
+            set_digits(digits)
 
 
 if __name__ == "__main__":
