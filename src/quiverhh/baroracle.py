@@ -91,11 +91,9 @@ class BarSlice:
             def bump(b, col, c):
                 add_to(rows[self.c2_index[(x1, x2, b)]], {col: c}, field.one, field)
 
-            # -f(pA(x1 x2)): pA drops the trivial-path coordinates
+            # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where pA = id
             for j, c in self._product(x1, x2).items():
                 x = a.basis[j]
-                if x.length == 0:
-                    continue
                 for b in a.parallel(x.source, x.target):
                     bump(b, self.c1_index[(x, b)], field.neg(c))
             # +x1 f(x2) for f elementary at (x2, b)

@@ -125,6 +125,10 @@ class GroebnerBasis:
     def tip_words(self):
         return [t.arrows for t in self._tips]
 
+    def tip_power(self, a):
+        """The least m with a^m a tip, for arrow index a; None if none."""
+        return next((m for m in self._lengths if (a,) * m in self._first), None)
+
     def __len__(self):
         return len(self.elements)
 
@@ -159,8 +163,6 @@ def normal_form(f, basis, rng=None, skip=None):
     """
     if not isinstance(basis, GroebnerBasis):
         basis = GroebnerBasis(f.quiver, f.field, basis)
-    if not basis._lengths:
-        return f
     memo = {}
 
     def hits(p):
@@ -262,13 +264,20 @@ def overlap_relation(f, g, b, c):
 
 
 def _validate_generators(generators):
+    """The uniform parts e_j a e_i of each generator a, in the order their
+    endpoints first occur in a; together they generate the same ideal."""
+    out = []
     for a in generators:
         if a.is_zero:
             raise ValueError("zero generator")
-        for p in a.terms:
+        parts = {}
+        for p, x in a.terms.items():
             if p.length < 2:
                 raise ValueError(
                     f"generator support must sit in length >= 2, found {p!r}")
+            parts.setdefault((p.source, p.target), {})[p] = x
+        out.extend(FreeElement(a.quiver, a.field, t) for t in parts.values())
+    return out
 
 
 def complete(generators, max_tip_length=50, quiver=None, field=None):
@@ -280,8 +289,9 @@ def complete(generators, max_tip_length=50, quiver=None, field=None):
     remainder whose tip exceeds max_tip_length raises Incomplete carrying
     the partial basis.  On saturation the set is inter-reduced.  The empty
     basis (zero ideal) is fine; pass quiver and field explicitly then.
+    A generator mixing endpoints stands for its uniform parts.
     """
-    _validate_generators(generators)
+    generators = _validate_generators(generators)
     if generators:
         quiver = generators[0].quiver
         field = generators[0].field
@@ -369,7 +379,8 @@ def nontip_enumerate(basis, max_basis=100000):
     criterion): with d = max(longest tip - 1, 1) a path is NonTip iff all
     its windows of d+1 letters are, so once a NonTip path has more
     length-d windows than there are NonTip paths of length d, one window
-    repeats and the stretch between the repeats can be pumped.
+    repeats and the stretch between the repeats can be pumped.  A level
+    is counted in full but built only up to max_basis + 1 paths in all.
     """
     quiver, first, lengths = basis.quiver, basis._first, basis._lengths
     d = max(max(lengths, default=0) - 1, 1)
@@ -384,7 +395,7 @@ def nontip_enumerate(basis, max_basis=100000):
         # the new letter is written first, so only a new written prefix
         # (= traversal suffix) can introduce a tip: test these suffixes
         starts = [k - m for m in lengths if m <= k]
-        nxt = []
+        nxt, reached = [], len(out)
         for a in range(quiver.n_arrows):
             src = quiver.arrow_src[a]
             for w in level:
@@ -395,15 +406,17 @@ def nontip_enumerate(basis, max_basis=100000):
                     if word[s:] in first:
                         break
                 else:
-                    nxt.append(Path(quiver, word))
-        out.extend(nxt)
+                    reached += 1
+                    if reached <= max_basis + 1:
+                        nxt.append(Path(quiver, word))
         if k == d:
-            width = len(nxt)
+            width = reached - len(out)
         if nxt and k == d + width:
             window = Path(quiver, _repeated_window(nxt[0].arrows, d))
-            raise CapExceeded(max_basis, len(out), window)
-        if len(out) > max_basis:
-            raise CapExceeded(max_basis, len(out))
+            raise CapExceeded(max_basis, reached, window)
+        if reached > max_basis:
+            raise CapExceeded(max_basis, reached)
+        out.extend(nxt)
         level = nxt
     return out
 

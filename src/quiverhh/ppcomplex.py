@@ -476,16 +476,11 @@ def graded_report(algebra, slice_=None):
 def loop_char_report(algebra):
     """Per loop arrow: minimal m >= 2 with a^m a tip, and char | m flag."""
     quiver, field = algebra.quiver, algebra.field
-    tips = set(algebra.gb.tip_words())
     out = []
     for a in range(quiver.n_arrows):
         if quiver.arrow_src[a] != quiver.arrow_tgt[a]:
             continue
-        m = None
-        for word in tips:
-            if word and all(x == a for x in word):
-                if m is None or len(word) < m:
-                    m = len(word)
+        m = algebra.gb.tip_power(a)
         if m is None:
             raise RuntimeError(
                 f"no tip power of loop {quiver.arrow_names[a]}; "

@@ -72,18 +72,10 @@ class QuotientAlgebra:
     def _arrow_product(self, arrow, j):
         """pi(arrow * basis[j]), kept in the same map."""
         r = compose(arrow, self.basis[j])
-        if not r:
-            return {}
         got = self._path_coords.get(r)
         if got is None:
-            i = self.index.get(r)
-            if i is not None:
-                # NonTip is subword-closed but not product-closed
-                got = {i: self.field.one}
-            else:
-                nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
-                got = {self.index[q]: c for q, c in nf.terms.items()}
-            self._path_coords[r] = got
+            nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
+            got = self._path_coords[r] = {self.index[q]: c for q, c in nf.terms.items()}
         return got
 
     def __repr__(self):

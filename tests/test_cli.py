@@ -609,6 +609,22 @@ class TestExitCodes:
         assert err == ("error: quotient algebra dimension exceeds --max-basis 10: "
                        "NonTip enumeration reached 13 paths\n")
 
+    def test_basis_cap_builds_no_more_than_the_cap(self, tmp_path):
+        # the third NonTip level counts 1.7 million paths; built in full,
+        # they would overrun the 300 MB address space the child gets
+        alg = tmp_path / "loops.alg"
+        alg.write_text("field Q\nvertex v\n"
+                       + "".join("arrow x%d: v -> v\n" % i for i in range(120))
+                       + "rel x0*x0\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+        proc = run_cli_process(["basis", str(alg)], subprocess.PIPE, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == (b"error: quotient algebra dimension exceeds --max-basis 100000: "
+                               b"NonTip enumeration reached 1742281 paths\n")
+
     @pytest.mark.parametrize("text,window,reached", [
         ("vertex e\narrow x: e -> e\n", "x", 3),
         ("vertex u\nvertex v\narrow a: u -> v\narrow b: v -> u\n", "a", 8),
@@ -689,3 +705,52 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert out.getvalue() == ""
         assert message in err.getvalue()
+
+
+LOOP = "field Q\nvertex e\narrow x: e -> e\n"
+EDGE = "field Q\nvertex v mult 1\nedge e v v\n"
+
+
+class TestParseErrorsThroughMain:
+    @pytest.mark.parametrize("suffix,text,message", [
+        (".alg", "field Q\nvertex\n", "line 2, col 1: vertex line needs at least one name"),
+        (".alg", LOOP + "rel\n", "line 4, col 1: empty relation"),
+        (".alg", "field Q\n", "line 1, col 1: no vertices declared"),
+        (".alg", "field GF(1)\nvertex e\n",
+         "line 1, col 7: field characteristic must be 0 or prime, got 1"),
+        # a trailing operator is the one way a factor meets the end of input
+        (".alg", LOOP + "rel x*x -\n", "line 4, col 10: expected a vertex or arrow name"),
+        (".alg", LOOP + "rel x*x *\n", "line 4, col 10: expected a vertex or arrow name"),
+        (".alg", LOOP + "rel x*x^\n", "line 4, col 9: exponent must be a positive integer"),
+        (".bg", EDGE + "cyclic v:\n", "line 4, col 1: empty cyclic ordering"),
+        (".bg", "field Q\nvertex 9v mult 1\n", "line 2, col 8: bad vertex name '9v'"),
+    ])
+    def test_exit_2_at_the_position(self, tmp_path, suffix, text, message):
+        path = tmp_path / ("input" + suffix)
+        path.write_text(text)
+        argv = ["report"] if suffix == ".bg" else ["gb"]
+        assert run_cli(*argv, str(path)) == (2, "", "error: %s\n" % message)
+
+
+MIXED_QUIVER = "field Q\nvertex e1 e2\narrow b2: e1 -> e2\narrow b1: e2 -> e1\n"
+
+
+class TestMixedEndpoints:
+    """A relation whose paths have different endpoints stands for its
+    parts e_j r e_i: here b1*b2 at e2 and b2*b1 at e1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gb"], ["basis"], ["hh"], ["oracle"], ["chains", "--n", "4"]])
+    def test_relation_reads_as_its_parts(self, tmp_path, argv):
+        mixed, parts = tmp_path / "mixed.alg", tmp_path / "parts.alg"
+        mixed.write_text(MIXED_QUIVER + "rel b1*b2 + b2*b1\n")
+        parts.write_text(MIXED_QUIVER + "rel b1*b2\nrel b2*b1\n")
+        got = run_cli(*argv, str(mixed))
+        assert got == run_cli(*argv, str(parts))
+        assert got[0] == 0
+
+    def test_basis_has_dimension_four(self, tmp_path):
+        mixed = tmp_path / "mixed.alg"
+        mixed.write_text(MIXED_QUIVER + "rel b1*b2 + b2*b1\n")
+        rc, out, _ = run_cli("basis", str(mixed))
+        assert (rc, lines_of(out)["dim"]) == (0, "4")

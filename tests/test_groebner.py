@@ -1,3 +1,4 @@
+import functools
 import io
 import os
 import random
@@ -497,6 +498,41 @@ class TestConfluence:
         prod = multiply(multiply(FreeElement.from_path(b, F2), g),
                         FreeElement.from_path(c, F2))
         assert normal_form(prod, gb).is_zero
+
+
+class TestMixedEndpoints:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), char=st.sampled_from([0, 2, 3]))
+    def test_sums_complete_as_their_parts(self, seed, char):
+        """complete of sums of relations at different endpoints is complete
+        of the relations, and kills each of them."""
+        rng = random.Random(seed)
+        field = Field(char)
+        ends = ["e0", "e1"]
+        quiver = Quiver(ends, [("a%d" % i, rng.choice(ends), rng.choice(ends))
+                               for i in range(rng.randint(2, 3))])
+        rels = random_relations(rng, quiver, field)
+        if not rels:
+            return
+        # deal the relations into sums, no two of a sum at the same endpoints
+        sums = []
+        for r in rels:
+            at = (r.tip()[0].source, r.tip()[0].target)
+            group = rng.choice([g for g in sums if at not in g] + [{}])
+            if not group:
+                sums.append(group)
+            group[at] = r
+        parts = [r for g in sums for r in g.values()]
+        mixed = [functools.reduce(FreeElement.add, g.values()) for g in sums]
+        try:
+            want = complete(parts, max_tip_length=12)
+        except Incomplete:
+            with pytest.raises(Incomplete):
+                complete(mixed, max_tip_length=12)
+            return
+        got = complete(mixed, max_tip_length=12)
+        assert got.elements == want.elements
+        assert all(normal_form(r, got).is_zero for r in rels)
 
 
 # -- reference implementation ----------------------------------------------
