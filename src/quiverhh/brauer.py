@@ -404,15 +404,8 @@ class BGAReport:
                 f"gamma={self.gamma}, s2={self.s2}, ok={self.ok})")
 
 
-def _pipeline(rels, quiver, field, max_tip_length=50, max_basis=100000):
-    gb = groebner.complete(rels, max_tip_length=max_tip_length,
-                           quiver=quiver, field=field)
-    algebra = build_quotient(gb, max_basis=max_basis)
-    sl = ppcomplex.CochainSlice(algebra)
-    return gb, algebra, sl
-
-
-def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
+def invariant_report(graph, field, max_tip_length=groebner.DEFAULT_MAX_TIP_LENGTH,
+                     max_basis=groebner.DEFAULT_MAX_BASIS):
     """Build A and gr(A), compute both cohomologies, check the formulas.
 
     gr(A) is A when every type I relation joins two cycle powers of one
@@ -434,7 +427,9 @@ def invariant_report(graph, field, max_tip_length=50, max_basis=100000):
 
     def analyse(graded):
         rels = _type1(quiver, field, pairs, graded) + r2 + r3
-        gb, alg, sl = _pipeline(rels, quiver, field, max_tip_length, max_basis)
+        gb = groebner.complete(rels, max_tip_length, quiver, field)
+        alg = build_quotient(gb, max_basis)
+        sl = ppcomplex.CochainSlice(alg)
         return (gb, alg, ppcomplex.lie_presentation(alg, sl),
                 ppcomplex.graded_report(alg, sl), ppcomplex.loop_char_report(alg))
 

@@ -47,7 +47,10 @@ from .exactla import Field, add_to, parse_field
 from .pathalg import (
     MAX_PATH_LENGTH, ZERO, Path, Quiver, FreeElement, compose, format_path, format_element,
 )
-from .groebner import ChainCapExceeded, Incomplete, CapExceeded, complete, uf_chains
+from .groebner import (
+    DEFAULT_MAX_BASIS, DEFAULT_MAX_TIP_LENGTH, ChainCapExceeded, Incomplete, CapExceeded,
+    complete, uf_chains,
+)
 from .quotient import build_quotient
 from .ppcomplex import (
     CochainSlice,
@@ -458,10 +461,8 @@ def _print_hh(algebra, out):
     if rep.graded_dims is not None:
         for deg, dim in enumerate(rep.graded_dims):
             out("L[%d]: %d" % (deg, dim))
-    quiver = algebra.quiver
-    if any(s == t for s, t in zip(quiver.arrow_src, quiver.arrow_tgt)):
-        for name, power, divides in loop_char_report(algebra):
-            out("loop[%s]: power=%d char-ok=%s" % (name, power, _bool(not divides)))
+    for name, power, divides in loop_char_report(algebra):
+        out("loop[%s]: power=%d char-ok=%s" % (name, power, _bool(not divides)))
     return 0
 
 
@@ -580,10 +581,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p, basis=True):
-        p.add_argument("--max-tip-len", type=int, default=50,
+        p.add_argument("--max-tip-len", type=_int_at_least(1), default=DEFAULT_MAX_TIP_LENGTH,
                        help="abort completion past this tip length")
         if basis:
-            p.add_argument("--max-basis", type=int, default=100000,
+            p.add_argument("--max-basis", type=_int_at_least(1), default=DEFAULT_MAX_BASIS,
                            help="abort basis enumeration past this size")
 
     p = sub.add_parser("gb", help="reduced noncommutative Groebner basis")

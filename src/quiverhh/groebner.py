@@ -23,6 +23,10 @@ from collections import deque
 from .exactla import add_to
 from .pathalg import FreeElement, Path, format_element, format_path
 
+# the default caps, --max-tip-len and --max-basis on the command line
+DEFAULT_MAX_TIP_LENGTH = 50
+DEFAULT_MAX_BASIS = 100000
+
 
 class Incomplete(Exception):
     """Completion hit the tip-length cap; carries the partial basis."""
@@ -280,7 +284,7 @@ def _validate_generators(generators):
     return out
 
 
-def complete(generators, max_tip_length=50, quiver=None, field=None):
+def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, field=None):
     """Overlap-closure completion to the unique reduced Groebner basis.
 
     Inserts generators one at a time (normal form against the earlier
@@ -370,7 +374,7 @@ def _repeated_window(word, d):
         seen.add(word[s:s + d])
 
 
-def nontip_enumerate(basis, max_basis=100000):
+def nontip_enumerate(basis, max_basis=DEFAULT_MAX_BASIS):
     """All paths avoiding every tip as a subword, in llex order.
 
     Breadth first by length; within a length, extension by smaller arrows
@@ -421,7 +425,7 @@ def nontip_enumerate(basis, max_basis=100000):
     return out
 
 
-def uf_chains(basis, n, max_basis=100000):
+def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
     """Chain sets W^(-1) .. W^(n) of the Uf-graph.
 
     The Uf-graph has the arrows and the proper right factors of tips as

@@ -88,13 +88,15 @@ class CochainSlice:
     pair: Im psi0 is spanned by the columns and Ker psi1 is cut out by the
     rows.  ``psi0`` and ``psi1`` write the same matrices out as new dense
     row-major lists, for callers that read entries by position.  Pair
-    spaces are read off ``algebra.parallel``; pair brackets are not
-    stored, but their substitution images are, in ``_images``.
+    spaces are read off ``algebra.parallel``; ``degrees`` holds the degree
+    l(gamma) - 1 of each Q1//B pair (alpha, gamma), and ``homogeneous``
+    whether every Groebner element is.  Pair brackets are not stored, but
+    their substitution images are, in ``_images``.
     """
 
     __slots__ = (
-        "algebra", "q0_pairs", "q1_pairs", "tip_pairs",
-        "q1_index", "psi0_cols", "psi1_rows", "_hh1", "_images",
+        "algebra", "q0_pairs", "q1_pairs", "tip_pairs", "q1_index", "degrees",
+        "homogeneous", "psi0_cols", "psi1_rows", "_hh1", "_images",
     )
 
     def __init__(self, algebra):
@@ -106,6 +108,8 @@ class CochainSlice:
         self.q1_pairs = [(a, b) for a in range(quiver.n_arrows)
                          for b in algebra.parallel(quiver.arrow_src[a], quiver.arrow_tgt[a])]
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
+        self.degrees = [b.length - 1 for _, b in self.q1_pairs]
+        self.homogeneous = is_homogeneous(algebra.gb)
         self.tip_pairs = [(t, b) for t in algebra.gb.tips()
                           for b in algebra.parallel(t.source, t.target)]
         self.psi0_cols = self._image_columns()
@@ -163,10 +167,11 @@ class CochainSlice:
                     rows[tip_index[(tg, a.basis[bi])]][col] = c
         return rows
 
-    def _pair_bracket(self, i, j):
-        """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for pairs i and
-        j, as a sparse vector over Q1//B.  pi(e^(a,g)), sparse over B, is
-        kept in ``_images`` under (i, e)."""
+    def _pair_bracket(self, ij):
+        """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for the pairs
+        ij = (i, j), as a sparse vector over Q1//B.  pi(e^(a,g)), sparse
+        over B, is kept in ``_images`` under (i, e)."""
+        i, j = ij
         a = self.algebra
         one = a.field.one
         terms = []
@@ -182,10 +187,8 @@ class CochainSlice:
 
     def bracket(self, u, v):
         """[u, v] of sparse vectors over Q1//B, as a sparse vector: the
-        bilinear extension of the pair bracket."""
-        field = self.algebra.field
-        return combine(((self._pair_bracket(i, j), field.mul(ci, cj))
-                        for i, ci in u.items() for j, cj in v.items()), field)
+        bilinear extension of the pair bracket, which is antisymmetric."""
+        return _bilinear(u, v, self._pair_bracket, self.algebra.field)
 
     # -- derived spaces ------------------------------------------------
 
@@ -262,11 +265,9 @@ class StructureConstants(Mapping):
             valid = False
         if not valid:
             raise KeyError(key)
-        field = self.field
-        c = self.nonzero.get((i, j) if i < j else (j, i), {})
-        if i > j:
-            c = {m: field.neg(x) for m, x in c.items()}
-        return dense(c, self.dim, field)
+        one = self.field.one
+        return dense(_bilinear({i: one}, {j: one}, self.nonzero.get, self.field),
+                     self.dim, self.field)
 
     def __iter__(self):
         for i in range(self.dim):
@@ -296,17 +297,19 @@ class LiePresentation:
                 f"solvable={self.solvable})")
 
 
-def _hh1_bracket(x, y, nonzero, field):
-    """[x, y] of sparse vectors over the HH1 representatives, from the
-    nonzero [h_i, h_j] (i < j)."""
+def _bilinear(x, y, table, field):
+    """[x, y] of sparse vectors, for an antisymmetric bracket of basis
+    vectors: table((i, j)) is the sparse [e_i, e_j] for i < j, or None when
+    it is 0; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 are not read."""
     mul, neg = field.mul, field.neg
     terms = []
     for i, xi in x.items():
         for j, yj in y.items():
-            c = nonzero.get((i, j) if i < j else (j, i))
-            if c is not None:
-                s = mul(xi, yj)
-                terms.append((c, s if i < j else neg(s)))
+            if i != j:
+                c = table((i, j) if i < j else (j, i))
+                if c is not None:
+                    s = mul(xi, yj)
+                    terms.append((c, s if i < j else neg(s)))
     return combine(terms, field)
 
 
@@ -321,7 +324,7 @@ class _Brackets(Sequence):
         return len(self.pairs)
 
     def __getitem__(self, n):
-        return _hh1_bracket(*self.pairs[n], self.nonzero, self.field)
+        return _bilinear(*self.pairs[n], self.nonzero.get, self.field)
 
 
 def _derived_dims(degrees, nonzero, field):
@@ -367,22 +370,19 @@ def lie_presentation(algebra, slice_=None):
     RREF representatives are homogeneous (AssertionError if one is not):
     a bracket whose degree d + e carries no Q1//B pair is 0 and is not
     computed, and a computed one must lie in degree d + e (AssertionError
-    if not).  Otherwise every representative counts as degree 0.
+    if not).  Otherwise every pair counts as degree 0.
     """
     sl = slice_ or CochainSlice(algebra)
     field = algebra.field
     k, u, dim, reps = sl.hh1_spaces()
     vecs = [sparse(r) for r in reps]
-    if is_homogeneous(algebra.gb):
-        present = {b.length - 1 for _, b in sl.q1_pairs}
-        degrees = []
-        for v in vecs:
-            ds = {sl.q1_pairs[i][1].length - 1 for i in v}
-            if len(ds) != 1:
-                raise AssertionError(f"HH1 representative of degrees {sorted(ds)}")
-            degrees.append(ds.pop())
-    else:
-        present, degrees = {0}, [0] * dim
+    pair_degrees = sl.degrees if sl.homogeneous else [0] * len(sl.q1_pairs)
+    present, degrees = set(pair_degrees), []
+    for v in vecs:
+        ds = {pair_degrees[i] for i in v}
+        if len(ds) != 1:
+            raise AssertionError(f"HH1 representative of degrees {sorted(ds)}")
+        degrees.append(ds.pop())
     nonzero = {}
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -456,21 +456,20 @@ def graded_report(algebra, slice_=None):
         return out
 
     deg_indices = {}
-    for idx, (arr, b) in enumerate(sl.q1_pairs):
-        deg_indices.setdefault(b.length - 1, set()).add(idx)
+    for idx, d in enumerate(sl.degrees):
+        deg_indices.setdefault(d, set()).add(idx)
     diag = {idx for idx, (arr, b) in enumerate(sl.q1_pairs) if b.arrows == (arr,)}
     dim_l_minus1 = piece(deg_indices.get(-1, set()))
     dim_l00 = piece(diag) - rref(image(diag, 0), field)[0]
 
-    homogeneous = is_homogeneous(algebra.gb)
     graded_dims = None
-    if homogeneous:
+    if sl.homogeneous:
         graded_dims = []
         for deg in range(max(deg_indices, default=-1) + 1):
             cols = deg_indices.get(deg, set())
             image(cols, deg)
             graded_dims.append(len(cols.intersection(k.pivots)) - len(cols.intersection(u.pivots)))
-    return GradedReport(homogeneous, dim_l_minus1, dim_l00, graded_dims)
+    return GradedReport(sl.homogeneous, dim_l_minus1, dim_l00, graded_dims)
 
 
 def loop_char_report(algebra):

@@ -12,7 +12,7 @@ memoizes those in one map from a path to its sparse coordinates.
 from __future__ import annotations
 
 from .exactla import combine
-from .groebner import CapExceeded, normal_form, nontip_enumerate
+from .groebner import DEFAULT_MAX_BASIS, CapExceeded, normal_form, nontip_enumerate
 from .pathalg import FreeElement, Path, compose
 
 
@@ -82,7 +82,7 @@ class QuotientAlgebra:
         return f"QuotientAlgebra(dim={self.dim})"
 
 
-def build_quotient(gb, max_basis=100000):
+def build_quotient(gb, max_basis=DEFAULT_MAX_BASIS):
     """Enumerate B = NonTip and wrap it up; InfiniteDimensional (CapExceeded)
     past the cap or on proof of infinite dimension."""
     basis = nontip_enumerate(gb, max_basis=max_basis)

@@ -423,11 +423,14 @@ def ref_invariant_report(graph, field, max_tip_length=50, max_basis=100000):
     if dim > max_basis:
         raise brauer.DimensionCapExceeded(max_basis, dim)
     quiver, _ = build_quiver_and_cycles(graph)
-    r1, r2, r3 = generate_relations(graph, field)
-    gb_a, alg_a, sl_a = brauer._pipeline(r1 + r2 + r3, quiver, field,
-                                         max_tip_length, max_basis)
-    _, alg_gr, sl_gr = brauer._pipeline(gr_relations(graph, field), quiver, field,
-                                        max_tip_length, max_basis)
+
+    def pipeline(rels):
+        gb = complete(rels, max_tip_length, quiver, field)
+        alg = build_quotient(gb, max_basis)
+        return gb, alg, CochainSlice(alg)
+
+    gb_a, alg_a, sl_a = pipeline(sum(generate_relations(graph, field), []))
+    _, alg_gr, sl_gr = pipeline(gr_relations(graph, field))
     lie_a = lie_presentation(alg_a, sl_a)
     lie_gr = lie_presentation(alg_gr, sl_gr)
     graded_a = graded_report(alg_a, sl_a)
@@ -554,7 +557,7 @@ class TestSharedGrAnalysis:
         with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
             field, graph = parse_brauer(fh.read())
         assert type1_pairs_balanced(graph, field) == (pipelines == 1)
-        calls = {"_pipeline": 0, "build_quiver_and_cycles": 0, "type3_pairs": 0}
+        calls = {"build_quotient": 0, "build_quiver_and_cycles": 0, "type3_pairs": 0}
         for attr in calls:
             def counting(*args, _fn=getattr(brauer, attr), _attr=attr, **kwargs):
                 calls[_attr] += 1
@@ -562,5 +565,5 @@ class TestSharedGrAnalysis:
 
             monkeypatch.setattr(brauer, attr, counting)
         invariant_report(graph, field)
-        assert calls == {"_pipeline": pipelines, "build_quiver_and_cycles": 1,
+        assert calls == {"build_quotient": pipelines, "build_quiver_and_cycles": 1,
                          "type3_pairs": 1}

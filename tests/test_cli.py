@@ -335,12 +335,16 @@ class TestGolden:
     """Full stdout, captured before the path map and bracket table existed;
     dim19_bga (`bga tests/data/loop_mult1_val3_dim19.bg`, an inhomogeneous
     ideal) before the graded pieces were read off ranks; the five data
-    fixtures before the pair spaces were read off the parallel-path index."""
+    fixtures before the pair spaces were read off the parallel-path index;
+    k[x,y]/(x^6,y^6) over Q and GF(3), the largest graded Lie steps, before
+    one antisymmetric rule served every bracket."""
 
     @pytest.mark.parametrize("path", [
         os.path.join(GOLDEN, "xy4_q.alg"),
         os.path.join(GOLDEN, "xy4_gf2.alg"),
         os.path.join(GOLDEN, "dim19_bga.alg"),
+        os.path.join(GOLDEN, "xy6_q.alg"),
+        os.path.join(GOLDEN, "xy6_gf3.alg"),
         fixture("commuting_loops.alg"),
         fixture("loops_char2.alg"),
         fixture("trivial_ext_kronecker.alg"),
@@ -693,6 +697,14 @@ class TestExitCodes:
          "error: argument --n: must be at least -1, got -5"),
         (["report", "--corpus", "--size", "0"],
          "error: argument --size: must be at least 1, got 0"),
+        (["basis", "--max-basis", "-1", os.path.join(GOLDEN, "xy4_q.alg")],
+         "error: argument --max-basis: must be at least 1, got -1"),
+        (["report", "--max-basis", "0", fixture("single_loop.bg")],
+         "error: argument --max-basis: must be at least 1, got 0"),
+        (["gb", "--max-tip-len", "-3", os.path.join(GOLDEN, "xy4_q.alg")],
+         "error: argument --max-tip-len: must be at least 1, got -3"),
+        (["hh", "--max-tip-len", "0", os.path.join(GOLDEN, "xy4_q.alg")],
+         "error: argument --max-tip-len: must be at least 1, got 0"),
         # gb builds no basis, so it takes no basis cap
         (["gb", "--max-basis", "1", os.path.join(GOLDEN, "xy4_q.alg")],
          "error: unrecognized arguments: --max-basis"),

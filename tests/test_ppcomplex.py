@@ -162,6 +162,49 @@ class TestBracketTable:
         assert [bracket_pairs(u, v, sl) for u, v in pairs] == expected  # warm path map
 
 
+def ref_bracket(sl, u, v):
+    """[u, v] as the full ordered double sum over the pairs of u and v."""
+    field = sl.algebra.field
+    return exactla.combine(((sl._pair_bracket((i, j)), field.mul(ci, cj))
+                            for i, ci in u.items() for j, cj in v.items()), field)
+
+
+_BRACKET_SLICES = {}
+
+
+def bracket_slice(name, field):
+    """The cached CochainSlice of k[x,y]/(x^n, y^n) (name "n") or of the
+    dim 19 Brauer graph algebra file, over field."""
+    key = (name, field)
+    if key not in _BRACKET_SLICES:
+        if name == "dim19_bga":
+            with open(os.path.join(TESTS, "golden", "dim19_bga.alg"), encoding="utf-8") as fh:
+                A = text_algebra(fh.read().replace("field Q", "field " + field))
+        else:
+            A = truncated_polynomials(int(name), field)
+        _BRACKET_SLICES[key] = CochainSlice(A)
+    return _BRACKET_SLICES[key]
+
+
+class TestAntisymmetricBracket:
+    """The bracket read at i < j only, sign flipped for i > j, is the full
+    double sum, antisymmetric, and 0 on (u, u)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["2", "3", "4", "5", "dim19_bga"]), data=st.data())
+    @pytest.mark.parametrize("field", ["Q", "GF(3)"])
+    def test_bracket_matches_the_double_sum(self, field, name, data):
+        sl = bracket_slice(name, field)
+        F = sl.algebra.field
+        vec = st.dictionaries(st.integers(0, len(sl.q1_pairs) - 1),
+                              st.sampled_from([-1, 1, 2]).map(F.of), max_size=6)
+        u, v = data.draw(vec), data.draw(vec)
+        uv = sl.bracket(u, v)
+        assert uv == ref_bracket(sl, u, v)
+        assert uv == {i: F.neg(c) for i, c in sl.bracket(v, u).items()}
+        assert sl.bracket(u, u) == {}
+
+
 class TestSubstitute:
     def test_sums_over_occurrences(self):
         quiver = loops_quiver()
@@ -797,18 +840,16 @@ class TestGradedLieStep:
     def test_bounded_series_brackets_less_than_the_reference(self, monkeypatch):
         A = truncated_polynomials(6, "Q")
         calls, formed = [0], [0]
-        real = ppcomplex._hh1_bracket
-
-        def counting(*args):
-            calls[0] += 1
-            return real(*args)
 
         class Formed(ppcomplex._Brackets):
             def __init__(self, pairs, *args):
                 formed[0] += len(pairs)
                 super().__init__(pairs, *args)
 
-        monkeypatch.setattr(ppcomplex, "_hh1_bracket", counting)
+            def __getitem__(self, n):
+                calls[0] += 1
+                return super().__getitem__(n)
+
         monkeypatch.setattr(ppcomplex, "_Brackets", Formed)
         lie = lie_presentation(A)
         assert lie.derived_dims == ref_lie_presentation(A).derived_dims
@@ -816,6 +857,26 @@ class TestGradedLieStep:
         # graded series every pair whose degrees add up to a present one
         wanted = sum(d * (d - 1) // 2 for d in lie.derived_dims[:-1])
         assert 0 < calls[0] < formed[0] < wanted
+
+    @pytest.mark.parametrize("make,homogeneous", [
+        (lambda: truncated_polynomials(4, "Q"), True),
+        (lambda: file_algebra(os.path.join("golden", "dim19_bga.alg")), False),
+    ], ids=["homogeneous", "inhomogeneous"])
+    def test_homogeneity_is_tested_once_per_slice(self, make, homogeneous, monkeypatch):
+        A = make()
+        calls = [0]
+        real = ppcomplex.is_homogeneous
+
+        def counting(gb):
+            calls[0] += 1
+            return real(gb)
+
+        monkeypatch.setattr(ppcomplex, "is_homogeneous", counting)
+        sl = CochainSlice(A)
+        lie_presentation(A, sl)
+        rep = graded_report(A, sl)
+        assert calls[0] == 1
+        assert rep.homogeneous == sl.homogeneous == homogeneous
 
     def test_substitution_images_are_computed_once_per_slice(self, monkeypatch):
         A = truncated_polynomials(4, "Q")
