@@ -28,7 +28,7 @@ from .pathalg import compose
 
 
 class BarSlice:
-    __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index", "c2_index",
+    __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index",
                  "d0_cols", "d1_rows", "_bplus", "_spaces")
 
     def __init__(self, algebra):
@@ -40,17 +40,8 @@ class BarSlice:
         self.c1_basis = [(x, b) for x in self._bplus
                          for b in algebra.parallel(x.source, x.target)]
         self.c1_index = {pair: i for i, pair in enumerate(self.c1_basis)}
-        pairs = [
-            (x1, x2)
-            for x1 in self._bplus
-            for x2 in self._bplus
-            if x1.source == x2.target
-        ]
-        self.c2_basis = [(x1, x2, b) for x1, x2 in pairs
-                         for b in algebra.parallel(x2.source, x1.target)]
-        self.c2_index = {t: i for i, t in enumerate(self.c2_basis)}
         self.d0_cols = self._image_columns()
-        self.d1_rows = self._kernel_rows(pairs)
+        self.c2_basis, self.d1_rows = self._kernel_rows()
         self._spaces = None
 
     @property
@@ -82,14 +73,18 @@ class BarSlice:
                         + [(at(x, self._product(x, b)), minus) for x in self._bplus], field)
                 for _, b in self.c0_basis]
 
-    def _kernel_rows(self, pairs):
+    def _kernel_rows(self):
+        """(C2 labels, D1 rows), one (x1, x2) group of rows at a time: the
+        rows (x1, x2, b) for b parallel to x1 x2."""
         a = self.algebra
         field = a.field
-        rows = [{} for _ in self.c2_basis]
-        for x1, x2 in pairs:
+        labels, rows = [], []
+        for x1, x2 in ((x1, x2) for x1 in self._bplus for x2 in self._bplus
+                       if x1.source == x2.target):
+            group = {b: {} for b in a.parallel(x2.source, x1.target)}
 
             def bump(b, col, c):
-                add_to(rows[self.c2_index[(x1, x2, b)]], {col: c}, field.one, field)
+                add_to(group[b], {col: c}, field.one, field)
 
             # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where pA = id
             for j, c in self._product(x1, x2).items():
@@ -106,7 +101,9 @@ class BarSlice:
                 col = self.c1_index[(x1, b)]
                 for j, c in self._product(b, x2).items():
                     bump(a.basis[j], col, c)
-        return rows
+            labels += [(x1, x2, b) for b in group]
+            rows += group.values()
+        return labels, rows
 
     def spaces(self):
         """(Ker D1, Im D0) as subspaces of C1, each differential eliminated

@@ -45,7 +45,7 @@ from itertools import zip_longest
 
 from .exactla import Field, add_to, parse_field
 from .pathalg import (
-    MAX_PATH_LENGTH, ZERO, Path, Quiver, FreeElement, compose, format_path, format_element,
+    MAX_PATH_LENGTH, Path, Quiver, FreeElement, format_path, format_element,
 )
 from .groebner import (
     DEFAULT_MAX_BASIS, DEFAULT_MAX_TIP_LENGTH, ChainCapExceeded, Incomplete, CapExceeded,
@@ -186,16 +186,21 @@ class _ExprParser:
             if kind != "*":
                 self._fail("integer coefficient needs '*' and a path", col)
             self._take()
-        path = self._factor()
+        # factors in written order, each applied before the one to its left;
+        # the path is built once, so a term of n factors parses in O(n)
+        first = self._factor()
+        factors, source, length = [first.arrows], first.source, first.length
         while self._peek()[0] == "*":
             self._take()
             kind, _, col = self._peek()
             nxt = self._factor()
-            self._check_cap("path of length", path.length + nxt.length, col)
-            path = compose(path, nxt)
-            if path is ZERO:
+            length += nxt.length
+            self._check_cap("path of length", length, col)
+            if nxt.target != source:
                 self._fail("factors are not composable", col)
-        return coeff, path
+            factors.append(nxt.arrows)
+            source = nxt.source
+        return coeff, Path(self.quiver, [a for f in reversed(factors) for a in f], source)
 
     def _factor(self):
         kind, value, col = self._take()

@@ -229,14 +229,6 @@ class Subspace:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.field == other.field
-            and self.basis == other.basis
-        )
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 

@@ -110,10 +110,8 @@ class CochainSlice:
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
         self.degrees = [b.length - 1 for _, b in self.q1_pairs]
         self.homogeneous = is_homogeneous(algebra.gb)
-        self.tip_pairs = [(t, b) for t in algebra.gb.tips()
-                          for b in algebra.parallel(t.source, t.target)]
         self.psi0_cols = self._image_columns()
-        self.psi1_rows = self._kernel_rows()
+        self.tip_pairs, self.psi1_rows = self._kernel_rows()
         self._hh1 = None
         self._images = {}
 
@@ -153,19 +151,22 @@ class CochainSlice:
         return cols
 
     def _kernel_rows(self):
+        """(Tip//B labels, psi1 rows), one Groebner element's group of rows
+        at a time: the rows (t, b) for t its tip and b parallel to t."""
         a = self.algebra
-        tip_index = {pair: i for i, pair in enumerate(self.tip_pairs)}
-        rows = [{} for _ in self.tip_pairs]
-        elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
-        # an arrow is substituted only into the elements that use it, in order
-        uses = {arr: [(t, terms) for t, terms in elems if any(arr in p.arrows for p, _ in terms)]
-                for arr in range(a.quiver.n_arrows)}
-        for col, (arr, gamma) in enumerate(self.q1_pairs):
-            for tg, terms in uses[arr]:
-                img = project_sparse(_substitutions(terms, arr, gamma), a)
-                for bi, c in img.items():
-                    rows[tip_index[(tg, a.basis[bi])]][col] = c
-        return rows
+        labels, rows = [], []
+        for t, g in zip(a.gb.tips(), a.gb.elements):
+            group = {b: {} for b in a.parallel(t.source, t.target)}
+            # an element takes only the substitutions of the arrows it uses
+            used = {arr for p in g.terms for arr in p.arrows}
+            for col, (arr, gamma) in enumerate(self.q1_pairs):
+                if arr in used:
+                    img = project_sparse(_substitutions(g.terms.items(), arr, gamma), a)
+                    for bi, c in img.items():
+                        group[a.basis[bi]][col] = c
+            labels += [(t, b) for b in group]
+            rows += group.values()
+        return labels, rows
 
     def _pair_bracket(self, ij):
         """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for the pairs

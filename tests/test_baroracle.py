@@ -224,6 +224,7 @@ def ref_build_d1(sl, pairs):
     field = a.field
     zero = field.zero
     rows = [[zero] * len(sl.c1_basis) for _ in sl.c2_basis]
+    c2_index = {t: i for i, t in enumerate(sl.c2_basis)}
 
     def bump(row, col, c, sign):
         if sign < 0:
@@ -245,21 +246,21 @@ def ref_build_d1(sl, pairs):
                 continue
             for b in parallels(x):
                 col = sl.c1_index[(x, b)]
-                bump(sl.c2_index[(x1, x2, b)], col, c, -1)
+                bump(c2_index[(x1, x2, b)], col, c, -1)
         # +x1 f(x2) for f elementary at (x2, b)
         for b in parallels(x2):
             col = sl.c1_index[(x2, b)]
             vec = ref_multiply(i1, a.index[b], a)
             for j, c in enumerate(vec):
                 if c != zero:
-                    bump(sl.c2_index[(x1, x2, a.basis[j])], col, c, +1)
+                    bump(c2_index[(x1, x2, a.basis[j])], col, c, +1)
         # +f(x1) x2 for f elementary at (x1, b)
         for b in parallels(x1):
             col = sl.c1_index[(x1, b)]
             vec = ref_multiply(a.index[b], i2, a)
             for j, c in enumerate(vec):
                 if c != zero:
-                    bump(sl.c2_index[(x1, x2, a.basis[j])], col, c, +1)
+                    bump(c2_index[(x1, x2, a.basis[j])], col, c, +1)
     return rows
 
 
@@ -357,6 +358,9 @@ class TestSparseAssembly:
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_differentials_equal_reference(self, tag):
         sl = slice_of(tag)
+        basis = sl.algebra.basis
+        assert sl.c2_basis == [(x1, x2, b) for x1, x2 in ref_pairs(sl) for b in basis
+                               if b.source == x2.source and b.target == x1.target]
         assert typed(sl.d0) == typed(ref_build_d0(sl))
         assert typed(sl.d1) == typed(ref_build_d1(sl, ref_pairs(sl)))
 

@@ -42,10 +42,17 @@ def run_cli_process(argv, stdout, preexec_fn=None):
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+LOOP = "field Q\nvertex e\narrow x: e -> e\n"
+ARROW = "field Q\nvertex a b\narrow x: a -> b\n"
 
 
 def fixture(name):
     return os.path.join(DATA, name)
+
+
+def golden_text(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def alg_name(path):
@@ -126,6 +133,15 @@ class TestAlgebraParsing:
             _, _, rels = parse_algebra(
                 "field Q\nvertex e\narrow x: e -> e\nrel x^100000 - x^99999\n")
         assert sorted(p.length for p in rels[0].terms) == [99999, 100000]
+
+    def test_product_of_factors_parses_in_linear_time(self, tmp_path):
+        # each factor joins the term without rebuilding the path so far
+        alg = tmp_path / "long.alg"
+        alg.write_text(LOOP + "rel " + "*".join(["x"] * 200000) + "\n")
+        with time_limit(10):
+            rc, out, err = run_cli("gb", str(alg))
+        assert (rc, err) == (0, "")
+        assert lines_of(out)["tip[0]"] == "x^200000"
 
     @pytest.mark.parametrize("rel,col,message", [
         ("x^1000001", 7, "exponent 1000001 exceeds the path length cap 1000000"),
@@ -411,6 +427,20 @@ class TestGoldenOracle:
             assert out == fh.read()
 
 
+class TestOracleWithoutHH1:
+    def test_derived_series_is_0_on_both_routes(self, tmp_path):
+        # a single arrow between two vertices: HH1 = 0 on both routes, so
+        # neither derived series brackets anything
+        alg = tmp_path / "arrow.alg"
+        alg.write_text(ARROW)
+        rc, out, err = run_cli("oracle", str(alg))
+        assert (rc, err) == (0, "")
+        got = lines_of(out)
+        assert (got["pp-hh1"], got["bar-hh1"]) == ("0", "0")
+        assert (got["pp-derived"], got["bar-derived"]) == ("0", "0")
+        assert got["verdict"] == "AGREE"
+
+
 class TestGoldenBga:
     """Full `bga` and `bga --gr` stdout for every Brauer graph in the data
     directory, captured before `bga` built its relations the way `report`
@@ -607,11 +637,18 @@ class TestExitCodes:
             assert got == (3, "", "error: chain sets exceed --max-basis 15: the paths "
                                   "held reached 16 while building W[4]\n")
 
-    def test_basis_cap_names_cap_and_paths_reached(self):
-        rc, out, err = run_cli("basis", "--max-basis", "10", os.path.join(GOLDEN, "xy4_q.alg"))
+    @pytest.mark.parametrize("text,cap,reached", [
+        (golden_text("xy4_q.alg"), 10, 13),
+        # the trivial paths count too
+        (ARROW, 1, 2),
+    ])
+    def test_basis_cap_names_cap_and_paths_reached(self, tmp_path, text, cap, reached):
+        alg = tmp_path / "input.alg"
+        alg.write_text(text)
+        rc, out, err = run_cli("basis", "--max-basis", str(cap), str(alg))
         assert (rc, out) == (3, "")
-        assert err == ("error: quotient algebra dimension exceeds --max-basis 10: "
-                       "NonTip enumeration reached 13 paths\n")
+        assert err == ("error: quotient algebra dimension exceeds --max-basis %d: "
+                       "NonTip enumeration reached %d paths\n" % (cap, reached))
 
     def test_basis_cap_builds_no_more_than_the_cap(self, tmp_path):
         # the third NonTip level counts 1.7 million paths; built in full,
@@ -719,7 +756,6 @@ class TestExitCodes:
         assert message in err.getvalue()
 
 
-LOOP = "field Q\nvertex e\narrow x: e -> e\n"
 EDGE = "field Q\nvertex v mult 1\nedge e v v\n"
 
 
@@ -736,6 +772,7 @@ class TestParseErrorsThroughMain:
         (".alg", LOOP + "rel x*x^\n", "line 4, col 9: exponent must be a positive integer"),
         (".bg", EDGE + "cyclic v:\n", "line 4, col 1: empty cyclic ordering"),
         (".bg", "field Q\nvertex 9v mult 1\n", "line 2, col 8: bad vertex name '9v'"),
+        (".alg", "field Q\nvertex 1a\n", "line 2, col 8: bad vertex name '1a'"),
     ])
     def test_exit_2_at_the_position(self, tmp_path, suffix, text, message):
         path = tmp_path / ("input" + suffix)

@@ -62,6 +62,11 @@ class TestCompose:
         assert compose(b2, b2) is ZERO
         assert not ZERO
 
+    def test_noncomposable_arrow_sequence_is_rejected(self, kron):
+        # b2 ends at e2 and a2 starts at e1
+        with pytest.raises(ValueError, match="^non-composable arrow sequence$"):
+            Path(kron, (kron.arrow_index["b2"], kron.arrow_index["a2"]))
+
     def test_kronecker_relation_paths(self, kron):
         a1, a2 = kron.arrow("a1"), kron.arrow("a2")
         p = compose(a1, a2)

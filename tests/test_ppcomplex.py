@@ -973,6 +973,8 @@ class TestPsi1ByArrow:
     @staticmethod
     def assert_matches_reference(A):
         sl = CochainSlice(A)
+        assert sl.tip_pairs == [(t, b) for t in A.gb.tips() for b in A.basis
+                                if b.parallel_to(t)]
         ref = ref_build_psi1(sl)
         assert [list(r.items()) for r in sl.psi1_rows] == [list(r.items()) for r in ref]
 
