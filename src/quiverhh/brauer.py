@@ -32,7 +32,12 @@ from . import ppcomplex
 
 
 class BrauerGraphError(ValueError):
-    pass
+    """Not a Brauer graph: ``vertex`` and ``token`` name the cyclic order
+    and the half-edge at fault, None for a fact of the whole graph."""
+
+    def __init__(self, message, vertex=None, token=None):
+        super().__init__(message)
+        self.vertex, self.token = vertex, token
 
 
 class DimensionCapExceeded(Exception):
@@ -109,18 +114,18 @@ class BrauerGraph:
             if tokens is None:
                 if len(incident) != 1:
                     raise BrauerGraphError(
-                        f"vertex {vname!r} needs an explicit cyclic order")
+                        f"vertex {vname!r} needs an explicit cyclic order", vname)
                 tokens = [token_of[incident[0]]]
             halves = []
             for t in tokens:
                 h = by_token.get(t)
                 if h is None:
-                    raise BrauerGraphError(f"unknown half-edge {t!r} at {vname!r}")
+                    raise BrauerGraphError(f"unknown half-edge {t!r} at {vname!r}", vname, t)
                 halves.append(h)
             if sorted(halves) != incident:
                 raise BrauerGraphError(
                     f"cyclic order at {vname!r} must list each incident "
-                    f"half-edge exactly once")
+                    f"half-edge exactly once", vname)
             self.cyclic[vname] = halves
 
     # -- basic combinatorics ---------------------------------------------

@@ -63,6 +63,7 @@ from .baroracle import build_bar_slice, bar_hh_dims, bar_derived_series
 from .brauer import (
     DEFAULT_SEED,
     BrauerGraph,
+    BrauerGraphError,
     DimensionCapExceeded,
     half_token,
     invariant_report,
@@ -337,6 +338,7 @@ def parse_brauer(text):
     edges = []
     kinds = {}  # a name is one vertex or one edge
     cyclic = {}
+    lines = {}  # vertex -> (line, col, {token: col}) of its cyclic line, else vertex line
 
     def claim(name, kind, lineno, col):
         if name in kinds:
@@ -357,6 +359,7 @@ def parse_brauer(text):
         if not mult:
             raise ParseError("multiplicity must be a positive integer", lineno, rest_col)
         mults[name] = mult
+        lines[name] = (lineno, rest_col, {})
 
     def edge(rest, lineno, col, rest_col, _):
         parts = rest.split()
@@ -384,9 +387,17 @@ def parse_brauer(text):
         if not tokens:
             raise ParseError("empty cyclic ordering", lineno, col)
         cyclic[vname] = tokens
+        lines[vname] = (lineno, rest_col, {m.group(): rest_col + len(rest) - len(tail) + m.start()
+                                           for m in reversed(list(re.finditer(r"\S+", tail)))})
 
     field = _directives(text, {"vertex": vertex, "edge": edge, "cyclic": cyclic_line})
-    return field, BrauerGraph(list(mults.items()), edges, cyclic)
+    try:
+        return field, BrauerGraph(list(mults.items()), edges, cyclic)
+    except BrauerGraphError as exc:
+        if exc.vertex is None:  # a fact of the whole graph has no one line
+            raise
+        lineno, col, columns = lines[exc.vertex]
+        raise ParseError(str(exc), lineno, columns.get(exc.token, col)) from None
 
 
 def brauer_to_text(field, graph):

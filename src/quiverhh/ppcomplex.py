@@ -11,7 +11,9 @@ computes its derived series, the graded pieces L_{-1}, L_i, the diagonal
 part L_00, and the loop-power characteristic condition that the positive
 characteristic statements hypothesize.
 
-psi1 substitutes arrows inside Groebner elements, which is only
+psi1 and the pair bracket apply the derivation D_k of a Q1//B pair
+k = (alpha, gamma), which replaces alpha by gamma one occurrence at a
+time, and read its images on basis paths from one table.  psi1 is only
 meaningful when every element is uniform (all support paths parallel);
 CochainSlice rejects anything else.
 """
@@ -24,48 +26,7 @@ from .exactla import (
     NotASubspace, add_to, combine, coset_coordinates, dense, kernel_basis, row_space,
     rows_of_columns, rref, sparse, subspace_quotient,
 )
-from .pathalg import FreeElement, Path, compose, format_combination
-from .quotient import project_sparse
-
-
-class NotParallel(Exception):
-    """Substitution target is not parallel to the arrow it replaces."""
-
-
-def substitute(eps, alpha, gamma):
-    """eps^(alpha,gamma): replace one occurrence of alpha at a time, sum.
-
-    alpha may be an arrow index or a length-1 Path.  gamma must be
-    parallel to alpha; a trivial gamma deletes the occurrence (alpha is
-    then a loop, so the neighbours still compose).  Paths without alpha
-    give 0.
-    """
-    quiver = eps.quiver
-    if isinstance(alpha, Path):
-        if alpha.length != 1:
-            raise ValueError("alpha must be a single arrow")
-        alpha = alpha.arrows[0]
-    if gamma.source != quiver.arrow_src[alpha] or gamma.target != quiver.arrow_tgt[alpha]:
-        raise NotParallel(
-            f"{gamma!r} is not parallel to arrow {quiver.arrow_names[alpha]}")
-    field = eps.field if isinstance(eps, FreeElement) else None
-    if field is None:
-        raise TypeError("eps must be a FreeElement")
-    acc = {}
-    for q, coeff in _substitutions(eps.terms.items(), alpha, gamma):
-        add_to(acc, {q: coeff}, field.one, field)
-    return FreeElement(quiver, field, acc)
-
-
-def _substitutions(terms, alpha, gamma):
-    """(q, coeff) per occurrence of arrow index alpha in each (p, coeff) of
-    terms, q being p with that occurrence replaced by the parallel gamma."""
-    for p, coeff in terms:
-        word = p.arrows
-        for i, a in enumerate(word):
-            if a == alpha:
-                # the base vertex is read only when the new path is trivial
-                yield Path(p.quiver, word[:i] + gamma.arrows + word[i + 1:], p.source), coeff
+from .pathalg import Path, compose, format_combination
 
 
 def ensure_uniform(gb):
@@ -91,7 +52,8 @@ class CochainSlice:
     spaces are read off ``algebra.parallel``; ``degrees`` holds the degree
     l(gamma) - 1 of each Q1//B pair (alpha, gamma), and ``homogeneous``
     whether every Groebner element is.  Pair brackets are not stored, but
-    their substitution images are, in ``_images``.
+    the images pi(D_k(basis[j])) they and psi1 read are, in ``_images``
+    under (k, j).
     """
 
     __slots__ = (
@@ -110,10 +72,10 @@ class CochainSlice:
         self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
         self.degrees = [b.length - 1 for _, b in self.q1_pairs]
         self.homogeneous = is_homogeneous(algebra.gb)
+        self._images = {}
         self.psi0_cols = self._image_columns()
         self.tip_pairs, self.psi1_rows = self._kernel_rows()
         self._hh1 = None
-        self._images = {}
 
     @property
     def psi0(self):
@@ -150,18 +112,49 @@ class CochainSlice:
                                  for arr, p, c in terms), field))
         return cols
 
+    def _image(self, k, j):
+        """pi(D_k(basis[j])), sparse over B, kept in ``_images`` under (k, j)
+        with the images of the prefixes of basis[j].  Do not mutate."""
+        images, steps = self._images, self.algebra.steps
+        chain = []
+        while (k, j) not in images and steps[j]:
+            chain.append(j)
+            j = steps[j][1]
+        got = images.setdefault((k, j), {})  # a hit, or a trivial path: 0
+        for j in reversed(chain):
+            got = images[(k, j)] = self._derive(k, steps[j], got)
+        return got
+
+    def _derive(self, k, step, prev):
+        """pi(D_k(x * basis[i])) as a new sparse dict, for step = (x, i) and
+        prev = pi(D_k(basis[i])): x * prev, plus pi(gamma * basis[i]) when
+        x is the arrow alpha of the pair k = (alpha, gamma)."""
+        a = self.algebra
+        x, i = step
+        alpha, gamma = self.q1_pairs[k]
+        img = a._left((x,), prev) if prev else {}
+        if x == alpha:
+            add_to(img, a._left(gamma.arrows, {i: a.field.one}), a.field.one, a.field)
+        return img
+
     def _kernel_rows(self):
         """(Tip//B labels, psi1 rows), one Groebner element's group of rows
-        at a time: the rows (t, b) for t its tip and b parallel to t."""
+        at a time: the rows (t, b) for t its tip and b parallel to t hold
+        pi(D_k(g)) at column k.  A reduced basis keeps the tail of g in B,
+        read off the table, and the tip t = x * t' takes one step of it."""
         a = self.algebra
         labels, rows = [], []
         for t, g in zip(a.gb.tips(), a.gb.elements):
             group = {b: {} for b in a.parallel(t.source, t.target)}
-            # an element takes only the substitutions of the arrows it uses
+            tail = [(a.index[p], c) for p, c in g.terms.items() if p != t]
+            step = (t.arrows[-1], a.index[Path(a.quiver, t.arrows[:-1], t.base)])
+            # an element takes only the derivations of the arrows it uses
             used = {arr for p in g.terms for arr in p.arrows}
-            for col, (arr, gamma) in enumerate(self.q1_pairs):
+            for col, (arr, _) in enumerate(self.q1_pairs):
                 if arr in used:
-                    img = project_sparse(_substitutions(g.terms.items(), arr, gamma), a)
+                    img = self._derive(col, step, self._image(col, step[1]))
+                    for j, c in tail:
+                        add_to(img, self._image(col, j), c, a.field)
                     for bi, c in img.items():
                         group[a.basis[bi]][col] = c
             labels += [(t, b) for b in group]
@@ -169,21 +162,15 @@ class CochainSlice:
         return labels, rows
 
     def _pair_bracket(self, ij):
-        """[(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))) for the pairs
-        ij = (i, j), as a sparse vector over Q1//B.  pi(e^(a,g)), sparse
-        over B, is kept in ``_images`` under (i, e)."""
+        """[(a,g),(b,e)] = (b, pi(D_(a,g)(e))) - (a, pi(D_(b,e)(g))) for the
+        pairs ij = (i, j), as a sparse vector over Q1//B."""
         i, j = ij
         a = self.algebra
         one = a.field.one
         terms = []
         for k, (arrow, path), sign in ((i, self.q1_pairs[j], one),
                                        (j, self.q1_pairs[i], a.field.neg(one))):
-            img = self._images.get((k, path))
-            if img is None:
-                alpha, gamma = self.q1_pairs[k]
-                img = self._images[(k, path)] = project_sparse(
-                    _substitutions(((path, one),), alpha, gamma), a)
-            terms.append((self._at_arrow(arrow, img), sign))
+            terms.append((self._at_arrow(arrow, self._image(k, a.index[path])), sign))
         return combine(terms, a.field)
 
     def bracket(self, u, v):
@@ -236,7 +223,7 @@ def bracket_pairs(u, v, slice_):
     """[(u, v)] on k(Q1//B) for u, v sparse or dense, as a dense list.
 
     The bilinear extension of the pair bracket
-    [(a,g),(b,e)] = (b, pi(e^(a,g))) - (a, pi(g^(b,e))).
+    [(a,g),(b,e)] = (b, pi(D_(a,g)(e))) - (a, pi(D_(b,e)(g))).
     """
     w = slice_.bracket(sparse(u), sparse(v))
     return dense(w, len(slice_.q1_pairs), slice_.algebra.field)

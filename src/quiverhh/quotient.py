@@ -4,16 +4,18 @@ A QuotientAlgebra is the reduced Groebner basis plus the NonTip monomial
 basis B in llex order.  Everything downstream (cohomology, the bar
 oracle) works in coordinates over B, and both routes read their pair
 spaces X//B (b in B parallel to x) off one index of B by endpoints.
-Normal forms are unique for a complete basis and pi is linear, so the
-projection of any element is a sum of per-path images; each algebra
-memoizes those in one map from a path to its sparse coordinates.
+NonTip is closed under subpaths, so each nontrivial basis path is an
+arrow applied after a shorter basis path; ``steps`` records that split.
+pi is multiplicative, so the image of any path is reached one arrow at a
+time by the left action of an arrow on coordinates, memoized per (arrow,
+basis index).
 """
 
 from __future__ import annotations
 
 from .exactla import combine
 from .groebner import DEFAULT_MAX_BASIS, CapExceeded, normal_form, nontip_enumerate
-from .pathalg import FreeElement, Path, compose
+from .pathalg import FreeElement, compose
 
 
 # build_quotient raises groebner.CapExceeded; callers may catch it by this name
@@ -21,7 +23,8 @@ InfiniteDimensional = CapExceeded
 
 
 class QuotientAlgebra:
-    __slots__ = ("quiver", "field", "gb", "basis", "index", "_parallel", "_path_coords")
+    __slots__ = ("quiver", "field", "gb", "basis", "index", "steps", "_parallel",
+                 "_path_coords", "_times")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -32,6 +35,12 @@ class QuotientAlgebra:
         self._parallel = {}
         for p in basis:
             self._parallel.setdefault((p.source, p.target), []).append(p)
+        # steps[j] = (x, i) with basis[j] = x * basis[i], None for a trivial
+        # path; x * basis[i] is then basis[j] in the left action as well
+        at = {(p.base, p.arrows): j for j, p in enumerate(basis)}
+        self.steps = [(p.arrows[-1], at[(p.base, p.arrows[:-1])]) if p.arrows else None
+                      for p in basis]
+        self._times = {s: {j: field.one} for j, s in enumerate(self.steps) if s}
         self._path_coords = {}
 
     @property
@@ -47,36 +56,30 @@ class QuotientAlgebra:
         """pi(p) for one path p as a sparse {basis index: coeff} dict.
 
         Filled on first use and shared between callers: do not mutate the
-        result.  pi is multiplicative, pi(a*w) = pi(a*pi(w)) for an arrow
-        a, so p is reached from its longest prefix (first applied arrows)
-        with a known image one arrow at a time, and only products of an
-        arrow and a basis path go through normal_form.
+        result.
         """
-        memo = self._path_coords
-        got = memo.get(p)
-        if got is not None:
-            return got
-        chain = []
-        while got is None and p not in self.index:
-            chain.append(p)
-            p = Path(self.quiver, p.arrows[:-1])
-            got = memo.get(p)
+        got = self._path_coords.get(p)
         if got is None:
-            got = memo[p] = {self.index[p]: self.field.one}
-        for q in reversed(chain):
-            arrow = self.quiver.arrow(q.arrows[-1])
-            got = memo[q] = combine(
-                ((self._arrow_product(arrow, j), c) for j, c in got.items()), self.field)
+            # B is in llex order, so basis[v] is the trivial path at vertex v
+            got = self._path_coords[p] = self._left(p.arrows, {p.base: self.field.one})
         return got
 
-    def _arrow_product(self, arrow, j):
-        """pi(arrow * basis[j]), kept in the same map."""
-        r = compose(arrow, self.basis[j])
-        got = self._path_coords.get(r)
-        if got is None:
-            nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
-            got = self._path_coords[r] = {self.index[q]: c for q, c in nf.terms.items()}
-        return got
+    def _left(self, word, coords):
+        """pi(w * v) for w the path with arrows word (first applied first)
+        and v sparse over B, one arrow at a time; a new dict unless word is
+        empty.  Each x * basis[j] goes through normal_form once."""
+        times = self._times
+        for x in word:
+            terms = []
+            for j, c in coords.items():
+                got = times.get((x, j))
+                if got is None:
+                    r = compose(self.quiver.arrow(x), self.basis[j])
+                    nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
+                    got = times[(x, j)] = {self.index[q]: d for q, d in nf.terms.items()}
+                terms.append((got, c))
+            coords = combine(terms, self.field)
+        return coords
 
     def __repr__(self):
         return f"QuotientAlgebra(dim={self.dim})"
@@ -87,9 +90,3 @@ def build_quotient(gb, max_basis=DEFAULT_MAX_BASIS):
     past the cap or on proof of infinite dimension."""
     basis = nontip_enumerate(gb, max_basis=max_basis)
     return QuotientAlgebra(gb.quiver, gb.field, gb, basis)
-
-
-def project_sparse(terms, algebra):
-    """pi(sum c*p) over (path p, coeff c) pairs as a sparse {basis index: coeff}
-    dict, zeros dropped."""
-    return combine(((algebra.path_coords(p), c) for p, c in terms), algebra.field)

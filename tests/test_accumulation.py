@@ -2,12 +2,13 @@
 
 ``exactla.add_to`` and ``combine`` are checked against a dense reference
 over Q, GF(2), GF(3) and GF(7).  The free-element arithmetic, normal
-forms, overlap relations, substitution and the relation parser, all
+forms, overlap relations, the derivation table and the relation parser, all
 built on them, are checked against test-local copies (``ref_*``) of the
 loops they replaced, entry types included and, where those loops kept
 it, term order too.
 """
 
+import functools
 import os
 import random
 
@@ -18,11 +19,15 @@ from quiverhh.cli import ParseError, parse_algebra
 from quiverhh.exactla import Field, add_to, combine, dense
 from quiverhh.groebner import GroebnerBasis, _overlap_relation, _overlaps, complete, normal_form
 from quiverhh.pathalg import ZERO, FreeElement, Path, Quiver, compose, multiply
-from quiverhh.ppcomplex import _substitutions, substitute
+from quiverhh.ppcomplex import CochainSlice, lie_presentation
+from quiverhh.quotient import build_quotient
 
 from conftest import ALG_FILES, TESTS, time_limit
-from test_baroracle import RANDOM_SEED, random_quiver, random_relations
+from test_baroracle import (
+    RANDOM_KEPT, RANDOM_MAX_DIM, RANDOM_SEED, random_algebras, random_quiver, random_relations,
+)
 from test_groebner import draw_element, draw_plain_list
+from test_ppcomplex import ref_build_psi1
 
 FIELDS = [Field(0), Field(2), Field(3), Field(7)]
 FIELD_IDS = ["Q", "GF2", "GF3", "GF7"]
@@ -194,11 +199,16 @@ def ref_multiply(a, b):
 
 
 def ref_substitute(eps, alpha, gamma):
-    # alpha an arrow index and gamma parallel to it, as the tests pass them
+    """D_(alpha,gamma)(eps): arrow index alpha replaced by the parallel path
+    gamma, one occurrence at a time, summed."""
     field = eps.field
     acc = {}
-    for q, coeff in _substitutions(eps.terms.items(), alpha, gamma):
-        acc[q] = field.add(acc.get(q, field.zero), coeff)
+    for p, coeff in eps.terms.items():
+        word = p.arrows
+        for i, a in enumerate(word):
+            if a == alpha:
+                q = Path(p.quiver, word[:i] + gamma.arrows + word[i + 1:], p.source)
+                acc[q] = field.add(acc.get(q, field.zero), coeff)
     return ref_free_element(eps.quiver, field, acc)
 
 
@@ -323,38 +333,37 @@ class TestFreeElementsAgainstTheReplacedLoops:
         assert typed(FreeElement(LOOPS, field, terms).terms) == \
             typed(ref_free_element(LOOPS, field, terms).terms)
 
-    @settings(max_examples=200, deadline=None)
-    @given(field=st.sampled_from(FIELDS), quiver=st.sampled_from([LOOPS, CYCLE]),
+
+@functools.lru_cache(maxsize=None)
+def sampled_algebras():
+    return random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM)
+
+
+class TestDerivationTableAgainstTheFormula:
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.one_of(st.sampled_from(ALG_FILES), st.integers(0, RANDOM_KEPT - 1)),
            data=st.data())
-    def test_substitute(self, field, quiver, data):
-        eps = draw_element(data, quiver, field, 0, 5, 6)
-        alpha = data.draw(st.integers(0, quiver.n_arrows - 1))
-        src, tgt = quiver.arrow_src[alpha], quiver.arrow_tgt[alpha]
-        parallel = [Path(quiver, w) for w in ((0,), (1,), (2,), (0, 0), (1, 0), (2, 1), (0, 1))
-                    if all(i < quiver.n_arrows for i in w) and _composes(quiver, w)]
-        parallel = [p for p in parallel if (p.source, p.target) == (src, tgt)]
-        if src == tgt:
-            parallel.append(quiver.trivial(src))
-        gamma = data.draw(st.sampled_from(parallel))
-        # the old sum kept a key that cancelled at its first place: compare
-        # entries and types, not order
-        assert sorted(typed(substitute(eps, alpha, gamma).terms)) == \
-            sorted(typed(ref_substitute(eps, alpha, gamma).terms))
-
-    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-    def test_substitute_cancels_and_comes_back(self, field):
-        # y->x in yxx - xyx + xxy: x^3 gets 1, then 0, then 1 again
-        one, minus = field.one, field.neg(field.one)
-        eps = FreeElement(LOOPS, field, {Path(LOOPS, w): c for w, c in
-                                         (((1, 1, 0), one), ((1, 0, 1), minus),
-                                          ((0, 1, 1), one))})
-        got = substitute(eps, 0, LOOPS.arrow(1))
-        assert typed(got.terms) == [(Path(LOOPS, (1, 1, 1)), one, type(one))]
-        assert got == ref_substitute(eps, 0, LOOPS.arrow(1))
-
-
-def _composes(quiver, word):
-    return all(quiver.arrow_tgt[a] == quiver.arrow_src[b] for a, b in zip(word, word[1:]))
+    def test_images_and_psi1_rows(self, source, data):
+        """Every table entry pi(D_k(basis[j])), the bracket's and psi1's and
+        those of drawn (k, j), is normal_form of the formula; psi1 rows are
+        the reference rows."""
+        with time_limit(20):
+            if isinstance(source, str):
+                A = build_quotient(file_gb(source)[1])
+            else:
+                A = sampled_algebras()[source]
+            sl = CochainSlice(A)
+            for _ in range(3):
+                sl._image(data.draw(st.integers(0, len(sl.q1_pairs) - 1)),
+                          data.draw(st.integers(0, A.dim - 1)))
+            lie_presentation(A, sl)
+            for (k, j), img in sl._images.items():
+                alpha, gamma = sl.q1_pairs[k]
+                ref = normal_form(ref_substitute(FreeElement.from_path(A.basis[j], A.field),
+                                                 alpha, gamma), A.gb)
+                assert sorted(typed(img)) == \
+                    sorted((A.index[p], c, type(c)) for p, c in ref.terms.items())
+            assert sl.psi1_rows == ref_build_psi1(sl)
 
 
 _GB_CACHE = {}

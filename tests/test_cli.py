@@ -213,6 +213,20 @@ class TestBrauerParsing:
                 "edge e u v\nedge f u v\n"
                 "cyclic u: e f\ncyclic v: e f\n")
 
+    @pytest.mark.parametrize("cyclic,line,col,message", [
+        ("cyclic v:  e   g f\ncyclic w: f e\n", 6, 16, "unknown half-edge 'g' at 'v'"),
+        ("cyclic v: e e\ncyclic w: f e\n", 6, 8,
+         "cyclic order at 'v' must list each incident half-edge exactly once"),
+        ("cyclic w: f e\n", 2, 8, "vertex 'v' needs an explicit cyclic order"),
+    ])
+    def test_cyclic_order_faults_are_positioned(self, cyclic, line, col, message):
+        # at the offending token, the vertex's cyclic line, or its vertex
+        # line when it has no cyclic line
+        with pytest.raises(ParseError) as exc:
+            parse_brauer("field Q\nvertex v mult 1\nvertex w mult 2\n"
+                         "edge e v w\nedge f v w\n" + cyclic)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
 
 class TestSubcommands:
     def test_gb(self):

@@ -1,11 +1,12 @@
 import glob
+import itertools
 import os
 from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh import exactla, ppcomplex
+from quiverhh import exactla, ppcomplex, quotient
 from quiverhh.brauer import (
     DEFAULT_SEED, build_quiver_and_cycles, corpus, generate_relations, gr_relations,
 )
@@ -15,11 +16,10 @@ from quiverhh.exactla import (
 )
 from quiverhh.pathalg import FreeElement, Path, Quiver
 from quiverhh.groebner import GroebnerBasis, complete, normal_form
-from quiverhh.quotient import build_quotient, project_sparse
+from quiverhh.quotient import build_quotient
 from quiverhh.ppcomplex import (
     CochainSlice,
     GradedReport,
-    NotParallel,
     bracket_pairs,
     compute_hh0,
     compute_hh1,
@@ -29,7 +29,6 @@ from quiverhh.ppcomplex import (
     lie_presentation,
     loop_char_ok,
     loop_char_report,
-    substitute,
 )
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
@@ -128,6 +127,26 @@ def psi1_columns(sl):
     return out
 
 
+def substituted(terms, alpha, gamma):
+    """(q, coeff) per occurrence of arrow alpha in each (p, coeff) of terms,
+    q being p with that occurrence replaced by the parallel path gamma: the
+    derivation D_(alpha,gamma) as a sum of paths, before pi."""
+    for p, coeff in terms:
+        word = p.arrows
+        for i, a in enumerate(word):
+            if a == alpha:
+                yield Path(p.quiver, word[:i] + gamma.arrows + word[i + 1:], p.source), coeff
+
+
+def ref_image(A, terms, alpha, gamma):
+    """pi(D_(alpha,gamma)(sum c*p)) over the (p, c) of terms, as sparse
+    coordinates over B, by normal_form."""
+    F = A.field
+    f = FreeElement(A.quiver, F, exactla.combine(
+        (({q: F.one}, c) for q, c in substituted(terms, alpha, gamma)), F))
+    return {A.index[q]: c for q, c in normal_form(f, A.gb).terms.items()}
+
+
 def direct_bracket(u, v, sl):
     """[u, v] from the pair formula: substitute, then normal_form, no table."""
     A = sl.algebra
@@ -140,10 +159,10 @@ def direct_bracket(u, v, sl):
             (ai, gi), (aj, gj) = sl.q1_pairs[i], sl.q1_pairs[j]
             scale = F.mul(ci, cj)
             for arrow, img, sign in (
-                    (aj, substitute(FreeElement.from_path(gj, F), ai, gi), F.one),
-                    (ai, substitute(FreeElement.from_path(gi, F), aj, gj), F.neg(F.one))):
-                for p, c in normal_form(img, A.gb).terms.items():
-                    k = sl.q1_index[(arrow, p)]
+                    (aj, ref_image(A, [(gj, F.one)], ai, gi), F.one),
+                    (ai, ref_image(A, [(gi, F.one)], aj, gj), F.neg(F.one))):
+                for b, c in img.items():
+                    k = sl.q1_index[(arrow, A.basis[b])]
                     out[k] = F.add(out[k], F.mul(F.mul(scale, sign), c))
     return out
 
@@ -205,49 +224,46 @@ class TestAntisymmetricBracket:
         assert sl.bracket(u, u) == {}
 
 
-class TestSubstitute:
+TWO_LOOPS = "field %s\nvertex e\narrow x: e -> e\narrow y: e -> e\n"
+# k<x,y>/(words of length 4): every word of length below 4 is a basis path
+SHORT_WORDS = TWO_LOOPS % "Q" + "".join(
+    "rel %s\n" % "*".join(w) for w in itertools.product("xy", repeat=4))
+
+
+class TestDerivationTable:
+    """pi(D_(alpha,gamma)(b)) read off the table."""
+
+    @staticmethod
+    def image(text, alpha, gamma, *word):
+        """The image under the pair (alpha, gamma) of the path word, gamma
+        a tuple of arrow names, () for the trivial path; all in written
+        order, read off as {word: coeff}."""
+        A = text_algebra(text)
+        quiver = A.quiver
+        sl = CochainSlice(A)
+        g = written(quiver, *gamma) if gamma else quiver.trivial("e")
+        k = sl.q1_index[(quiver.arrow_index[alpha], g)]
+        img = sl._image(k, A.index[written(quiver, *word)])
+        return {wnames(quiver, A.basis[i]): str(c) for i, c in img.items()}
+
     def test_sums_over_occurrences(self):
-        quiver = loops_quiver()
-        Q = Field(0)
-        f = elem(Q, quiver, (1, written(quiver, "x", "x")))
-        img = substitute(f, quiver.arrow_index["x"], quiver.arrow("y"))
-        assert img == elem(Q, quiver, (1, written(quiver, "x", "y")),
-                           (1, written(quiver, "y", "x")))
+        assert self.image(SHORT_WORDS, "x", ("y",), "x", "x") == \
+            {("x", "y"): "1", ("y", "x"): "1"}
+
+    @pytest.mark.parametrize("field,want", [
+        ("Q", {("x", "y"): "2"}), ("GF(2)", {}), ("GF(3)", {("x", "y"): "2"}),
+        ("GF(7)", {("x", "y"): "2"})], ids=["Q", "GF2", "GF3", "GF7"])
+    def test_commuting_occurrences_add_up(self, field, want):
+        # xy = yx in k[x,y]/(x^3, y^3): the two occurrences in x^2 give 2xy,
+        # which cancels in characteristic 2
+        text = TWO_LOOPS % field + "rel x*y - y*x\nrel x^3\nrel y^3\n"
+        assert self.image(text, "x", ("y",), "x", "x") == want
+
+    def test_trivial_gamma_deletes_a_loop(self):
+        assert self.image(SHORT_WORDS, "x", (), "y", "x", "y") == {("y", "y"): "1"}
 
     def test_missing_arrow_gives_zero(self):
-        quiver = loops_quiver()
-        Q = Field(0)
-        f = elem(Q, quiver, (1, written(quiver, "y", "y")))
-        assert substitute(f, quiver.arrow_index["x"], quiver.arrow("y")).is_zero
-
-    def test_trivial_target_deletes(self):
-        quiver = loops_quiver()
-        Q = Field(0)
-        f = elem(Q, quiver, (1, written(quiver, "y", "x", "y")))
-        img = substitute(f, quiver.arrow_index["x"], quiver.trivial("e"))
-        assert img == elem(Q, quiver, (1, written(quiver, "y", "y")))
-
-    def test_arrow_as_path_accepted(self):
-        quiver = loops_quiver()
-        Q = Field(0)
-        f = elem(Q, quiver, (1, written(quiver, "x")))
-        img = substitute(f, quiver.arrow("x"), quiver.arrow("y"))
-        assert img == elem(Q, quiver, (1, written(quiver, "y")))
-
-    def test_long_alpha_rejected(self):
-        quiver = loops_quiver()
-        Q = Field(0)
-        f = elem(Q, quiver, (1, written(quiver, "x")))
-        with pytest.raises(ValueError):
-            substitute(f, written(quiver, "x", "x"), quiver.arrow("y"))
-
-    def test_nonparallel_rejected(self):
-        quiver, Q, A = kronecker_ext()
-        f = elem(Q, quiver, (1, written(quiver, "b2")))
-        with pytest.raises(NotParallel):
-            substitute(f, quiver.arrow_index["b2"], quiver.arrow("b1"))
-        with pytest.raises(NotParallel):
-            substitute(f, quiver.arrow_index["b2"], quiver.trivial("e1"))
+        assert self.image(SHORT_WORDS, "x", ("y",), "y", "y") == {}
 
 
 class TestUniformity:
@@ -878,21 +894,26 @@ class TestGradedLieStep:
         assert calls[0] == 1
         assert rep.homogeneous == sl.homogeneous == homogeneous
 
-    def test_substitution_images_are_computed_once_per_slice(self, monkeypatch):
-        A = truncated_polynomials(4, "Q")
+    def test_normal_form_runs_once_per_arrow_and_basis_path(self, monkeypatch):
+        A = truncated_polynomials(6, "Q")
+        inputs = []
+        real = quotient.normal_form
+
+        def counting(f, *args, **kwargs):
+            inputs.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(quotient, "normal_form", counting)
         sl = CochainSlice(A)
-        calls = [0]
-        real = ppcomplex.project_sparse
-
-        def counting(*args):
-            calls[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(ppcomplex, "project_sparse", counting)
         first = lie_presentation(A, sl)
-        assert 0 < calls[0] == len(sl._images)
+        # each input is one path x * basis[i], read as (x, i)
+        keys = [(p.arrows[-1], A.index[Path(A.quiver, p.arrows[:-1], p.base)])
+                for f in inputs for p in f.terms]
+        assert 0 < len(keys) == len(inputs) == len(set(keys))
+        filled = set(sl._images)
+        inputs.clear()
         again = lie_presentation(A, sl)
-        assert calls[0] == len(sl._images)
+        assert inputs == [] and set(sl._images) == filled
         assert again.structure_constants == first.structure_constants
 
     @staticmethod
@@ -960,8 +981,7 @@ def ref_build_psi1(sl):
     elems = [(t, list(g.terms.items())) for t, g in zip(a.gb.tips(), a.gb.elements)]
     for col, (arr, gamma) in enumerate(sl.q1_pairs):
         for tg, terms in elems:
-            img = project_sparse(ppcomplex._substitutions(terms, arr, gamma), a)
-            for bi, c in img.items():
+            for bi, c in ref_image(a, terms, arr, gamma).items():
                 rows[tip_index[(tg, a.basis[bi])]][col] = c
     return rows
 

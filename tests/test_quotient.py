@@ -7,17 +7,23 @@ from hypothesis import given, settings, strategies as st
 from quiverhh.baroracle import BarSlice
 from quiverhh.brauer import build_quiver_and_cycles, corpus, generate_relations, gr_relations
 from quiverhh.cli import parse_algebra
-from quiverhh.exactla import Field
+from quiverhh.exactla import Field, combine
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose, format_element
 from quiverhh.groebner import CapExceeded, complete, normal_form
 from quiverhh.ppcomplex import CochainSlice
-from quiverhh.quotient import InfiniteDimensional, build_quotient, project_sparse
+from quiverhh.quotient import InfiniteDimensional, build_quotient
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
 
 
 # -- test-local references: coordinates read off a normal form, and the
 # product of dense coordinate vectors through path_coords --
+
+def projected(f, A):
+    """pi(f) as sparse coordinates over B: the linear extension of
+    path_coords."""
+    return combine(((A.path_coords(p), c) for p, c in f.terms.items()), A.field)
+
 
 def nf_coords(f, A):
     """Sparse coordinates over B of normal_form(f), zeros dropped."""
@@ -117,7 +123,7 @@ class TestProjection:
     def test_cube_projects_to_tail(self):
         quiver, F2, A = char2_algebra()
         x3 = elem(F2, quiver, (1, written(quiver, "x", "x", "x")))
-        coords = project_sparse(x3.terms.items(), A)
+        coords = projected(x3, A)
         assert coords == nf_coords(x3, A)
         assert format_element(element_of(coords, A)) == "y*x^2"
 
@@ -125,15 +131,15 @@ class TestProjection:
         quiver, F2, A = char2_algebra()
         rel = elem(F2, quiver, (1, written(quiver, "x", "y")),
                    (1, written(quiver, "y", "x")))
-        assert project_sparse(rel.terms.items(), A) == {} == nf_coords(rel, A)
+        assert projected(rel, A) == {} == nf_coords(rel, A)
 
     def test_coords_round_trip(self):
         quiver, F2, A = char2_algebra()
         f = elem(F2, quiver, (1, written(quiver, "y", "x")),
                  (1, written(quiver, "x", "x")))
-        coords = project_sparse(f.terms.items(), A)
+        coords = projected(f, A)
         assert coords == nf_coords(f, A)
-        assert project_sparse(element_of(coords, A).terms.items(), A) == coords
+        assert projected(element_of(coords, A), A) == coords
 
 
 def random_element(data, quiver, field):
@@ -158,8 +164,18 @@ class TestPathMap:
         A = fixture_algebra(name)
         fs = [random_element(data, A.quiver, A.field) for _ in range(3)]
         expected = [nf_coords(f, A) for f in fs]
-        assert [project_sparse(f.terms.items(), A) for f in fs] == expected  # cold map
-        assert [project_sparse(f.terms.items(), A) for f in fs] == expected  # warm map
+        assert [projected(f, A) for f in fs] == expected  # cold map
+        assert [projected(f, A) for f in fs] == expected  # warm map
+
+    @pytest.mark.parametrize("name", ALG_FIXTURES)
+    def test_steps_split_off_the_last_arrow(self, name):
+        A = fixture_algebra(name)
+        for p, step in zip(A.basis, A.steps):
+            if step is None:
+                assert p.is_trivial
+            else:
+                x, i = step
+                assert compose(A.quiver.arrow(x), A.basis[i]) == p
 
     def test_entries_are_shared(self):
         quiver, _, A = char2_algebra()
