@@ -29,7 +29,7 @@ from .pathalg import compose
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index",
-                 "d0_cols", "d1_rows", "_bplus", "_spaces")
+                 "d0_cols", "d1_rows", "_bplus", "_products", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -40,6 +40,7 @@ class BarSlice:
         self.c1_basis = [(x, b) for x in self._bplus
                          for b in algebra.parallel(x.source, x.target)]
         self.c1_index = {pair: i for i, pair in enumerate(self.c1_basis)}
+        self._products = {}
         self.d0_cols = self._image_columns()
         self.c2_basis, self.d1_rows = self._kernel_rows()
         self._spaces = None
@@ -56,9 +57,13 @@ class BarSlice:
 
     def _product(self, p, q):
         """pi(p q) as a sparse {basis index: coeff} dict, {} if p, q do not
-        compose.  Shared with the algebra's map: do not mutate."""
-        r = compose(p, q)
-        return self.algebra.path_coords(r) if r else {}
+        compose; memoized per (p, q).  Shared with the algebra's map: do
+        not mutate."""
+        got = self._products.get((p, q))
+        if got is None:
+            r = compose(p, q)
+            got = self._products[(p, q)] = self.algebra.path_coords(r) if r else {}
+        return got
 
     def _image_columns(self):
         # column (v, b): the cochain x -> bx - xb

@@ -1,8 +1,10 @@
 """Exact linear algebra over Q or a prime field GF(p).
 
 A vector is a sparse row: a dict {index: coeff} that never stores a
-zero, with coefficients either ``fractions.Fraction`` (characteristic 0)
-or canonical ints in ``range(p)`` (characteristic p).  A matrix is a
+zero.  Coefficients are in canonical form: over Q an ``int`` while the
+value is integral and a ``fractions.Fraction`` with denominator > 1
+otherwise, so the type depends on the value alone and most arithmetic
+stays on ints; over GF(p) ints in ``range(p)``.  A matrix is a
 list of sparse rows, or of sparse columns where a caller spans an image.
 No floats, ever: Groebner and cohomology computations downstream are
 only meaningful with exact arithmetic.  ``dense`` writes a sparse vector
@@ -44,12 +46,21 @@ def _is_prime(n):
     return True
 
 
+def _q(x):
+    """The rational x in canonical form: an int if integral, else a Fraction."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class Field:
     """Scalar arithmetic for Q (characteristic 0) or GF(p).
 
-    GF(p) elements are ints reduced into range(p); Q elements are
-    Fractions.  ``of`` coerces an int (or Fraction in char 0) into
-    canonical form.
+    GF(p) elements are ints reduced into range(p).  Q elements are ints
+    while integral and Fractions with denominator > 1 otherwise; every
+    result of ``add``, ``sub``, ``mul``, ``inv`` and ``of`` is put in that
+    form, and ``neg`` keeps it.  ``of`` coerces an int (or Fraction in
+    char 0) into canonical form.
     """
 
     __slots__ = ("char", "zero", "one", "add", "sub", "mul", "neg", "inv")
@@ -63,11 +74,13 @@ class Field:
         self.char = char
         # bound once per field, so no call branches on the characteristic
         if char == 0:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.zero = 0
+            self.one = 1
+            self.add = lambda a, b: _q(a + b)
+            self.sub = lambda a, b: _q(a - b)
+            self.mul = lambda a, b: _q(a * b)
             self.neg = operator.neg
-            self.inv = lambda a: 1 / a
+            self.inv = lambda a: _q(Fraction(1) / a)
         else:
             p = char
             self.zero = 0
@@ -89,7 +102,7 @@ class Field:
 
     def of(self, n):
         if self.char == 0:
-            return Fraction(n)
+            return _q(Fraction(n))
         return int(n) % self.char
 
     def div(self, a, b):
@@ -141,7 +154,8 @@ def add_to(out, vec, c, field):
     coordinate that cancels is deleted, so out never stores a zero.
     Returns out."""
     add, mul = field.add, field.mul
-    # an identity test: comparing Fractions costs more than it saves
+    # an identity test: comparing Fractions costs more than it saves, and a
+    # computed 1 is a canonical int, which CPython keeps as the one object
     scaled = c is not field.one
     for i, x in vec.items():
         if scaled:

@@ -8,7 +8,7 @@ NonTip is closed under subpaths, so each nontrivial basis path is an
 arrow applied after a shorter basis path; ``steps`` records that split.
 pi is multiplicative, so the image of any path is reached one arrow at a
 time by the left action of an arrow on coordinates, memoized per (arrow,
-basis index).
+basis index), after the longest prefix of the path that lies in B.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ InfiniteDimensional = CapExceeded
 
 class QuotientAlgebra:
     __slots__ = ("quiver", "field", "gb", "basis", "index", "steps", "_parallel",
-                 "_path_coords", "_times")
+                 "_path_coords", "_next", "_times")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -40,7 +40,8 @@ class QuotientAlgebra:
         at = {(p.base, p.arrows): j for j, p in enumerate(basis)}
         self.steps = [(p.arrows[-1], at[(p.base, p.arrows[:-1])]) if p.arrows else None
                       for p in basis]
-        self._times = {s: {j: field.one} for j, s in enumerate(self.steps) if s}
+        self._next = {s: j for j, s in enumerate(self.steps) if s}
+        self._times = {s: {j: field.one} for s, j in self._next.items()}
         self._path_coords = {}
 
     @property
@@ -60,8 +61,12 @@ class QuotientAlgebra:
         """
         got = self._path_coords.get(p)
         if got is None:
-            # B is in llex order, so basis[v] is the trivial path at vertex v
-            got = self._path_coords[p] = self._left(p.arrows, {p.base: self.field.one})
+            # B is in llex order, so basis[v] is the trivial path at vertex v;
+            # the longest prefix of p in B is walked with no arithmetic
+            j, k, word = p.base, 0, p.arrows
+            while k < len(word) and (i := self._next.get((word[k], j))) is not None:
+                j, k = i, k + 1
+            got = self._path_coords[p] = self._left(word[k:], {j: self.field.one})
         return got
 
     def _left(self, word, coords):

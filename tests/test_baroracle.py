@@ -527,3 +527,24 @@ def test_routes_agree_on_random_algebras():
         lie = lie_presentation(A, psl)
         assert bar_hh_dims(A, bsl) == (compute_hh0(A, psl)[0], lie.dim), n
         assert bar_derived_series(A, bsl) == lie.derived_dims, n
+
+
+class TestProductMemo:
+    @pytest.mark.parametrize("name", ["commuting_loops.alg", "x_cubed_q.alg",
+                                      "trivial_ext_kronecker.alg"])
+    def test_each_product_composed_once(self, name, monkeypatch):
+        """A slice composes each pair of paths once and keeps pi(p q)
+        keyed by (p, q), with the algebra's shared coordinates."""
+        composed = []
+
+        def counting(p, q):
+            composed.append((p, q))
+            return compose(p, q)
+
+        monkeypatch.setattr(baroracle, "compose", counting)
+        a = fixture_algebra(name)
+        sl = BarSlice(a)
+        assert sorted(composed, key=repr) == sorted(sl._products, key=repr)
+        for (p, q), got in sl._products.items():
+            assert got == (a.path_coords(r) if (r := compose(p, q)) else {})
+            assert sl._product(p, q) is got

@@ -367,9 +367,12 @@ class TestGolden:
     ideal) before the graded pieces were read off ranks; the five data
     fixtures before the pair spaces were read off the parallel-path index;
     k[x,y]/(x^6,y^6) over Q and GF(3), the largest graded Lie steps, before
-    one antisymmetric rule served every bracket."""
+    one antisymmetric rule served every bracket; qplane_q, whose HH1 basis
+    and brackets have non-integral coefficients, while every Q scalar was
+    a Fraction."""
 
     @pytest.mark.parametrize("path", [
+        os.path.join(GOLDEN, "qplane_q.alg"),
         os.path.join(GOLDEN, "xy4_q.alg"),
         os.path.join(GOLDEN, "xy4_gf2.alg"),
         os.path.join(GOLDEN, "dim19_bga.alg"),
@@ -416,13 +419,26 @@ class TestGoldenCompletion:
             assert out == fh.read()
 
 
+class TestGoldenFractions:
+    """Full `gb` stdout of qplane_q (k<x,y>/(yx - 2xy, 3x^3 - y^2, x^4)
+    over Q), captured while every Q scalar was a Fraction: completion
+    divides by 3 and adjoins an element, so the basis prints a fraction."""
+
+    def test_gb_stdout(self):
+        rc, out, err = run_cli("gb", os.path.join(GOLDEN, "qplane_q.alg"))
+        assert (rc, err) == (0, "")
+        assert out == golden_text("qplane_q.gb.out")
+        assert "1/3" in out
+
+
 class TestGoldenOracle:
     """Full `oracle` stdout, captured before the bar oracle read sparse
     products and eliminated each differential once; for the algebras
     after xy4_q, before the pair spaces were read off the parallel-path
-    index."""
+    index; qplane_q while every Q scalar was a Fraction."""
 
     @pytest.mark.parametrize("path", [
+        os.path.join(GOLDEN, "qplane_q.alg"),
         fixture("sampled_loops_q.alg"),
         fixture("sampled_loops_gf3.alg"),
         os.path.join(GOLDEN, "xy4_q.alg"),
