@@ -13,37 +13,70 @@ A+ the span of the nontrivial basis paths B+.  The differentials are
 and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  D0 is held as
 sparse image columns over C1 and D1 as sparse rows over C1, both
 assembled here straight from the cochain formulas; cochains, products
-and brackets are sparse {index: coeff} dicts.  ``d0`` and ``d1`` write
-them out as new dense row-major lists.  Independence from
-ppcomplex is the whole point: the two share only exactla and the
-quotient algebra.
+and brackets are sparse {index: coeff} dicts.
+
+Assembly works on basis indices and hashes a path only to look up the
+product of two basis paths, once per pair of basis indices, where pi(p q)
+is memoized.  The C1 columns (x, b) of each x in B+ are one list of
+ints, indexed by the position of b among the basis paths parallel to x,
+and every D0 column and D1 row holds those shared ints.  The C2 labels
+are built when ``c2_basis`` is read, and ``d0`` and ``d1`` write the
+differentials out as new dense row-major lists.  Ker D1 depends on the
+row space alone, so D1 is eliminated on its distinct nonzero rows.
+Independence from ppcomplex is the whole point: the two share only
+exactla and the quotient algebra.
 """
 
 from __future__ import annotations
 
 from .exactla import (
-    add_to, combine, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
+    add_at, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
 )
 from .pathalg import compose
 
 
 class BarSlice:
-    __slots__ = ("algebra", "c0_basis", "c1_basis", "c2_basis", "c1_index",
-                 "d0_cols", "d1_rows", "_bplus", "_products", "_spaces")
+    __slots__ = ("algebra", "c0_basis", "c1_basis", "c1_index", "d0_cols", "d1_rows",
+                 "_plus", "_par", "_pos", "_cols", "_at", "_products", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
-        quiver = algebra.quiver
-        self._bplus = [p for p in algebra.basis if p.length > 0]
-        self.c0_basis = [(v, b) for v in range(quiver.n_vertices)
-                         for b in algebra.parallel(v, v)]
-        self.c1_basis = [(x, b) for x in self._bplus
-                         for b in algebra.parallel(x.source, x.target)]
+        basis = algebra.basis
+        # one shared list of basis indices per (source, target) class, and
+        # each index's position in its class; classes keep basis order
+        classes, self._pos = {}, []
+        for i, p in enumerate(basis):
+            cls = classes.setdefault((p.source, p.target), [])
+            self._pos.append(len(cls))
+            cls.append(i)
+        self._par = [classes[(p.source, p.target)] for p in basis]
+        self._plus = [i for i, p in enumerate(basis) if p.arrows]
+        # _cols[x]: the C1 columns (x, b) for b in _par[x], () for trivial x;
+        # _at[k]: the basis indices (x, b) of C1 column k
+        self._cols, self._at, n = [()] * len(basis), [], 0
+        for x in self._plus:
+            self._cols[x] = list(range(n, n + len(self._par[x])))
+            self._at += [(x, b) for b in self._par[x]]
+            n += len(self._par[x])
+        loops = [i for v in range(algebra.quiver.n_vertices) for i in classes.get((v, v), ())]
+        self.c0_basis = [(basis[i].source, basis[i]) for i in loops]
+        self.c1_basis = [(basis[x], basis[b]) for x, b in self._at]
         self.c1_index = {pair: i for i, pair in enumerate(self.c1_basis)}
         self._products = {}
-        self.d0_cols = self._image_columns()
-        self.c2_basis, self.d1_rows = self._kernel_rows()
+        self.d0_cols = self._image_columns(loops)
+        self.d1_rows = self._kernel_rows()
         self._spaces = None
+
+    @property
+    def _bplus(self):
+        """B+ as paths, in basis order."""
+        return [self.algebra.basis[x] for x in self._plus]
+
+    @property
+    def c2_basis(self):
+        """The C2 labels (x1, x2, b) in D1 row order, as a new list."""
+        basis = self.algebra.basis
+        return [(basis[x1], basis[x2], b) for x1, x2, group in self._groups() for b in group]
 
     @property
     def d0(self):
@@ -55,70 +88,94 @@ class BarSlice:
         n, field = len(self.c1_basis), self.algebra.field
         return [dense(r, n, field) for r in self.d1_rows]
 
-    def _product(self, p, q):
-        """pi(p q) as a sparse {basis index: coeff} dict, {} if p, q do not
-        compose; memoized per (p, q).  Shared with the algebra's map: do
-        not mutate."""
-        got = self._products.get((p, q))
+    def _product(self, i, j):
+        """pi(basis[i] basis[j]) as a sparse {basis index: coeff} dict, {} if
+        they do not compose; memoized per (i, j).  Shared with the
+        algebra's map: do not mutate."""
+        got = self._products.get((i, j))
         if got is None:
-            r = compose(p, q)
-            got = self._products[(p, q)] = self.algebra.path_coords(r) if r else {}
+            a = self.algebra
+            r = compose(a.basis[i], a.basis[j])
+            got = self._products[(i, j)] = a.path_coords(r) if r else {}
         return got
 
-    def _image_columns(self):
-        # column (v, b): the cochain x -> bx - xb
+    def _image_columns(self, loops):
+        # column (v, b) for b = basis[i], i in loops: the cochain x -> bx - xb
+        field = self.algebra.field
+        neg, cols, pos, prod = field.neg, self._cols, self._pos, self._product
+        out = []
+        for i in loops:
+            col = {}
+            for x in self._plus:
+                for j, c in prod(i, x).items():
+                    add_at(col, cols[x][pos[j]], c, field)
+            for x in self._plus:
+                for j, c in prod(x, i).items():
+                    add_at(col, cols[x][pos[j]], neg(c), field)
+            out.append(col)
+        return out
+
+    def _groups(self):
+        """(x1, x2, the basis paths parallel to x1 x2) per composable pair
+        of B+ in C2 row order, x1 and x2 as basis indices."""
         a = self.algebra
-        field = a.field
-        one, minus = field.one, field.neg(field.one)
-
-        def at(x, val):
-            return {self.c1_index[(x, a.basis[j])]: c for j, c in val.items()}
-
-        return [combine([(at(x, self._product(b, x)), one) for x in self._bplus]
-                        + [(at(x, self._product(x, b)), minus) for x in self._bplus], field)
-                for _, b in self.c0_basis]
+        basis = a.basis
+        ending = {}
+        for x in self._plus:
+            ending.setdefault(basis[x].target, []).append(x)
+        for x1 in self._plus:
+            target = basis[x1].target
+            for x2 in ending.get(basis[x1].source, ()):
+                yield x1, x2, a.parallel(basis[x2].source, target)
 
     def _kernel_rows(self):
-        """(C2 labels, D1 rows), one (x1, x2) group of rows at a time: the
-        rows (x1, x2, b) for b parallel to x1 x2."""
-        a = self.algebra
-        field = a.field
-        labels, rows = [], []
-        for x1, x2 in ((x1, x2) for x1 in self._bplus for x2 in self._bplus
-                       if x1.source == x2.target):
-            group = {b: {} for b in a.parallel(x2.source, x1.target)}
-
-            def bump(b, col, c):
-                add_to(group[b], {col: c}, field.one, field)
-
-            # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where pA = id
-            for j, c in self._product(x1, x2).items():
-                x = a.basis[j]
-                for b in a.parallel(x.source, x.target):
-                    bump(b, self.c1_index[(x, b)], field.neg(c))
+        """D1 as sparse rows, one (x1, x2) group of rows at a time: the rows
+        (x1, x2, b) for b parallel to x1 x2, row k of a group at the k-th b."""
+        field = self.algebra.field
+        neg, par, pos, cols, prod = field.neg, self._par, self._pos, self._cols, self._product
+        rows = []
+        for x1, x2, group in self._groups():
+            g = [{} for _ in group]
+            # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where
+            # pA = id.  Each x there is parallel to x1 x2, so row k takes
+            # column (x, b_k); the rows start empty and no two entries meet
+            for j, c in prod(x1, x2).items():
+                c = neg(c)
+                for row, col in zip(g, cols[j]):
+                    row[col] = c
             # +x1 f(x2) for f elementary at (x2, b)
-            for b in a.parallel(x2.source, x2.target):
-                col = self.c1_index[(x2, b)]
-                for j, c in self._product(x1, b).items():
-                    bump(a.basis[j], col, c)
+            for b, col in zip(par[x2], cols[x2]):
+                for j, c in prod(x1, b).items():
+                    add_at(g[pos[j]], col, c, field)
             # +f(x1) x2 for f elementary at (x1, b)
-            for b in a.parallel(x1.source, x1.target):
-                col = self.c1_index[(x1, b)]
-                for j, c in self._product(b, x2).items():
-                    bump(a.basis[j], col, c)
-            labels += [(x1, x2, b) for b in group]
-            rows += group.values()
-        return labels, rows
+            for b, col in zip(par[x1], cols[x1]):
+                for j, c in prod(b, x2).items():
+                    add_at(g[pos[j]], col, c, field)
+            rows += g
+        return rows
 
     def spaces(self):
         """(Ker D1, Im D0) as subspaces of C1, each differential eliminated
-        once per slice."""
+        once per slice, D1 on its distinct nonzero rows."""
         if self._spaces is None:
             field = self.algebra.field
             n = len(self.c1_basis)
-            self._spaces = (kernel_basis(self.d1_rows, field, n),
+            self._spaces = (kernel_basis(_distinct(self.d1_rows), field, n),
                             row_space(self.d0_cols, field, n))
         return self._spaces
+
+
+def _distinct(rows):
+    """The nonzero rows, less each row equal to an earlier one, as a list
+    in order.  A row is compared with the first row of its hash only, so a
+    hash collision can keep a repeat but never drops a row."""
+    first, out = {}, []
+    for row in rows:
+        if row:
+            seen = first.setdefault(hash(frozenset(row.items())), row)
+            if seen is row or seen != row:
+                out.append(row)
+    return out
 
 
 def build_bar_slice(algebra):
@@ -136,21 +193,26 @@ def bracket_c1(u, v, sl):
     """[u, v] = u.pA.v - v.pA.u of C1 cochains u, v (sparse or dense), as a
     sparse C1 vector."""
     field = sl.algebra.field
-    basis, index = sl.c1_basis, sl.c1_index
-    u, v = sparse(u), sparse(v)
+    at, cols, pos, mul = sl._at, sl._cols, sl._pos, field.mul
+    out = {}
 
-    def after(f, g):
+    def add_after(f, g, sign):
         # f.pA.g sends x to the sum of c f(b) over the (x, b) coordinates c
         # of g; f(b) lives on paths parallel to x, and f(e) = 0 for trivial e
         values = {}
         for k, c in f.items():
-            x, b = basis[k]
-            values.setdefault(x, {})[b] = c
+            x, b = at[k]
+            values.setdefault(x, []).append((pos[b], c))
         for k, c in g.items():
-            x, b = basis[k]
-            yield {index[(x, b2)]: c2 for b2, c2 in values.get(b, {}).items()}, c
+            x, b = at[k]
+            c = mul(sign, c)
+            for p, c2 in values.get(b, ()):
+                add_at(out, cols[x][p], mul(c, c2), field)
 
-    return combine([*after(u, v), *((w, field.neg(c)) for w, c in after(v, u))], field)
+    u, v = sparse(u), sparse(v)
+    add_after(u, v, field.one)
+    add_after(v, u, field.neg(field.one))
+    return out
 
 
 def bar_derived_series(algebra, slice_=None):

@@ -54,7 +54,6 @@ from .groebner import (
 from .quotient import build_quotient
 from .ppcomplex import (
     CochainSlice,
-    compute_hh0,
     lie_presentation,
     graded_report,
     loop_char_report,
@@ -457,10 +456,15 @@ def cmd_basis(args, out):
     return 0
 
 
+def _hh0_dim(sl):
+    # dim Ker psi0 by rank-nullity, off the Im psi0 that HH1 eliminates
+    return len(sl.q0_pairs) - sl.hh1_spaces()[1].dim
+
+
 def _print_hh(algebra, out):
     sl = CochainSlice(algebra)
-    hh0_dim, _ = compute_hh0(algebra, sl)
     pres = lie_presentation(algebra, sl)
+    hh0_dim = _hh0_dim(sl)
     out("dim: %d" % algebra.dim)
     out("hh0: %d" % hh0_dim)
     out("hh1: %d" % pres.dim)
@@ -499,8 +503,8 @@ def cmd_chains(args, out):
 def cmd_oracle(args, out):
     algebra = build_quotient(_completed(args), max_basis=args.max_basis)
     sl = CochainSlice(algebra)
-    pp_hh0, _ = compute_hh0(algebra, sl)
     pres = lie_presentation(algebra, sl)
+    pp_hh0 = _hh0_dim(sl)
     bar = build_bar_slice(algebra)
     bar_hh0, bar_hh1 = bar_hh_dims(algebra, bar)
     bar_derived = bar_derived_series(algebra, bar)

@@ -170,6 +170,18 @@ def add_to(out, vec, c, field):
     return out
 
 
+def add_at(out, i, x, field):
+    """out[i] += x in place for a sparse dict out and a nonzero x: add_to
+    for a vector with the one coordinate i, which needs no dict."""
+    y = out.get(i)
+    if y is None:
+        out[i] = x
+    elif y := field.add(y, x):
+        out[i] = y
+    else:
+        del out[i]
+
+
 def combine(pairs, field):
     """sum c*vec over (sparse vec, nonzero coeff c) pairs as a new sparse dict."""
     out = {}

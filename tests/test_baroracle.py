@@ -1,3 +1,4 @@
+import functools
 import glob
 import os
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverhh import baroracle, exactla
+from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field, dense, kernel_basis
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose
 from quiverhh.groebner import Incomplete, complete, normal_form
@@ -20,7 +22,7 @@ from quiverhh.baroracle import (
     build_bar_slice,
 )
 
-from conftest import DATA, elem, fixture_algebra, written
+from conftest import ALG_FILES, DATA, TESTS, elem, fixture_algebra, written
 
 
 def truncated_cube(field):
@@ -416,16 +418,21 @@ class TestSparseAssembly:
 class TestOneEliminationPerDifferential:
     @pytest.mark.parametrize("tag", ["kronecker-ext", "char2-loops"])
     def test_each_differential_is_reduced_once(self, tag, monkeypatch):
+        """D0 is reduced as it is held, D1 once on a list of its own row
+        dicts that are pairwise unequal and cover every nonzero row."""
         A = dict(ALGEBRAS)[tag]()
         sl = BarSlice(A)
         calls = {"d0": 0, "d1": 0}
+        d1_ids = {id(r) for r in sl.d1_rows}
+        fed = []
         real = exactla.rref
 
         def counting(rows, field):
-            if rows is sl.d1_rows:
-                calls["d1"] += 1
             if rows is sl.d0_cols:
                 calls["d0"] += 1
+            elif isinstance(rows, list) and rows and all(id(r) in d1_ids for r in rows):
+                calls["d1"] += 1
+                fed.append(rows)
             return real(rows, field)
 
         monkeypatch.setattr(exactla, "rref", counting)
@@ -435,6 +442,9 @@ class TestOneEliminationPerDifferential:
         bar_derived_series(A, sl)
         bar_hh_dims(A, sl)
         assert calls == {"d0": 1, "d1": 1}
+        rows = fed[0]
+        assert all(r != s for i, r in enumerate(rows) for s in rows[i + 1:])
+        assert all(any(r == s for s in rows) for r in sl.d1_rows if r)
 
 
 # -- pp against bar on random quiver algebras --------------------------------
@@ -533,8 +543,9 @@ class TestProductMemo:
     @pytest.mark.parametrize("name", ["commuting_loops.alg", "x_cubed_q.alg",
                                       "trivial_ext_kronecker.alg"])
     def test_each_product_composed_once(self, name, monkeypatch):
-        """A slice composes each pair of paths once and keeps pi(p q)
-        keyed by (p, q), with the algebra's shared coordinates."""
+        """A slice composes each pair of basis paths once and keeps pi(p q)
+        keyed by the pair of basis indices, with the algebra's shared
+        coordinates."""
         composed = []
 
         def counting(p, q):
@@ -544,7 +555,88 @@ class TestProductMemo:
         monkeypatch.setattr(baroracle, "compose", counting)
         a = fixture_algebra(name)
         sl = BarSlice(a)
-        assert sorted(composed, key=repr) == sorted(sl._products, key=repr)
-        for (p, q), got in sl._products.items():
-            assert got == (a.path_coords(r) if (r := compose(p, q)) else {})
-            assert sl._product(p, q) is got
+        assert sorted(composed, key=repr) == sorted(
+            ((a.basis[i], a.basis[j]) for i, j in sl._products), key=repr)
+        for (i, j), got in sl._products.items():
+            assert got == (a.path_coords(r) if (r := compose(a.basis[i], a.basis[j])) else {})
+            assert sl._product(i, j) is got
+
+
+# -- the index arrays, the labels on access and the distinct-row kernel ----
+
+@functools.cache
+def file_slice(name):
+    """One BarSlice per algebra file under tests/, built on first use."""
+    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+        field, quiver, rels = parse_algebra(fh.read())
+    return BarSlice(build_quotient(complete(rels, quiver=quiver, field=field)))
+
+
+@functools.cache
+def random_slices():
+    return [BarSlice(A) for A in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM)]
+
+
+def assert_kernel_of_all_rows(sl):
+    """Ker D1 of the slice (from its distinct nonzero rows) is the kernel
+    of every row, basis and pivots."""
+    got = sl.spaces()[0]
+    ref = kernel_basis(sl.d1_rows, sl.algebra.field, len(sl.c1_basis))
+    assert (got.basis, got.pivots) == (ref.basis, ref.pivots)
+
+
+class TestDistinctRowKernel:
+    @pytest.fixture(params=["hashed", "colliding"])
+    def fresh(self, request, monkeypatch):
+        """Clears a slice's memoized spaces; under "colliding" every row
+        hashes to 0, so each nonzero row meets the first one."""
+        hashed = []
+        if request.param == "colliding":
+            monkeypatch.setattr(baroracle, "hash", lambda row: hashed.append(1) or 0,
+                                raising=False)
+
+        def clear(sl):
+            sl._spaces = None
+            return sl
+
+        yield clear
+        assert bool(hashed) == (request.param == "colliding")
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_on_files(self, name, fresh):
+        assert_kernel_of_all_rows(fresh(file_slice(name)))
+
+    def test_on_random_algebras(self, fresh):
+        for sl in random_slices():
+            assert_kernel_of_all_rows(fresh(sl))
+
+
+class TestIndexArrays:
+    @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
+    def test_c2_labels_are_new_on_each_read(self, tag):
+        sl = slice_of(tag)
+        basis = sl.algebra.basis
+        first, second = sl.c2_basis, sl.c2_basis
+        assert first is not second and len(first) == len(sl.d1_rows)
+        assert first == second == [(x1, x2, b) for x1, x2 in ref_pairs(sl) for b in basis
+                                   if b.source == x2.source and b.target == x1.target]
+        first.append(None)
+        assert sl.c2_basis == second
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_column_arrays_agree_with_c1_index(self, name):
+        sl = file_slice(name)
+        a = sl.algebra
+        assert sl._plus == [i for i, p in enumerate(a.basis) if p.length > 0]
+        assert len(sl.c1_index) == len(sl.c1_basis) == sum(len(sl._cols[x]) for x in sl._plus)
+        for (x, b), k in sl.c1_index.items():
+            i, j = a.index[x], a.index[b]
+            assert sl._par[i] is sl._par[j] and sl._par[i][sl._pos[j]] == j
+            assert sl._cols[i][sl._pos[j]] == k and sl._at[k] == (i, j)
+        assert all(sl._cols[i] == () for i, p in enumerate(a.basis) if p.length == 0)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_differentials_hold_the_shared_column_ints(self, name):
+        sl = file_slice(name)
+        shared = {id(k) for x in sl._plus for k in sl._cols[x]}
+        assert all(id(k) in shared for vecs in (sl.d0_cols, sl.d1_rows) for v in vecs for k in v)

@@ -10,7 +10,7 @@ import pytest
 
 from quiverhh.brauer import BGAReport, BrauerGraphError, Check
 from quiverhh.exactla import Field
-from quiverhh import cli
+from quiverhh import cli, ppcomplex
 from quiverhh.cli import (
     ParseError,
     _print_report,
@@ -21,7 +21,7 @@ from quiverhh.cli import (
     parse_brauer,
 )
 
-from conftest import DATA, data_text, time_limit
+from conftest import ALG_FIXTURES, DATA, data_text, fixture_algebra, time_limit
 
 
 def run_cli(*argv):
@@ -514,6 +514,25 @@ class TestConsistency:
         rc, hh_out, _ = run_cli("hh", str(alg))
         assert rc == 0
         assert lines_of(hh_out)["hh1"] == rep["hh1Gr"]
+
+
+class TestHH0ByRankNullity:
+    """hh and oracle print dim HH0 = dim Ker psi0 as |Q0//B| - dim Im psi0,
+    reusing the Im psi0 that HH1 needs, and never call compute_hh0."""
+
+    @pytest.mark.parametrize("name", ALG_FIXTURES)
+    def test_hh0_equals_compute_hh0(self, name, monkeypatch):
+        want = ppcomplex.compute_hh0(fixture_algebra(name))[0]
+
+        def refuse(*args):
+            raise AssertionError("compute_hh0 called")
+
+        monkeypatch.setattr(ppcomplex, "compute_hh0", refuse)
+        # a module that binds compute_hh0 by name calls its own binding
+        monkeypatch.setattr(cli, "compute_hh0", refuse, raising=False)
+        for cmd, key in (("hh", "hh0"), ("oracle", "pp-hh0")):
+            rc, out, _ = run_cli(cmd, fixture(name))
+            assert rc == 0 and lines_of(out)[key] == str(want), (cmd, name)
 
 
 class TestExitCodes:
