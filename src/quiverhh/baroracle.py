@@ -15,14 +15,15 @@ sparse image columns over C1 and D1 as sparse rows over C1, both
 assembled here straight from the cochain formulas; cochains, products
 and brackets are sparse {index: coeff} dicts.
 
-Assembly works on basis indices and hashes a path only to look up the
-product of two basis paths, once per pair of basis indices, where pi(p q)
-is memoized.  The C1 columns (x, b) of each x in B+ are one list of
-ints, indexed by the position of b among the basis paths parallel to x,
-and every D0 column and D1 row holds those shared ints.  The C2 labels
-are built when ``c2_basis`` is read, and ``d0`` and ``d1`` write the
-differentials out as new dense row-major lists.  Ker D1 depends on the
-row space alone, so D1 is eliminated on its distinct nonzero rows.
+Assembly works on basis indices and builds no path itself: the product
+of two basis paths is read off the quotient's memo per pair of basis
+indices, and the classes of parallel basis paths off its index.  The C1
+columns (x, b) of each x in B+ are one list of ints, indexed by the
+position of b in the class of x, and every D0 column and D1 row holds
+those shared ints.  The C2 labels are built when ``c2_basis`` is read,
+and ``d0`` and ``d1`` write the differentials out as new dense
+row-major lists.  Ker D1 depends on the row space alone, so D1 is
+eliminated on its distinct nonzero rows.
 Independence from ppcomplex is the whole point: the two share only
 exactla and the quotient algebra.
 """
@@ -32,51 +33,37 @@ from __future__ import annotations
 from .exactla import (
     add_at, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
 )
-from .pathalg import compose
 
 
 class BarSlice:
-    __slots__ = ("algebra", "c0_basis", "c1_basis", "c1_index", "d0_cols", "d1_rows",
-                 "_plus", "_par", "_pos", "_cols", "_at", "_products", "_spaces")
+    __slots__ = ("algebra", "c0_basis", "c1_basis", "d0_cols", "d1_rows",
+                 "_plus", "_par", "_pos", "_cols", "_at", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
         basis = algebra.basis
-        # one shared list of basis indices per (source, target) class, and
-        # each index's position in its class; classes keep basis order
-        classes, self._pos = {}, []
-        for i, p in enumerate(basis):
-            cls = classes.setdefault((p.source, p.target), [])
-            self._pos.append(len(cls))
-            cls.append(i)
-        self._par = [classes[(p.source, p.target)] for p in basis]
+        self._par, self._pos = algebra._par, algebra._pos
         self._plus = [i for i, p in enumerate(basis) if p.arrows]
         # _cols[x]: the C1 columns (x, b) for b in _par[x], () for trivial x;
         # _at[k]: the basis indices (x, b) of C1 column k
-        self._cols, self._at, n = [()] * len(basis), [], 0
+        self._cols, self._at = [()] * len(basis), []
         for x in self._plus:
-            self._cols[x] = list(range(n, n + len(self._par[x])))
+            self._cols[x] = list(range(len(self._at), len(self._at) + len(self._par[x])))
             self._at += [(x, b) for b in self._par[x]]
-            n += len(self._par[x])
-        loops = [i for v in range(algebra.quiver.n_vertices) for i in classes.get((v, v), ())]
+        # basis[v] is the trivial path at vertex v, so _par[v] is v's loops
+        loops = [i for v in range(algebra.quiver.n_vertices) for i in self._par[v]]
         self.c0_basis = [(basis[i].source, basis[i]) for i in loops]
         self.c1_basis = [(basis[x], basis[b]) for x, b in self._at]
-        self.c1_index = {pair: i for i, pair in enumerate(self.c1_basis)}
-        self._products = {}
         self.d0_cols = self._image_columns(loops)
         self.d1_rows = self._kernel_rows()
         self._spaces = None
 
     @property
-    def _bplus(self):
-        """B+ as paths, in basis order."""
-        return [self.algebra.basis[x] for x in self._plus]
-
-    @property
     def c2_basis(self):
         """The C2 labels (x1, x2, b) in D1 row order, as a new list."""
         basis = self.algebra.basis
-        return [(basis[x1], basis[x2], b) for x1, x2, group in self._groups() for b in group]
+        return [(basis[x1], basis[x2], basis[b])
+                for x1, x2, group in self._groups() for b in group]
 
     @property
     def d0(self):
@@ -88,21 +75,10 @@ class BarSlice:
         n, field = len(self.c1_basis), self.algebra.field
         return [dense(r, n, field) for r in self.d1_rows]
 
-    def _product(self, i, j):
-        """pi(basis[i] basis[j]) as a sparse {basis index: coeff} dict, {} if
-        they do not compose; memoized per (i, j).  Shared with the
-        algebra's map: do not mutate."""
-        got = self._products.get((i, j))
-        if got is None:
-            a = self.algebra
-            r = compose(a.basis[i], a.basis[j])
-            got = self._products[(i, j)] = a.path_coords(r) if r else {}
-        return got
-
     def _image_columns(self, loops):
         # column (v, b) for b = basis[i], i in loops: the cochain x -> bx - xb
         field = self.algebra.field
-        neg, cols, pos, prod = field.neg, self._cols, self._pos, self._product
+        neg, cols, pos, prod = field.neg, self._cols, self._pos, self.algebra._product
         out = []
         for i in loops:
             col = {}
@@ -116,23 +92,23 @@ class BarSlice:
         return out
 
     def _groups(self):
-        """(x1, x2, the basis paths parallel to x1 x2) per composable pair
-        of B+ in C2 row order, x1 and x2 as basis indices."""
-        a = self.algebra
-        basis = a.basis
+        """(x1, x2, the class of basis indices parallel to x1 x2) per
+        composable pair of B+ in C2 row order, x1 and x2 as basis indices."""
+        basis, classes = self.algebra.basis, self.algebra._classes
         ending = {}
         for x in self._plus:
             ending.setdefault(basis[x].target, []).append(x)
         for x1 in self._plus:
             target = basis[x1].target
             for x2 in ending.get(basis[x1].source, ()):
-                yield x1, x2, a.parallel(basis[x2].source, target)
+                yield x1, x2, classes.get((basis[x2].source, target), ())
 
     def _kernel_rows(self):
         """D1 as sparse rows, one (x1, x2) group of rows at a time: the rows
         (x1, x2, b) for b parallel to x1 x2, row k of a group at the k-th b."""
         field = self.algebra.field
-        neg, par, pos, cols, prod = field.neg, self._par, self._pos, self._cols, self._product
+        neg, par, pos, cols = field.neg, self._par, self._pos, self._cols
+        prod = self.algebra._product
         rows = []
         for x1, x2, group in self._groups():
             g = [{} for _ in group]
@@ -158,8 +134,7 @@ class BarSlice:
         """(Ker D1, Im D0) as subspaces of C1, each differential eliminated
         once per slice, D1 on its distinct nonzero rows."""
         if self._spaces is None:
-            field = self.algebra.field
-            n = len(self.c1_basis)
+            field, n = self.algebra.field, len(self.c1_basis)
             self._spaces = (kernel_basis(_distinct(self.d1_rows), field, n),
                             row_space(self.d0_cols, field, n))
         return self._spaces

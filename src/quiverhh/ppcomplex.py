@@ -21,12 +21,13 @@ CochainSlice rejects anything else.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 from .exactla import (
     NotASubspace, add_to, combine, coset_coordinates, dense, kernel_basis, row_space,
     rows_of_columns, rref, sparse, subspace_quotient,
 )
-from .pathalg import Path, compose, format_combination
+from .pathalg import Path, format_combination
 
 
 def ensure_uniform(gb):
@@ -49,7 +50,7 @@ class CochainSlice:
     pair: Im psi0 is spanned by the columns and Ker psi1 is cut out by the
     rows.  ``psi0`` and ``psi1`` write the same matrices out as new dense
     row-major lists, for callers that read entries by position.  Pair
-    spaces are read off ``algebra.parallel``; ``degrees`` holds the degree
+    spaces are read off the algebra's class index; ``degrees`` holds the degree
     l(gamma) - 1 of each Q1//B pair (alpha, gamma), and ``homogeneous``
     whether every Groebner element is.  Pair brackets are not stored, but
     the images pi(D_k(basis[j])) they and psi1 read are, in ``_images``
@@ -57,8 +58,8 @@ class CochainSlice:
     """
 
     __slots__ = (
-        "algebra", "q0_pairs", "q1_pairs", "tip_pairs", "q1_index", "degrees",
-        "homogeneous", "psi0_cols", "psi1_rows", "_hh1", "_images",
+        "algebra", "q0_pairs", "q1_pairs", "tip_pairs", "degrees", "homogeneous",
+        "psi0_cols", "psi1_rows", "_par", "_pos", "_arrows", "_starts", "_hh1", "_images",
     )
 
     def __init__(self, algebra):
@@ -67,9 +68,13 @@ class CochainSlice:
         ensure_uniform(algebra.gb)
         self.q0_pairs = [(v, b) for v in range(quiver.n_vertices)
                          for b in algebra.parallel(v, v)]
-        self.q1_pairs = [(a, b) for a in range(quiver.n_arrows)
-                         for b in algebra.parallel(quiver.arrow_src[a], quiver.arrow_tgt[a])]
-        self.q1_index = {pair: i for i, pair in enumerate(self.q1_pairs)}
+        # each arrow is a basis path (tips have length >= 2); its Q1//B
+        # columns are one block from _starts[arrow], in the order of its class
+        self._par, self._pos = algebra._par, algebra._pos
+        self._arrows = [algebra.index[quiver.arrow(a)] for a in range(quiver.n_arrows)]
+        self._starts = list(accumulate((len(self._par[i]) for i in self._arrows), initial=0))
+        self.q1_pairs = [(a, algebra.basis[b]) for a, i in enumerate(self._arrows)
+                         for b in self._par[i]]
         self.degrees = [b.length - 1 for _, b in self.q1_pairs]
         self.homogeneous = is_homogeneous(algebra.gb)
         self._images = {}
@@ -90,26 +95,28 @@ class CochainSlice:
     def _at_arrow(self, arrow, coords):
         """The sparse vector over Q1//B with coeff c at (arrow, basis[i]) for
         each i, c of the sparse coords over B."""
-        basis = self.algebra.basis
-        try:
-            return {self.q1_index[(arrow, basis[i])]: c for i, c in coords.items()}
-        except KeyError:
-            raise AssertionError("image left the pair space") from None
+        par, pos, cls = self._par, self._pos, self._par[self._arrows[arrow]]
+        start, out = self._starts[arrow], {}
+        for i, c in coords.items():
+            if par[i] is not cls:
+                raise AssertionError("image left the pair space")
+            out[start + pos[i]] = c
+        return out
 
     def _image_columns(self):
         a = self.algebra
-        quiver, field = a.quiver, a.field
+        quiver, field, prod, arrows = a.quiver, a.field, a._product, self._arrows
         one, minus = field.one, field.neg(field.one)
         cols = []
         for v, gamma in self.q0_pairs:
+            g = a.index[gamma]
             # (arr, pi(arr . gamma)) for arrows out of v, arrow applied after
             # gamma, less (arr, pi(gamma . arr)) for arrows into v
-            terms = [(arr, compose(quiver.arrow(arr), gamma), one)
+            terms = [(self._at_arrow(arr, prod(arrows[arr], g)), one)
                      for arr in quiver.arrows_from(v)]
-            terms += [(arr, compose(gamma, quiver.arrow(arr)), minus)
+            terms += [(self._at_arrow(arr, prod(g, arrows[arr])), minus)
                       for arr in quiver.arrows_into(v)]
-            cols.append(combine(((self._at_arrow(arr, a.path_coords(p)), c)
-                                 for arr, p, c in terms), field))
+            cols.append(combine(terms, field))
         return cols
 
     def _image(self, k, j):
@@ -145,7 +152,8 @@ class CochainSlice:
         a = self.algebra
         labels, rows = [], []
         for t, g in zip(a.gb.tips(), a.gb.elements):
-            group = {b: {} for b in a.parallel(t.source, t.target)}
+            cls = a._classes.get((t.source, t.target), ())
+            group = [{} for _ in cls]
             tail = [(a.index[p], c) for p, c in g.terms.items() if p != t]
             step = (t.arrows[-1], a.index[Path(a.quiver, t.arrows[:-1], t.base)])
             # an element takes only the derivations of the arrows it uses
@@ -156,9 +164,9 @@ class CochainSlice:
                     for j, c in tail:
                         add_to(img, self._image(col, j), c, a.field)
                     for bi, c in img.items():
-                        group[a.basis[bi]][col] = c
-            labels += [(t, b) for b in group]
-            rows += group.values()
+                        group[self._pos[bi]][col] = c
+            labels += [(t, a.basis[b]) for b in cls]
+            rows += group
         return labels, rows
 
     def _pair_bracket(self, ij):

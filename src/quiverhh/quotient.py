@@ -3,12 +3,13 @@
 A QuotientAlgebra is the reduced Groebner basis plus the NonTip monomial
 basis B in llex order.  Everything downstream (cohomology, the bar
 oracle) works in coordinates over B, and both routes read their pair
-spaces X//B (b in B parallel to x) off one index of B by endpoints.
-NonTip is closed under subpaths, so each nontrivial basis path is an
-arrow applied after a shorter basis path; ``steps`` records that split.
-pi is multiplicative, so the image of any path is reached one arrow at a
-time by the left action of an arrow on coordinates, memoized per (arrow,
-basis index), after the longest prefix of the path that lies in B.
+spaces X//B (b in B parallel to x) off one class index of B: a shared
+list of basis indices per pair of endpoints, and each index's class and
+position in it.  NonTip is closed under subpaths, so each nontrivial
+basis path is an arrow applied after a shorter basis path (``steps``).
+pi is multiplicative: it acts one arrow at a time on coordinates,
+memoized per (arrow, basis index), and products of basis paths are
+memoized per pair of basis indices.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ InfiniteDimensional = CapExceeded
 
 
 class QuotientAlgebra:
-    __slots__ = ("quiver", "field", "gb", "basis", "index", "steps", "_parallel",
-                 "_path_coords", "_next", "_times")
+    __slots__ = ("quiver", "field", "gb", "basis", "index", "steps", "_classes",
+                 "_par", "_pos", "_times", "_products")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -32,41 +33,42 @@ class QuotientAlgebra:
         self.gb = gb
         self.basis = basis
         self.index = {p: i for i, p in enumerate(basis)}
-        self._parallel = {}
-        for p in basis:
-            self._parallel.setdefault((p.source, p.target), []).append(p)
+        # one shared list of basis indices per (source, target) class, in
+        # basis order; _par[i] is the class of basis[i], _pos[i] its position
+        self._classes, self._par, self._pos = {}, [], []
+        for i, p in enumerate(basis):
+            cls = self._classes.setdefault((p.source, p.target), [])
+            self._par.append(cls)
+            self._pos.append(len(cls))
+            cls.append(i)
         # steps[j] = (x, i) with basis[j] = x * basis[i], None for a trivial
         # path; x * basis[i] is then basis[j] in the left action as well
         at = {(p.base, p.arrows): j for j, p in enumerate(basis)}
         self.steps = [(p.arrows[-1], at[(p.base, p.arrows[:-1])]) if p.arrows else None
                       for p in basis]
-        self._next = {s: j for j, s in enumerate(self.steps) if s}
-        self._times = {s: {j: field.one} for s, j in self._next.items()}
-        self._path_coords = {}
+        self._times = {s: {j: field.one} for j, s in enumerate(self.steps) if s}
+        self._products = {}
 
     @property
     def dim(self):
         return len(self.basis)
 
     def parallel(self, source, target):
-        """The basis paths from vertex source to vertex target, in basis
-        order.  Shared between callers: do not mutate the result."""
-        return self._parallel.get((source, target), ())
+        """The basis paths from source to target, in basis order, as a new list."""
+        return [self.basis[i] for i in self._classes.get((source, target), ())]
 
     def path_coords(self, p):
-        """pi(p) for one path p as a sparse {basis index: coeff} dict.
+        """pi(p) as a new sparse dict over B; basis[v] is the trivial path at v."""
+        return self._left(p.arrows, {p.base: self.field.one})
 
-        Filled on first use and shared between callers: do not mutate the
-        result.
-        """
-        got = self._path_coords.get(p)
+    def _product(self, i, j):
+        """pi(basis[i] * basis[j]) sparse over B, {} if they do not compose;
+        memoized per (i, j) and shared between callers: do not mutate."""
+        got = self._products.get((i, j))
         if got is None:
-            # B is in llex order, so basis[v] is the trivial path at vertex v;
-            # the longest prefix of p in B is walked with no arithmetic
-            j, k, word = p.base, 0, p.arrows
-            while k < len(word) and (i := self._next.get((word[k], j))) is not None:
-                j, k = i, k + 1
-            got = self._path_coords[p] = self._left(word[k:], {j: self.field.one})
+            p = self.basis[i]
+            got = self._products[(i, j)] = (self._left(p.arrows, {j: self.field.one})
+                                            if p.source == self.basis[j].target else {})
         return got
 
     def _left(self, word, coords):

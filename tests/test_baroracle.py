@@ -189,7 +189,18 @@ class TestCochainBracket:
 
 
 # -- references: the dense assembly and bracket the oracle had before it
-# read sparse products, kept verbatim (self -> sl) as test-only oracles --
+# read sparse products, kept verbatim (self -> sl) as test-only oracles,
+# over test-local label lists and indexes --
+
+def bplus(sl):
+    """B+ as paths, in basis order."""
+    return [p for p in sl.algebra.basis if p.arrows]
+
+
+def c1_index(sl):
+    """{(x, b): C1 column} for the C1 labels of the slice."""
+    return {pair: k for k, pair in enumerate(sl.c1_basis)}
+
 
 def ref_multiply(u, v, a):
     """pi(basis[u] * basis[v]) as a dense vector over B, from the normal form
@@ -207,16 +218,17 @@ def ref_build_d0(sl):
     field = a.field
     zero = field.zero
     rows = [[zero] * len(sl.c0_basis) for _ in sl.c1_basis]
+    c1 = c1_index(sl)
     for col, (v, b) in enumerate(sl.c0_basis):
         ib = a.index[b]
-        for x in sl._bplus:
+        for x in bplus(sl):
             ix = a.index[x]
             bx = ref_multiply(ib, ix, a)
             xb = ref_multiply(ix, ib, a)
             for j in range(len(a.basis)):
                 c = field.sub(bx[j], xb[j])
                 if c != zero:
-                    r = sl.c1_index[(x, a.basis[j])]
+                    r = c1[(x, a.basis[j])]
                     rows[r][col] = field.add(rows[r][col], c)
     return rows
 
@@ -227,6 +239,7 @@ def ref_build_d1(sl, pairs):
     zero = field.zero
     rows = [[zero] * len(sl.c1_basis) for _ in sl.c2_basis]
     c2_index = {t: i for i, t in enumerate(sl.c2_basis)}
+    c1 = c1_index(sl)
 
     def bump(row, col, c, sign):
         if sign < 0:
@@ -247,18 +260,18 @@ def ref_build_d1(sl, pairs):
             if x.length == 0:
                 continue
             for b in parallels(x):
-                col = sl.c1_index[(x, b)]
+                col = c1[(x, b)]
                 bump(c2_index[(x1, x2, b)], col, c, -1)
         # +x1 f(x2) for f elementary at (x2, b)
         for b in parallels(x2):
-            col = sl.c1_index[(x2, b)]
+            col = c1[(x2, b)]
             vec = ref_multiply(i1, a.index[b], a)
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(c2_index[(x1, x2, a.basis[j])], col, c, +1)
         # +f(x1) x2 for f elementary at (x1, b)
         for b in parallels(x1):
-            col = sl.c1_index[(x1, b)]
+            col = c1[(x1, b)]
             vec = ref_multiply(a.index[b], i2, a)
             for j, c in enumerate(vec):
                 if c != zero:
@@ -289,7 +302,7 @@ def ref_apply(fmap, vec, sl):
     field = a.field
     zero = field.zero
     out = [a.field.zero] * a.dim
-    for x in sl._bplus:
+    for x in bplus(sl):
         c = vec[a.index[x]]
         if c == zero:
             continue
@@ -310,7 +323,8 @@ def ref_bracket_c1(u, v, sl):
     umap = ref_cochain_map(u, sl)
     vmap = ref_cochain_map(v, sl)
     out = [zero] * len(sl.c1_basis)
-    for x in sl._bplus:
+    c1 = c1_index(sl)
+    for x in bplus(sl):
         acc = None
         vval = vmap.get(x)
         if vval is not None:
@@ -326,14 +340,14 @@ def ref_bracket_c1(u, v, sl):
             continue
         for j, c in enumerate(acc):
             if c != zero:
-                idx = sl.c1_index[(x, a.basis[j])]
+                idx = c1[(x, a.basis[j])]
                 out[idx] = field.add(out[idx], c)
     return out
 
 
 def ref_pairs(sl):
-    bplus = sl._bplus
-    return [(x1, x2) for x1 in bplus for x2 in bplus if x1.source == x2.target]
+    plus = bplus(sl)
+    return [(x1, x2) for x1 in plus for x2 in plus if x1.source == x2.target]
 
 
 DATA_ALGEBRAS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(DATA, "*.alg")))
@@ -539,27 +553,84 @@ def test_routes_agree_on_random_algebras():
         assert bar_derived_series(A, bsl) == lie.derived_dims, n
 
 
+def file_algebra(name):
+    """A fresh QuotientAlgebra (empty memos) of an algebra file under tests/."""
+    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+        field, quiver, rels = parse_algebra(fh.read())
+    return build_quotient(complete(rels, quiver=quiver, field=field))
+
+
+def nf_product(a, i, j):
+    """pi(basis[i] * basis[j]) as sparse coordinates, from the normal form
+    of the composed path; {} if the two do not compose."""
+    r = compose(a.basis[i], a.basis[j])
+    if not r:
+        return {}
+    return {a.index[p]: c for p, c in normal_form(FreeElement.from_path(r, a.field),
+                                                   a.gb).terms.items()}
+
+
+class WriteOnceMemo(dict):
+    """A product memo that records the keys read and refuses to store a key
+    twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"product {key} computed twice"
+        super().__setitem__(key, value)
+
+
 class TestProductMemo:
-    @pytest.mark.parametrize("name", ["commuting_loops.alg", "x_cubed_q.alg",
-                                      "trivial_ext_kronecker.alg"])
-    def test_each_product_composed_once(self, name, monkeypatch):
-        """A slice composes each pair of basis paths once and keeps pi(p q)
-        keyed by the pair of basis indices, with the algebra's shared
-        coordinates."""
-        composed = []
+    """One memo of basis-path products on the algebra, read by psi0 and by
+    both bar differentials."""
 
-        def counting(p, q):
-            composed.append((p, q))
-            return compose(p, q)
+    @staticmethod
+    def assert_products_match_normal_forms(a):
+        for i, p in enumerate(a.basis):
+            for j, q in enumerate(a.basis):
+                got = a._product(i, j)
+                assert got == nf_product(a, i, j), (p, q)
+                if p.source != q.target:
+                    assert got == {}
+                assert a._product(i, j) is got
 
-        monkeypatch.setattr(baroracle, "compose", counting)
-        a = fixture_algebra(name)
-        sl = BarSlice(a)
-        assert sorted(composed, key=repr) == sorted(
-            ((a.basis[i], a.basis[j]) for i, j in sl._products), key=repr)
-        for (i, j), got in sl._products.items():
-            assert got == (a.path_coords(r) if (r := compose(a.basis[i], a.basis[j])) else {})
-            assert sl._product(i, j) is got
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_products_equal_normal_forms_on_files(self, name):
+        self.assert_products_match_normal_forms(file_algebra(name))
+
+    def test_products_equal_normal_forms_on_random_algebras(self):
+        for a in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM):
+            self.assert_products_match_normal_forms(a)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_each_product_computed_once_for_both_routes(self, name):
+        a = file_algebra(name)
+        a._products = memo = WriteOnceMemo()
+        CochainSlice(a)
+        psi0 = dict(memo)
+        assert psi0
+        del memo.reads[:]
+        BarSlice(a)
+        # D0 reads every product psi0 read, off the same entries
+        assert set(psi0) <= set(memo.reads)
+        assert all(memo[key] is got for key, got in psi0.items())
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_slices_hold_the_algebra_class_arrays(self, name):
+        a = file_algebra(name)
+        for sl in (CochainSlice(a), BarSlice(a)):
+            assert sl._par is a._par and sl._pos is a._pos
+        for i, p in enumerate(a.basis):
+            assert a._par[i][a._pos[i]] == i
+            assert a._par[i] is a._classes[(p.source, p.target)]
+            assert a._par[i] == [j for j, q in enumerate(a.basis) if q.parallel_to(p)]
 
 
 # -- the index arrays, the labels on access and the distinct-row kernel ----
@@ -567,9 +638,7 @@ class TestProductMemo:
 @functools.cache
 def file_slice(name):
     """One BarSlice per algebra file under tests/, built on first use."""
-    with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
-        field, quiver, rels = parse_algebra(fh.read())
-    return BarSlice(build_quotient(complete(rels, quiver=quiver, field=field)))
+    return BarSlice(file_algebra(name))
 
 
 @functools.cache
@@ -626,10 +695,10 @@ class TestIndexArrays:
     @pytest.mark.parametrize("name", ALG_FILES)
     def test_column_arrays_agree_with_c1_index(self, name):
         sl = file_slice(name)
-        a = sl.algebra
+        a, index = sl.algebra, c1_index(sl)
         assert sl._plus == [i for i, p in enumerate(a.basis) if p.length > 0]
-        assert len(sl.c1_index) == len(sl.c1_basis) == sum(len(sl._cols[x]) for x in sl._plus)
-        for (x, b), k in sl.c1_index.items():
+        assert len(index) == len(sl.c1_basis) == sum(len(sl._cols[x]) for x in sl._plus)
+        for (x, b), k in index.items():
             i, j = a.index[x], a.index[b]
             assert sl._par[i] is sl._par[j] and sl._par[i][sl._pos[j]] == j
             assert sl._cols[i][sl._pos[j]] == k and sl._at[k] == (i, j)

@@ -99,6 +99,11 @@ def char2_loops():
     return quiver, F2, build_quotient(complete(gens))
 
 
+def q1_index(sl):
+    """{(arrow, b): column} for the Q1//B pairs of the slice."""
+    return {pair: k for k, pair in enumerate(sl.q1_pairs)}
+
+
 def psi0_columns(sl):
     quiver, field = sl.algebra.quiver, sl.algebra.field
     out = {}
@@ -152,6 +157,7 @@ def direct_bracket(u, v, sl):
     A = sl.algebra
     F = A.field
     out = [F.zero] * len(sl.q1_pairs)
+    index = q1_index(sl)
     for i, ci in enumerate(u):
         for j, cj in enumerate(v):
             if not ci or not cj:
@@ -162,7 +168,7 @@ def direct_bracket(u, v, sl):
                     (aj, ref_image(A, [(gj, F.one)], ai, gi), F.one),
                     (ai, ref_image(A, [(gi, F.one)], aj, gj), F.neg(F.one))):
                 for b, c in img.items():
-                    k = sl.q1_index[(arrow, A.basis[b])]
+                    k = index[(arrow, A.basis[b])]
                     out[k] = F.add(out[k], F.mul(F.mul(scale, sign), c))
     return out
 
@@ -242,7 +248,7 @@ class TestDerivationTable:
         quiver = A.quiver
         sl = CochainSlice(A)
         g = written(quiver, *gamma) if gamma else quiver.trivial("e")
-        k = sl.q1_index[(quiver.arrow_index[alpha], g)]
+        k = q1_index(sl)[(quiver.arrow_index[alpha], g)]
         img = sl._image(k, A.index[written(quiver, *word)])
         return {wnames(quiver, A.basis[i]): str(c) for i, c in img.items()}
 
@@ -282,6 +288,36 @@ class TestUniformity:
     def test_uniform_passes(self):
         quiver, Q, A = kronecker_ext()
         ensure_uniform(A.gb)
+
+
+class TestPairSpaceGuard:
+    """A Q1//B column is the arrow's block start plus the class position of
+    the path; a coordinate outside the arrow's class is refused."""
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_columns_and_refusals(self, name):
+        A = file_algebra(name)
+        sl = CochainSlice(A)
+        index, one, refused = q1_index(sl), A.field.one, 0
+        for arrow in range(A.quiver.n_arrows):
+            for i, b in enumerate(A.basis):
+                if b.parallel_to(A.quiver.arrow(arrow)):
+                    assert sl._at_arrow(arrow, {i: one}) == {index[(arrow, b)]: one}
+                else:
+                    refused += 1
+                    with pytest.raises(AssertionError, match="image left the pair space"):
+                        sl._at_arrow(arrow, {i: one})
+        # a one-vertex quiver has one class, so nothing there is refused
+        assert bool(refused) == (A.quiver.n_vertices > 1)
+
+    def test_bracket_of_a_foreign_image_is_refused(self, monkeypatch):
+        quiver, Q, A = kronecker_ext()
+        sl = CochainSlice(A)
+        # every derivation image moved to the trivial path at e1, which is
+        # parallel to no arrow of the Kronecker quiver
+        monkeypatch.setattr(CochainSlice, "_image", lambda self, k, j: {0: Q.one})
+        with pytest.raises(AssertionError, match="image left the pair space"):
+            sl.bracket({0: Q.one}, {1: Q.one})
 
 
 class TestKroneckerExtTables:
@@ -369,7 +405,7 @@ class TestKroneckerExtTables:
         def unit(arrow, bname):
             vec = [zero] * len(sl.q1_pairs)
             key = (quiver.arrow_index[arrow], written(quiver, bname))
-            vec[sl.q1_index[key]] = one
+            vec[q1_index(sl)[key]] = one
             return vec
 
         # [(a1,b1),(b1,a1)] = (b1,b1) - (a1,a1)

@@ -11,7 +11,6 @@ from quiverhh.exactla import Field, combine
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose, format_element
 from quiverhh.groebner import CapExceeded, complete, normal_form
 from quiverhh.ppcomplex import CochainSlice
-from quiverhh import quotient
 from quiverhh.quotient import InfiniteDimensional, build_quotient
 
 from conftest import ALG_FILES, ALG_FIXTURES, TESTS, elem, fixture_algebra, wnames, written
@@ -178,12 +177,6 @@ class TestPathMap:
                 x, i = step
                 assert compose(A.quiver.arrow(x), A.basis[i]) == p
 
-    def test_entries_are_shared(self):
-        quiver, _, A = char2_algebra()
-        p = written(quiver, "x", "x", "x")
-        assert A.path_coords(p) is A.path_coords(p)
-        assert A.path_coords(p) == {A.index[written(quiver, "y", "x", "x")]: 1}
-
 
 class TestMultiplication:
     def test_loops_commute_in_quotient(self):
@@ -293,30 +286,3 @@ class TestParallelIndex:
         for rels in (sum(generate_relations(graph, field), []), gr_relations(graph, field)):
             A = build_quotient(complete(rels, quiver=quiver, field=field))
             assert pair_spaces(A) == ref_pair_spaces(A)
-
-
-class TestPrefixWalk:
-    """path_coords walks the longest prefix of a path that is a basis path
-    with no arithmetic, and applies one arrow at a time after it."""
-
-    @pytest.mark.parametrize("name", ALG_FILES)
-    def test_one_combine_per_arrow_past_the_basis_prefix(self, name, monkeypatch):
-        with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
-            field, quiver, rels = parse_algebra(fh.read())
-        gb = complete(rels, quiver=quiver, field=field)
-        A, ref = build_quotient(gb), build_quotient(gb)
-        calls = []
-        monkeypatch.setattr(quotient, "combine",
-                            lambda pairs, f: calls.append(1) or combine(pairs, f))
-        paths = dict.fromkeys([compose(b1, b2) for b1 in A.basis for b2 in A.basis]
-                              + list(A.basis))
-        for p in filter(None, paths):
-            prefix = max(k for k in range(p.length + 1)
-                         if Path(quiver, p.arrows[:k], p.base) in A.index)
-            del calls[:]
-            got = A.path_coords(p)
-            assert len(calls) == p.length - prefix
-            if prefix == p.length:
-                assert got == {A.index[p]: field.one}
-            # the walk from the source vertex, on an algebra of its own
-            assert got == ref._left(p.arrows, {p.base: field.one})
