@@ -15,15 +15,28 @@ sparse image columns over C1 and D1 as sparse rows over C1, both
 assembled here straight from the cochain formulas; cochains, products
 and brackets are sparse {index: coeff} dicts.
 
+D1 is assembled only on its arrow rows, the rows (a, x2, b) with a an
+arrow, and they cut out the same Ker D1.  If f satisfies them, every
+row holds by induction on |x1|: write x1 = a x1' with x1' in B+ and
+z = pA(x1' x2) in span B+.  The arrow rows (a, b) for b in z give
+f(pA(x1 x2)) = a f(z) + f(a) z; induction gives f(z) = x1' f(x2) +
+f(x1') x2, and the arrow row (a, x1') gives f(x1) = a f(x1') + f(a) x1',
+which together read x1 f(x2) + f(x1) x2.
+
 Assembly works on basis indices and builds no path itself: the product
 of two basis paths is read off the quotient's memo per pair of basis
 indices, and the classes of parallel basis paths off its index.  The C1
 columns (x, b) of each x in B+ are one list of ints, indexed by the
 position of b in the class of x, and every D0 column and D1 row holds
-those shared ints.  The C2 labels are built when ``c2_basis`` is read,
-and ``d0`` and ``d1`` write the differentials out as new dense
-row-major lists.  Ker D1 depends on the row space alone, so D1 is
-eliminated on its distinct nonzero rows.
+those shared ints.  The C2 labels of the arrow rows are built when
+``c2_basis`` is read, and ``d0`` and ``d1`` write the differentials out
+as new dense row-major lists.  Ker D1 depends on the row space alone,
+so D1 is eliminated on its distinct nonzero rows.
+
+The derived series brackets only the representatives of each term
+modulo Im D0, the rows whose pivot is not a pivot of Im D0: every term
+contains Im D0, and [Im D0, Ker D1] lies in Im D0 (inner derivations
+form an ideal), so the span is the same.
 Independence from ppcomplex is the whole point: the two share only
 exactla and the quotient algebra.
 """
@@ -37,7 +50,7 @@ from .exactla import (
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "d0_cols", "d1_rows",
-                 "_plus", "_par", "_pos", "_cols", "_at", "_spaces")
+                 "_plus", "_par", "_pos", "_cols", "_at", "_spaces", "_indexed")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -57,10 +70,12 @@ class BarSlice:
         self.d0_cols = self._image_columns(loops)
         self.d1_rows = self._kernel_rows()
         self._spaces = None
+        self._indexed = {}
 
     @property
     def c2_basis(self):
-        """The C2 labels (x1, x2, b) in D1 row order, as a new list."""
+        """The labels (a, x2, b) of the D1 rows, a an arrow, in row order,
+        as a new list."""
         basis = self.algebra.basis
         return [(basis[x1], basis[x2], basis[b])
                 for x1, x2, group in self._groups() for b in group]
@@ -93,19 +108,21 @@ class BarSlice:
 
     def _groups(self):
         """(x1, x2, the class of basis indices parallel to x1 x2) per
-        composable pair of B+ in C2 row order, x1 and x2 as basis indices."""
+        composable pair of B+ with x1 an arrow, in D1 row order, x1 and x2
+        as basis indices."""
         basis, classes = self.algebra.basis, self.algebra._classes
         ending = {}
         for x in self._plus:
             ending.setdefault(basis[x].target, []).append(x)
-        for x1 in self._plus:
+        for x1 in (x for x in self._plus if len(basis[x].arrows) == 1):
             target = basis[x1].target
             for x2 in ending.get(basis[x1].source, ()):
                 yield x1, x2, classes.get((basis[x2].source, target), ())
 
     def _kernel_rows(self):
-        """D1 as sparse rows, one (x1, x2) group of rows at a time: the rows
-        (x1, x2, b) for b parallel to x1 x2, row k of a group at the k-th b."""
+        """The arrow rows of D1 as sparse rows, one (x1, x2) group of rows
+        at a time: the rows (x1, x2, b) for b parallel to x1 x2, row k of a
+        group at the k-th b."""
         field = self.algebra.field
         neg, par, pos, cols = field.neg, self._par, self._pos, self._cols
         prod = self.algebra._product
@@ -164,46 +181,64 @@ def bar_hh_dims(algebra, slice_=None):
     return len(sl.c0_basis) - u0.dim, k1.dim - u0.dim
 
 
+def _values(f, sl):
+    """The sparse cochain f as {x: [(position of b in the class of x, c)]}
+    over its (x, b) coordinates c."""
+    at, pos = sl._at, sl._pos
+    values = {}
+    for k, c in f.items():
+        x, b = at[k]
+        values.setdefault(x, []).append((pos[b], c))
+    return values
+
+
 def bracket_c1(u, v, sl):
     """[u, v] = u.pA.v - v.pA.u of C1 cochains u, v (sparse or dense), as a
-    sparse C1 vector."""
+    sparse C1 vector.  The values of a cochain indexed in ``sl._indexed``
+    (by ``bar_derived_series``, for the representatives it brackets) are
+    read there instead of being rebuilt."""
     field = sl.algebra.field
-    at, cols, pos, mul = sl._at, sl._cols, sl._pos, field.mul
+    at, cols, mul = sl._at, sl._cols, field.mul
     out = {}
 
-    def add_after(f, g, sign):
+    def add_after(values, g, sign):
         # f.pA.g sends x to the sum of c f(b) over the (x, b) coordinates c
         # of g; f(b) lives on paths parallel to x, and f(e) = 0 for trivial e
-        values = {}
-        for k, c in f.items():
-            x, b = at[k]
-            values.setdefault(x, []).append((pos[b], c))
         for k, c in g.items():
             x, b = at[k]
             c = mul(sign, c)
             for p, c2 in values.get(b, ()):
                 add_at(out, cols[x][p], mul(c, c2), field)
 
+    def values(f):
+        got = sl._indexed.get(id(f))
+        return got[1] if got else _values(f, sl)
+
     u, v = sparse(u), sparse(v)
-    add_after(u, v, field.one)
-    add_after(v, u, field.neg(field.one))
+    add_after(values(u), v, field.one)
+    add_after(values(v), u, field.neg(field.one))
     return out
 
 
 def bar_derived_series(algebra, slice_=None):
-    """Derived-series dims of Ker D1 / Im D0 under the cochain bracket."""
+    """Derived-series dims of Ker D1 / Im D0 under the cochain bracket.
+    Each step brackets the pairs of the term's representatives modulo
+    Im D0, whose values are indexed once per step in ``sl._indexed``."""
     sl = slice_ or BarSlice(algebra)
     field = algebra.field
     k1, u0 = sl.spaces()
-    dim_l = subspace_quotient(k1, u0)[0]
+    dim_l, reps = subspace_quotient(k1, u0)
     dims = [dim_l]
     if dim_l == 0:
         return dims
-    basis = k1.basis
     while True:
-        gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(basis)
-                           for y in basis[i + 1:]]
-        basis = row_space(gens, field, len(sl.c1_basis)).basis
-        dims.append(len(basis) - u0.dim)
+        # an entry holds its cochain, so its id names no other object
+        sl._indexed = {id(x): (x, _values(x, sl)) for x in reps}
+        gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(reps)
+                           for y in reps[i + 1:]]
+        term = row_space(gens, field, len(sl.c1_basis))
+        dims.append(term.dim - u0.dim)
         if dims[-1] == 0 or dims[-1] == dims[-2]:
+            sl._indexed = {}
             return dims
+        reps = subspace_quotient(term, u0)[1]

@@ -189,8 +189,10 @@ class TestCochainBracket:
 
 
 # -- references: the dense assembly and bracket the oracle had before it
-# read sparse products, kept verbatim (self -> sl) as test-only oracles,
-# over test-local label lists and indexes --
+# read sparse products, kept as test-only oracles (self -> sl) over
+# test-local label lists and indexes; ref_build_d1 takes the pairs whose
+# rows it builds, accumulates sparse rows so that the full D1 of a
+# 36-dimensional algebra fits, and takes each normal form once --
 
 def bplus(sl):
     """B+ as paths, in basis order."""
@@ -233,25 +235,41 @@ def ref_build_d0(sl):
     return rows
 
 
+def ref_labels(sl, pairs):
+    """The C2 labels (x1, x2, b) of the composable pairs, b parallel to x1 x2."""
+    basis = sl.algebra.basis
+    return [(x1, x2, b) for x1, x2 in pairs for b in basis
+            if b.source == x2.source and b.target == x1.target]
+
+
 def ref_build_d1(sl, pairs):
+    """D1 on the rows ref_labels(sl, pairs), as sparse rows; each product
+    is a normal form, taken once per pair of basis indices."""
     a = sl.algebra
     field = a.field
     zero = field.zero
-    rows = [[zero] * len(sl.c1_basis) for _ in sl.c2_basis]
-    c2_index = {t: i for i, t in enumerate(sl.c2_basis)}
+    labels = ref_labels(sl, pairs)
+    rows = [{} for _ in labels]
+    c2_index = {t: i for i, t in enumerate(labels)}
     c1 = c1_index(sl)
+    products = {}
+
+    def multiply(u, v):
+        if (u, v) not in products:
+            products[(u, v)] = ref_multiply(u, v, a)
+        return products[(u, v)]
 
     def bump(row, col, c, sign):
         if sign < 0:
             c = field.neg(c)
-        rows[row][col] = field.add(rows[row][col], c)
+        rows[row][col] = field.add(rows[row].get(col, zero), c)
 
     def parallels(x):
         return [b for b in a.basis if b.parallel_to(x)]
 
     for x1, x2 in pairs:
         i1, i2 = a.index[x1], a.index[x2]
-        prod = ref_multiply(i1, i2, a)
+        prod = multiply(i1, i2)
         # -f(pA(x1 x2)): pA drops the trivial-path coordinates
         for j, c in enumerate(prod):
             if c == zero:
@@ -265,18 +283,18 @@ def ref_build_d1(sl, pairs):
         # +x1 f(x2) for f elementary at (x2, b)
         for b in parallels(x2):
             col = c1[(x2, b)]
-            vec = ref_multiply(i1, a.index[b], a)
+            vec = multiply(i1, a.index[b])
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(c2_index[(x1, x2, a.basis[j])], col, c, +1)
         # +f(x1) x2 for f elementary at (x1, b)
         for b in parallels(x1):
             col = c1[(x1, b)]
-            vec = ref_multiply(a.index[b], i2, a)
+            vec = multiply(a.index[b], i2)
             for j, c in enumerate(vec):
                 if c != zero:
                     bump(c2_index[(x1, x2, a.basis[j])], col, c, +1)
-    return rows
+    return [{col: c for col, c in row.items() if c != zero} for row in rows]
 
 
 def ref_cochain_map(vec, sl):
@@ -346,8 +364,14 @@ def ref_bracket_c1(u, v, sl):
 
 
 def ref_pairs(sl):
+    """Every composable pair (x1, x2) of B+: the rows of the full D1."""
     plus = bplus(sl)
     return [(x1, x2) for x1 in plus for x2 in plus if x1.source == x2.target]
+
+
+def ref_arrow_pairs(sl):
+    """The composable pairs with x1 an arrow: the D1 rows the slice holds."""
+    return [(x1, x2) for x1, x2 in ref_pairs(sl) if x1.length == 1]
 
 
 DATA_ALGEBRAS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(DATA, "*.alg")))
@@ -374,11 +398,10 @@ class TestSparseAssembly:
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_differentials_equal_reference(self, tag):
         sl = slice_of(tag)
-        basis = sl.algebra.basis
-        assert sl.c2_basis == [(x1, x2, b) for x1, x2 in ref_pairs(sl) for b in basis
-                               if b.source == x2.source and b.target == x1.target]
+        assert sl.c2_basis == ref_labels(sl, ref_arrow_pairs(sl))
         assert typed(sl.d0) == typed(ref_build_d0(sl))
-        assert typed(sl.d1) == typed(ref_build_d1(sl, ref_pairs(sl)))
+        assert typed(sl.d1) == typed([c1_dense(r, sl) for r in
+                                      ref_build_d1(sl, ref_arrow_pairs(sl))])
 
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_dense_views_are_new_on_each_read(self, tag):
@@ -684,11 +707,9 @@ class TestIndexArrays:
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_c2_labels_are_new_on_each_read(self, tag):
         sl = slice_of(tag)
-        basis = sl.algebra.basis
         first, second = sl.c2_basis, sl.c2_basis
         assert first is not second and len(first) == len(sl.d1_rows)
-        assert first == second == [(x1, x2, b) for x1, x2 in ref_pairs(sl) for b in basis
-                                   if b.source == x2.source and b.target == x1.target]
+        assert first == second == ref_labels(sl, ref_arrow_pairs(sl))
         first.append(None)
         assert sl.c2_basis == second
 
@@ -709,3 +730,89 @@ class TestIndexArrays:
         sl = file_slice(name)
         shared = {id(k) for x in sl._plus for k in sl._cols[x]}
         assert all(id(k) in shared for vecs in (sl.d0_cols, sl.d1_rows) for v in vecs for k in v)
+
+
+# -- the arrow rows of D1 and the derived series on representatives --------
+
+class TestArrowRows:
+    """The arrow rows of D1 cut out the kernel of the full D1, whose rows
+    run over every composable pair of B+."""
+
+    @staticmethod
+    def assert_kernel_of_full_d1(sl):
+        full = ref_build_d1(sl, ref_pairs(sl))
+        assert len(full) >= len(sl.d1_rows)
+        ref = kernel_basis(full, sl.algebra.field, len(sl.c1_basis))
+        got = sl.spaces()[0]
+        assert (got.basis, got.pivots) == (ref.basis, ref.pivots)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_on_files(self, name):
+        self.assert_kernel_of_full_d1(file_slice(name))
+
+    def test_on_random_algebras(self):
+        for sl in random_slices():
+            self.assert_kernel_of_full_d1(sl)
+
+
+def prev_derived_series(sl):
+    """The derived series as it was computed before it bracketed only
+    representatives: every pair of the basis of each term."""
+    field = sl.algebra.field
+    k1, u0 = sl.spaces()
+    dim_l = exactla.subspace_quotient(k1, u0)[0]
+    dims = [dim_l]
+    if dim_l == 0:
+        return dims
+    basis = k1.basis
+    while True:
+        gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(basis)
+                           for y in basis[i + 1:]]
+        basis = exactla.row_space(gens, field, len(sl.c1_basis)).basis
+        dims.append(len(basis) - u0.dim)
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return dims
+
+
+class TestDerivedSeriesOnRepresentatives:
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_equals_brackets_of_every_pair_on_files(self, name):
+        sl = file_slice(name)
+        assert bar_derived_series(sl.algebra, sl) == prev_derived_series(sl)
+
+    def test_equals_brackets_of_every_pair_on_random_algebras(self):
+        for sl in random_slices():
+            assert bar_derived_series(sl.algebra, sl) == prev_derived_series(sl)
+
+    @staticmethod
+    def inner_brackets_stay_inner(sl):
+        """[Im D0, Ker D1] <= Im D0; the number of pairs checked."""
+        k1, u0 = sl.spaces()
+        for u in u0.basis:
+            for w in k1.basis:
+                assert u0.contains(bracket_c1(u, w, sl))
+        return len(u0.basis) * len(k1.basis)
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_inner_derivations_form_an_ideal_on_files(self, name):
+        self.inner_brackets_stay_inner(file_slice(name))
+
+    def test_inner_derivations_form_an_ideal_on_random_algebras(self):
+        assert sum(self.inner_brackets_stay_inner(sl) for sl in random_slices())
+
+    @pytest.mark.parametrize("name", ["golden/qplane_q.alg", "data/sampled_loops_gf3.alg",
+                                      "golden/xy4_q.alg"])
+    def test_one_bracket_call_per_pair_of_representatives(self, name, monkeypatch):
+        # step k brackets the dims[k] representatives of its term pairwise,
+        # each call reading the values indexed for the step
+        sl = BarSlice(file_algebra(name))
+        calls, real = [], bracket_c1
+
+        def counting(u, v, sl_):
+            calls.append(id(u) in sl_._indexed and id(v) in sl_._indexed)
+            return real(u, v, sl_)
+
+        monkeypatch.setattr(baroracle, "bracket_c1", counting)
+        dims = bar_derived_series(sl.algebra, sl)
+        assert len(calls) == sum(m * (m - 1) // 2 for m in dims[:-1]) > 0
+        assert all(calls) and sl._indexed == {}

@@ -435,7 +435,8 @@ class TestGoldenOracle:
     """Full `oracle` stdout, captured before the bar oracle read sparse
     products and eliminated each differential once; for the algebras
     after xy4_q, before the pair spaces were read off the parallel-path
-    index; qplane_q while every Q scalar was a Fraction."""
+    index; qplane_q while every Q scalar was a Fraction; xy6_q and
+    xy6_gf3 while D1 held a row for every composable pair of B+."""
 
     @pytest.mark.parametrize("path", [
         os.path.join(GOLDEN, "qplane_q.alg"),
@@ -449,12 +450,32 @@ class TestGoldenOracle:
         fixture("trivial_ext_kronecker.alg"),
         fixture("x_cubed_f3.alg"),
         fixture("x_cubed_q.alg"),
+        os.path.join(GOLDEN, "xy6_q.alg"),
+        os.path.join(GOLDEN, "xy6_gf3.alg"),
     ], ids=alg_name)
     def test_oracle_stdout(self, path):
         rc, out, err = run_cli("oracle", path)
         assert (rc, err) == (0, "")
         with open(os.path.join(GOLDEN, alg_name(path) + ".oracle.out"), encoding="utf-8") as fh:
             assert out == fh.read()
+
+
+class TestOracleMemory:
+    def test_xy10_fits_in_120_mb_of_address_space(self, tmp_path):
+        # k[x,y]/(x^10,y^10): a D1 row for every composable pair of B+ would
+        # be 980,100 rows, and eliminating them overran 160 MB of address
+        # space; the 9,900 arrow rows need about 45 MB
+        alg = tmp_path / "xy10.alg"
+        alg.write_text("field Q\nvertex e\narrow x: e -> e\narrow y: e -> e\n"
+                       "rel x*y - y*x\nrel x^10\nrel y^10\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (120 << 20, 120 << 20))
+
+        proc = run_cli_process(["oracle", str(alg)], subprocess.PIPE, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        got = lines_of(proc.stdout.decode())
+        assert (got["pp-hh0"], got["bar-hh1"], got["verdict"]) == ("100", "180", "AGREE")
 
 
 class TestOracleWithoutHH1:

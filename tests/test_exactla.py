@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from quiverhh.exactla import (
     Field,
     NotASubspace,
+    combine,
     coset_coordinates,
     dense,
     kernel_basis,
@@ -428,3 +429,72 @@ class TestAgainstDenseReference:
                 subspace_quotient(v, u)
         else:
             subspace_quotient(v, u)
+
+
+def prev_rref(rows, field, limit=None):
+    """rref as it was before it kept a column index: every kept row is
+    tested for the new pivot."""
+    def reduce(vec, kept):
+        return combine([(vec, field.one)] + [(kept[p], field.neg(c))
+                                             for p, c in vec.items() if p in kept], field)
+
+    kept = {}
+    rows = iter(rows)
+    while len(kept) != limit and (row := next(rows, None)) is not None:
+        vec = reduce(row, kept)
+        if not vec:
+            continue
+        p = min(vec)
+        if vec[p] != field.one:
+            inv = field.inv(vec[p])
+            vec = {j: field.mul(inv, x) for j, x in vec.items()}
+        new = {p: vec}
+        for q, r in kept.items():
+            if p in r:
+                kept[q] = reduce(r, new)
+        kept[p] = vec
+    pivots = sorted(kept)
+    return len(pivots), [kept[p] for p in pivots], tuple(pivots)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=14, max_cols=14):
+    """(field, sparse rows): rows of up to 5 nonzero entries, repeats and
+    multiples of earlier rows mixed in so that some rows reduce to zero."""
+    f = Field(draw(st.sampled_from([0, 2, 3, 7])))
+    ncols = draw(st.integers(1, max_cols))
+    if f.char == 0:
+        scalar = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    else:
+        scalar = st.integers(1, f.char - 1)
+    scalar = scalar.map(f.of)
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.booleans()):
+            c = draw(scalar)
+            rows.append({j: f.mul(c, x) for j, x in draw(st.sampled_from(rows)).items()})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=5)))
+    return f, rows
+
+
+def items_typed(rows):
+    """Each row's items in order, with the entry types."""
+    return [[(j, type(c), c) for j, c in row.items()] for row in rows]
+
+
+class TestColumnIndexRref:
+    """rref clears a new pivot only from the kept rows a column index names;
+    the result equals the scan of every kept row, dict order included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_scan_of_every_kept_row(self, data):
+        f, rows = data.draw(sparse_matrices())
+        full = prev_rref(rows, f)[0]
+        for limit in (None, data.draw(st.integers(0, full + 1))):
+            for feed in (lambda: [dict(r) for r in rows], lambda: (dict(r) for r in rows)):
+                rank, red, piv = rref(feed(), f, limit)
+                ref_rank, ref_red, ref_piv = prev_rref(feed(), f, limit)
+                assert (rank, piv) == (ref_rank, ref_piv)
+                assert items_typed(red) == items_typed(ref_red)

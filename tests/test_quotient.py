@@ -229,7 +229,8 @@ class TestMultiplication:
 # over the whole basis that built them before the parallel-path index --
 
 def ref_pair_spaces(A):
-    """(Q0//B, Q1//B, Tip//B, C0, C1, C2) by endpoint scans of A.basis."""
+    """(Q0//B, Q1//B, Tip//B, C0, C1, C2) by endpoint scans of A.basis; C2
+    on the arrow rows of D1, x1 an arrow."""
     quiver, basis = A.quiver, A.basis
     q0 = [(v, b) for v in range(quiver.n_vertices) for b in basis
           if b.source == v and b.target == v]
@@ -238,7 +239,8 @@ def ref_pair_spaces(A):
     tips = [(t, b) for t in A.gb.tips() for b in basis if b.parallel_to(t)]
     bplus = [p for p in basis if p.length > 0]
     c1 = [(x, b) for x in bplus for b in basis if b.parallel_to(x)]
-    c2 = [(x1, x2, b) for x1 in bplus for x2 in bplus if x1.source == x2.target
+    c2 = [(x1, x2, b) for x1 in bplus if x1.length == 1
+          for x2 in bplus if x1.source == x2.target
           for b in basis if b.source == x2.source and b.target == x1.target]
     return q0, q1, tips, list(q0), c1, c2
 
