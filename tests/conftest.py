@@ -62,12 +62,20 @@ def two_loops():
     return Quiver(["e"], [("y", "e", "e"), ("x", "e", "e")])
 
 
+class Overran(BaseException):
+    """A time limit that expired inside a Hypothesis example.  Hypothesis
+    takes an Exception for a failing example and replays and shrinks it,
+    running the hanging input again; a BaseException passes through it at
+    once, and pytest still reports the test as failed."""
+
+
 @contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after ``seconds`` of wall time, so a
-    hang fails the test instead of stalling the suite (main thread only)."""
+def time_limit(seconds, error=TimeoutError, what=""):
+    """Raise ``error`` in the block after ``seconds`` of wall time, so a
+    hang fails the test instead of stalling the suite (main thread only);
+    ``what`` names the input in the message."""
     def expire(signum, frame):
-        raise TimeoutError("no result within %s s" % seconds)
+        raise error("no result within %s s%s" % (seconds, what))
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
