@@ -10,28 +10,42 @@ A+ the span of the nontrivial basis paths B+.  The differentials are
     (D0 a)(x) = ax - xa
     (D1 f)(x1 (x) x2) = x1 f(x2) - f(pA(x1 x2)) + f(x1) x2
 
-and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  D0 is held as
-sparse image columns over C1 and D1 as sparse rows over C1, both
-assembled here straight from the cochain formulas; cochains, products
-and brackets are sparse {index: coeff} dicts.
+and the degree-1 bracket is [f,g] = f.pA.g - g.pA.f.  Cochains, products
+and brackets are sparse {index: coeff} dicts, and every differential is
+assembled here straight from the cochain formulas.
 
-D1 is assembled only on its arrow rows, the rows (a, x2, b) with a an
-arrow, and they cut out the same Ker D1.  If f satisfies them, every
-row holds by induction on |x1|: write x1 = a x1' with x1' in B+ and
-z = pA(x1' x2) in span B+.  The arrow rows (a, b) for b in z give
-f(pA(x1 x2)) = a f(z) + f(a) z; induction gives f(z) = x1' f(x2) +
-f(x1') x2, and the arrow row (a, x1') gives f(x1) = a f(x1') + f(a) x1',
-which together read x1 f(x2) + f(x1) x2.
+The route works on the arrow columns of C1, the columns (a, b) with a
+an arrow; llex order puts the arrows first in B+, so these are the
+first columns.  E(phi) extends arrow values phi to all of B+ along
+``QuotientAlgebra.steps``, by f(x b') = x f(b') + f(x) b'.  Three facts
+make the arrow columns enough:
 
-Assembly works on basis indices and builds no path itself: the product
-of two basis paths is read off the quotient's memo per pair of basis
-indices, and the classes of parallel basis paths off its index.  The C1
-columns (x, b) of each x in B+ are one list of ints, indexed by the
-position of b in the class of x, and every D0 column and D1 row holds
-those shared ints.  The C2 labels of the arrow rows are built when
-``c2_basis`` is read, and ``d0`` and ``d1`` write the differentials out
-as new dense row-major lists.  Ker D1 depends on the row space alone,
-so D1 is eliminated on its distinct nonzero rows.
+1. Ker D1 is E of the kernel of the arrow rows (a, x2) with a x2 not
+   itself a basis path.  The arrow rows (a, x2, b), a an arrow, cut out
+   Ker D1: if f satisfies them, every row holds by induction on |x1|.
+   Write x1 = a x1' with x1' in B+ and z = pA(x1' x2) in span B+.  The
+   arrow rows (a, b) for b in z give f(pA(x1 x2)) = a f(z) + f(a) z;
+   induction gives f(z) = x1' f(x2) + f(x1') x2, and the arrow row
+   (a, x1') gives f(x1) = a f(x1') + f(a) x1', which together read
+   x1 f(x2) + f(x1) x2.  The arrow rows at (a, x2) with a x2 a basis
+   path read f(a x2) = a f(x2) + f(a) x2, which is E's recursion: they
+   force f = E(f on arrows) and hold identically on every E(phi).
+2. Restriction to the arrows is injective on Ker D1, its inverse there
+   being E, and Ker D1 contains Im D0.  So Im D0 and rank D0 are read
+   from the D0 columns restricted to the arrows, and every basis here
+   is the RREF of the whole-C1 basis restricted: all its pivots are
+   arrow columns.
+3. The bracket of two cocycles is a cocycle, so [u, v] in arrow
+   coordinates is [E u, E v] restricted to the arrows, which needs
+   E u and E v on the paths that v and u take the arrows to.
+
+E runs along the steps once per list of cochains: the arrow unit
+cochains in ``spaces``, and each derived step's representatives.  The
+whole D1 (its arrow rows over all of C1), D0 and the C2 labels are
+views built anew on each read, which no computation reads.  Assembly
+works on basis indices, the quotient's product memo and its class
+index; the C1 columns (x, b) of each x in B+ are one shared list of
+ints, indexed by the position of b in the class of x.
 
 The derived series brackets only the representatives of each term
 modulo Im D0, the rows whose pivot is not a pivot of Im D0: every term
@@ -43,14 +57,13 @@ exactla and the quotient algebra.
 
 from __future__ import annotations
 
-from .exactla import (
-    add_at, dense, kernel_basis, row_space, rows_of_columns, sparse, subspace_quotient,
-)
+from .exactla import (add_at, add_to, dense, kernel_basis, row_space, rows_of_columns,
+                      sparse, subspace_quotient)
 
 
 class BarSlice:
-    __slots__ = ("algebra", "c0_basis", "c1_basis", "d0_cols", "d1_rows",
-                 "_plus", "_par", "_pos", "_cols", "_at", "_spaces", "_indexed")
+    __slots__ = ("algebra", "c0_basis", "c1_basis", "_plus", "_par", "_pos", "_cols",
+                 "_at", "_loops", "_arrows", "_n", "_d0", "_steps", "_spaces", "_indexed")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -64,11 +77,18 @@ class BarSlice:
             self._cols[x] = list(range(len(self._at), len(self._at) + len(self._par[x])))
             self._at += [(x, b) for b in self._par[x]]
         # basis[v] is the trivial path at vertex v, so _par[v] is v's loops
-        loops = [i for v in range(algebra.quiver.n_vertices) for i in self._par[v]]
-        self.c0_basis = [(basis[i].source, basis[i]) for i in loops]
+        self._loops = [i for v in range(algebra.quiver.n_vertices) for i in self._par[v]]
+        self.c0_basis = [(basis[i].source, basis[i]) for i in self._loops]
         self.c1_basis = [(basis[x], basis[b]) for x, b in self._at]
-        self.d0_cols = self._image_columns(loops)
-        self.d1_rows = self._kernel_rows()
+        # _arrows[a]: the basis index of arrow a; the arrow columns are
+        # 0 .. _n - 1, and _d0 is D0 restricted to them
+        self._arrows = {basis[x].arrows[0]: x for x in self._plus if len(basis[x].arrows) == 1}
+        self._n = sum(len(self._par[x]) for x in self._arrows.values())
+        self._d0 = self._image_columns(self._arrows.values())
+        # (j, x, i) with basis[j] = basis[x] basis[i], x an arrow and i in B+,
+        # in basis order: llex puts each prefix i before j
+        self._steps = [(j, self._arrows[algebra.steps[j][0]], algebra.steps[j][1])
+                       for j in self._plus if basis[j].length > 1]
         self._spaces = None
         self._indexed = {}
 
@@ -81,6 +101,24 @@ class BarSlice:
                 for x1, x2, group in self._groups() for b in group]
 
     @property
+    def d0_cols(self):
+        """D0 as sparse image columns over C1, one per C0 basis element, as a
+        new list."""
+        return self._image_columns(self._plus)
+
+    @property
+    def d1_rows(self):
+        """The arrow rows of D1 as sparse rows over C1, in ``c2_basis``
+        order, as a new list."""
+        field, rows = self.algebra.field, []
+        for x1, x2, group in self._groups():
+            g = [{} for _ in group]
+            for k, col, c in self._group_terms(x1, x2):
+                add_at(g[k], col, c, field)
+            rows += g
+        return rows
+
+    @property
     def d0(self):
         rows = rows_of_columns(self.d0_cols, len(self.c1_basis))
         return [dense(r, len(self.c0_basis), self.algebra.field) for r in rows]
@@ -90,17 +128,18 @@ class BarSlice:
         n, field = len(self.c1_basis), self.algebra.field
         return [dense(r, n, field) for r in self.d1_rows]
 
-    def _image_columns(self, loops):
+    def _image_columns(self, xs):
         # column (v, b) for b = basis[i], i in loops: the cochain x -> bx - xb
+        # on the x in xs
         field = self.algebra.field
         neg, cols, pos, prod = field.neg, self._cols, self._pos, self.algebra._product
         out = []
-        for i in loops:
+        for i in self._loops:
             col = {}
-            for x in self._plus:
+            for x in xs:
                 for j, c in prod(i, x).items():
                     add_at(col, cols[x][pos[j]], c, field)
-            for x in self._plus:
+            for x in xs:
                 for j, c in prod(x, i).items():
                     add_at(col, cols[x][pos[j]], neg(c), field)
             out.append(col)
@@ -114,60 +153,89 @@ class BarSlice:
         ending = {}
         for x in self._plus:
             ending.setdefault(basis[x].target, []).append(x)
-        for x1 in (x for x in self._plus if len(basis[x].arrows) == 1):
+        for x1 in self._arrows.values():
             target = basis[x1].target
             for x2 in ending.get(basis[x1].source, ()):
                 yield x1, x2, classes.get((basis[x2].source, target), ())
 
-    def _kernel_rows(self):
-        """The arrow rows of D1 as sparse rows, one (x1, x2) group of rows
-        at a time: the rows (x1, x2, b) for b parallel to x1 x2, row k of a
-        group at the k-th b."""
+    def _group_terms(self, x1, x2):
+        """The entries (k, column, coefficient) of the D1 rows (x1, x2, b_k),
+        b_k the k-th basis path parallel to x1 x2; entries may share a
+        position, and then add up."""
         field = self.algebra.field
         neg, par, pos, cols = field.neg, self._par, self._pos, self._cols
         prod = self.algebra._product
-        rows = []
-        for x1, x2, group in self._groups():
-            g = [{} for _ in group]
-            # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where
-            # pA = id.  Each x there is parallel to x1 x2, so row k takes
-            # column (x, b_k); the rows start empty and no two entries meet
-            for j, c in prod(x1, x2).items():
-                c = neg(c)
-                for row, col in zip(g, cols[j]):
-                    row[col] = c
-            # +x1 f(x2) for f elementary at (x2, b)
-            for b, col in zip(par[x2], cols[x2]):
-                for j, c in prod(x1, b).items():
-                    add_at(g[pos[j]], col, c, field)
-            # +f(x1) x2 for f elementary at (x1, b)
-            for b, col in zip(par[x1], cols[x1]):
-                for j, c in prod(b, x2).items():
-                    add_at(g[pos[j]], col, c, field)
-            rows += g
-        return rows
+        # -f(pA(x1 x2)): I in kQ>=2 keeps pi(x1 x2) in length >= 2, where
+        # pA = id, and each x there is parallel to x1 x2, so row k takes
+        # column (x, b_k)
+        terms = [(k, col, neg(c)) for j, c in prod(x1, x2).items()
+                 for k, col in enumerate(cols[j])]
+        # +x1 f(x2) for f elementary at (x2, b), +f(x1) x2 for f at (x1, b)
+        terms += [(pos[j], col, c) for b, col in zip(par[x2], cols[x2])
+                  for j, c in prod(x1, b).items()]
+        terms += [(pos[j], col, c) for b, col in zip(par[x1], cols[x1])
+                  for j, c in prod(b, x2).items()]
+        return terms
+
+    def _extend(self, cochains):
+        """E of each arrow-coordinate cochain in the list, all at once: the
+        values {x: {t: {r: c}}} on B+, c the coefficient of the basis path t
+        in E(cochains[r])(x), by f(x b') = x f(b') + f(x) b' along steps,
+        with f(e) = 0 for trivial e.  Only nonzero entries are kept."""
+        field, prod, at = self.algebra.field, self.algebra._product, self._at
+        values = {}
+        for r, phi in enumerate(cochains):
+            for k, c in phi.items():
+                x, b = at[k]
+                values.setdefault(x, {}).setdefault(b, {})[r] = c
+        for j, x, i in self._steps:
+            fi, fx = values.get(i), values.get(x)
+            if fi or fx:
+                acc = {}
+                for t, v in (fi or {}).items():
+                    for s, d in prod(x, t).items():
+                        add_to(acc.setdefault(s, {}), v, d, field)
+                for b, v in (fx or {}).items():
+                    for s, d in prod(b, i).items():
+                        add_to(acc.setdefault(s, {}), v, d, field)
+                acc = {s: v for s, v in acc.items() if v}
+                if acc:
+                    values[j] = acc
+        return values
+
+    def _extensions(self, cochains):
+        """E(phi) of each arrow-coordinate cochain phi in the list, as its
+        values {x: sparse over B} on B+, one dict per cochain."""
+        out = [{} for _ in cochains]
+        for x, value in self._extend(cochains).items():
+            for t, v in value.items():
+                for r, c in v.items():
+                    out[r].setdefault(x, {})[t] = c
+        return out
 
     def spaces(self):
-        """(Ker D1, Im D0) as subspaces of C1, each differential eliminated
-        once per slice, D1 on its distinct nonzero rows."""
+        """(Ker D1, Im D0) in the arrow coordinates, as subspaces of k^n for
+        the n arrow columns, each eliminated once per slice: Ker D1 on the
+        arrow rows that E does not satisfy by construction, each composed
+        with E."""
         if self._spaces is None:
-            field, n = self.algebra.field, len(self.c1_basis)
-            self._spaces = (kernel_basis(_distinct(self.d1_rows), field, n),
-                            row_space(self.d0_cols, field, n))
+            algebra, cols, pos = self.algebra, self._cols, self._pos
+            field, made = algebra.field, set(filter(None, algebra.steps))
+            # ext[col]: {k: c} for the coordinate c at C1 column col of E(unit k)
+            ext = {cols[x][pos[t]]: v
+                   for x, value in self._extend([{k: field.one} for k in range(self._n)]).items()
+                   for t, v in value.items()}
+            rows = []
+            for x1, x2, group in self._groups():
+                if (algebra.basis[x1].arrows[0], x2) not in made:
+                    g = [{} for _ in group]
+                    for k, col, c in self._group_terms(x1, x2):
+                        if col in ext:
+                            add_to(g[k], ext[col], c, field)
+                    rows += filter(None, g)
+            self._spaces = (kernel_basis(rows, field, self._n),
+                            row_space(self._d0, field, self._n))
         return self._spaces
-
-
-def _distinct(rows):
-    """The nonzero rows, less each row equal to an earlier one, as a list
-    in order.  A row is compared with the first row of its hash only, so a
-    hash collision can keep a repeat but never drops a row."""
-    first, out = {}, []
-    for row in rows:
-        if row:
-            seen = first.setdefault(hash(frozenset(row.items())), row)
-            if seen is row or seen != row:
-                out.append(row)
-    return out
 
 
 def build_bar_slice(algebra):
@@ -181,49 +249,36 @@ def bar_hh_dims(algebra, slice_=None):
     return len(sl.c0_basis) - u0.dim, k1.dim - u0.dim
 
 
-def _values(f, sl):
-    """The sparse cochain f as {x: [(position of b in the class of x, c)]}
-    over its (x, b) coordinates c."""
-    at, pos = sl._at, sl._pos
-    values = {}
-    for k, c in f.items():
-        x, b = at[k]
-        values.setdefault(x, []).append((pos[b], c))
-    return values
-
-
 def bracket_c1(u, v, sl):
-    """[u, v] = u.pA.v - v.pA.u of C1 cochains u, v (sparse or dense), as a
-    sparse C1 vector.  The values of a cochain indexed in ``sl._indexed``
-    (by ``bar_derived_series``, for the representatives it brackets) are
-    read there instead of being rebuilt."""
+    """[u, v] = u.pA.v - v.pA.u of arrow-coordinate cochains u, v (sparse
+    or dense) on the arrows, as a sparse arrow-coordinate vector: the
+    bracket of E u and E v restricted to the arrows, which for cocycles is
+    the cocycle [E u, E v] itself.  The extension of a cochain indexed in
+    ``sl._indexed`` (by ``bar_derived_series``, for the representatives it
+    brackets) is read there instead of being rebuilt."""
     field = sl.algebra.field
-    at, cols, mul = sl._at, sl._cols, field.mul
-    out = {}
-
-    def add_after(values, g, sign):
-        # f.pA.g sends x to the sum of c f(b) over the (x, b) coordinates c
-        # of g; f(b) lives on paths parallel to x, and f(e) = 0 for trivial e
-        for k, c in g.items():
-            x, b = at[k]
-            c = mul(sign, c)
-            for p, c2 in values.get(b, ()):
-                add_at(out, cols[x][p], mul(c, c2), field)
-
-    def values(f):
-        got = sl._indexed.get(id(f))
-        return got[1] if got else _values(f, sl)
-
+    at, cols, pos, mul, neg = sl._at, sl._cols, sl._pos, field.mul, field.neg
     u, v = sparse(u), sparse(v)
-    add_after(values(u), v, field.one)
-    add_after(values(v), u, field.neg(field.one))
+    out = {}
+    for f, g, sign in ((u, v, None), (v, u, neg)):
+        got = sl._indexed.get(id(f))
+        values = got[1] if got else sl._extensions([f])[0]
+        # f.pA.g sends the arrow a to the sum of c f(b) over the (a, b)
+        # coordinates c of g; f(b) lives on paths parallel to a
+        for k, c in g.items():
+            a, b = at[k]
+            value = values.get(b)
+            if value:
+                c, col = sign(c) if sign else c, cols[a]
+                for j, c2 in value.items():
+                    add_at(out, col[pos[j]], mul(c, c2), field)
     return out
 
 
 def bar_derived_series(algebra, slice_=None):
     """Derived-series dims of Ker D1 / Im D0 under the cochain bracket.
     Each step brackets the pairs of the term's representatives modulo
-    Im D0, whose values are indexed once per step in ``sl._indexed``."""
+    Im D0, whose extensions are indexed once per step in ``sl._indexed``."""
     sl = slice_ or BarSlice(algebra)
     field = algebra.field
     k1, u0 = sl.spaces()
@@ -233,10 +288,10 @@ def bar_derived_series(algebra, slice_=None):
         return dims
     while True:
         # an entry holds its cochain, so its id names no other object
-        sl._indexed = {id(x): (x, _values(x, sl)) for x in reps}
+        sl._indexed = {id(x): (x, values) for x, values in zip(reps, sl._extensions(reps))}
         gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(reps)
                            for y in reps[i + 1:]]
-        term = row_space(gens, field, len(sl.c1_basis))
+        term = row_space(gens, field, sl._n)
         dims.append(term.dim - u0.dim)
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             sl._indexed = {}

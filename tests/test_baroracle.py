@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh import baroracle, exactla
+from quiverhh import baroracle, brauer, exactla
 from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field, dense, kernel_basis
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose
@@ -170,7 +170,7 @@ class TestCochainBracket:
         A = commuting_loops()
         sl = BarSlice(A)
         field = A.field
-        ker = kernel_basis(sl.d1_rows, field, ncols=len(sl.c1_basis))
+        ker = sl.spaces()[0]
         for i in range(len(ker.basis)):
             for j in range(i, len(ker.basis)):
                 uv = c1_dense(bracket_c1(ker.basis[i], ker.basis[j], sl), sl)
@@ -180,8 +180,7 @@ class TestCochainBracket:
     def test_cocycles_close_under_bracket(self):
         A = kronecker_ext()
         sl = BarSlice(A)
-        field = A.field
-        ker = kernel_basis(sl.d1_rows, field, ncols=len(sl.c1_basis))
+        ker = sl.spaces()[0]
         for i in range(len(ker.basis)):
             for j in range(i + 1, len(ker.basis)):
                 w = bracket_c1(ker.basis[i], ker.basis[j], sl)
@@ -363,6 +362,35 @@ def ref_bracket_c1(u, v, sl):
     return out
 
 
+def ref_extend(phi, sl):
+    """E(phi) of an arrow-coordinate cochain (sparse or dense) as a dense C1
+    vector: its value at x = a_n ... a_1 is the sum over t of the normal
+    form of a_n ... a_(t+1) phi(a_t) a_(t-1) ... a_1."""
+    a = sl.algebra
+    field, c1 = a.field, c1_index(sl)
+    at_arrow = {}
+    for k, c in exactla.sparse(phi).items():
+        x, b = sl.c1_basis[k]
+        assert x.length == 1, "not an arrow column"
+        at_arrow.setdefault(x.arrows[0], []).append((b, c))
+    out = [field.zero] * len(sl.c1_basis)
+    for x in bplus(sl):
+        for t, arrow in enumerate(x.arrows):
+            for b, c in at_arrow.get(arrow, ()):
+                word = x.arrows[:t] + b.arrows + x.arrows[t + 1:]
+                p = Path(a.quiver, word) if word else b
+                for q, d in normal_form(FreeElement.from_path(p, field), a.gb).terms.items():
+                    k = c1[(x, q)]
+                    out[k] = field.add(out[k], field.mul(c, d))
+    return out
+
+
+def arrow_part(vec, sl):
+    """The arrow coordinates of a C1 vector (sparse or dense), as a sparse
+    dict."""
+    return {k: c for k, c in exactla.sparse(vec).items() if k < sl._n}
+
+
 def ref_pairs(sl):
     """Every composable pair (x1, x2) of B+: the rows of the full D1."""
     plus = bplus(sl)
@@ -417,12 +445,13 @@ class TestSparseAssembly:
 
     @pytest.mark.parametrize("tag", [t for t, _ in ALL_ALGEBRAS])
     def test_bracket_equals_reference_on_kernel(self, tag):
+        # the bracket of two cocycles is the cocycle E of its arrow values
         sl = slice_of(tag)
-        ker = kernel_basis(sl.d1_rows, sl.algebra.field, ncols=len(sl.c1_basis)).basis
+        ker = sl.spaces()[0].basis
         for u in ker:
             for v in ker:
-                assert typed([c1_dense(bracket_c1(u, v, sl), sl)]) == typed(
-                    [ref_bracket_c1(c1_dense(u, sl), c1_dense(v, sl), sl)])
+                assert typed([ref_extend(bracket_c1(u, v, sl), sl)]) == typed(
+                    [ref_bracket_c1(ref_extend(u, sl), ref_extend(v, sl), sl)])
 
     # tags by field: Q, GF(2), GF(3)
     BY_FIELD = {
@@ -438,7 +467,7 @@ class TestSparseAssembly:
         sl = slice_of(data.draw(st.sampled_from(self.BY_FIELD[char])))
         field = sl.algebra.field
         assert field.char == char
-        n = len(sl.c1_basis)
+        n = sl._n
         if char == 0:
             scalar = st.fractions(-3, 3, max_denominator=3).map(Fraction)
         else:
@@ -448,40 +477,41 @@ class TestSparseAssembly:
             entries = data.draw(st.dictionaries(st.integers(0, n - 1), scalar, max_size=8))
             return [entries.get(i, field.zero) for i in range(n)]
 
+        # arrow cochains, bracketed through their extensions
         u, v = cochain(), cochain()
-        assert typed([c1_dense(bracket_c1(u, v, sl), sl)]) == typed([ref_bracket_c1(u, v, sl)])
+        ref = ref_bracket_c1(ref_extend(u, sl), ref_extend(v, sl), sl)
+        assert typed([c1_dense(bracket_c1(u, v, sl), sl)]) == typed(
+            [c1_dense(arrow_part(ref, sl), sl)])
 
 
 class TestOneEliminationPerDifferential:
-    @pytest.mark.parametrize("tag", ["kronecker-ext", "char2-loops"])
-    def test_each_differential_is_reduced_once(self, tag, monkeypatch):
-        """D0 is reduced as it is held, D1 once on a list of its own row
-        dicts that are pairwise unequal and cover every nonzero row."""
+    @pytest.mark.parametrize("tag", ["kronecker-ext", "char2-loops", "commuting-loops"])
+    def test_each_space_is_reduced_once_on_arrow_columns(self, tag, monkeypatch):
+        """Ker D1 and Im D0 are eliminated once per slice, and every rref
+        of the bar route is handed a list of rows on the arrow columns."""
         A = dict(ALGEBRAS)[tag]()
         sl = BarSlice(A)
-        calls = {"d0": 0, "d1": 0}
-        d1_ids = {id(r) for r in sl.d1_rows}
-        fed = []
-        real = exactla.rref
+        fed, real = [], exactla.rref
 
-        def counting(rows, field):
-            if rows is sl.d0_cols:
-                calls["d0"] += 1
-            elif isinstance(rows, list) and rows and all(id(r) in d1_ids for r in rows):
-                calls["d1"] += 1
-                fed.append(rows)
-            return real(rows, field)
+        def recording(rows, field, limit=None):
+            fed.append(rows)
+            return real(rows, field, limit)
 
-        monkeypatch.setattr(exactla, "rref", counting)
+        monkeypatch.setattr(exactla, "rref", recording)
         # a module that binds rref by name calls its own binding
-        monkeypatch.setattr(baroracle, "rref", counting, raising=False)
+        monkeypatch.setattr(baroracle, "rref", recording, raising=False)
         bar_hh_dims(A, sl)
-        bar_derived_series(A, sl)
+        spaces = len(fed)
+        dims = bar_derived_series(A, sl)
+        derived = len(fed) - spaces
         bar_hh_dims(A, sl)
-        assert calls == {"d0": 1, "d1": 1}
-        rows = fed[0]
-        assert all(r != s for i, r in enumerate(rows) for s in rows[i + 1:])
-        assert all(any(r == s for s in rows) for r in sl.d1_rows if r)
+        # kernel_basis reduces twice (the rows, then the kernel basis) and
+        # row_space once; the derived series once per step
+        assert (spaces, derived, len(fed)) == (3, len(dims) - 1, spaces + derived)
+        assert sl._n < len(sl.c1_basis)
+        for rows in fed:
+            assert isinstance(rows, list)
+            assert all(k < sl._n for row in rows for k in row)
 
 
 # -- pp against bar on random quiver algebras --------------------------------
@@ -669,38 +699,139 @@ def random_slices():
     return [BarSlice(A) for A in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM)]
 
 
-def assert_kernel_of_all_rows(sl):
-    """Ker D1 of the slice (from its distinct nonzero rows) is the kernel
-    of every row, basis and pivots."""
-    got = sl.spaces()[0]
-    ref = kernel_basis(sl.d1_rows, sl.algebra.field, len(sl.c1_basis))
-    assert (got.basis, got.pivots) == (ref.basis, ref.pivots)
+# -- the whole-C1 route the oracle ran before it moved to arrow columns,
+# kept as a test-local reference: Ker D1 from every arrow row over all of
+# C1, Im D0 from the whole D0 columns, and the bracket of whole cochains --
+
+def whole_c1_spaces(sl):
+    field, n = sl.algebra.field, len(sl.c1_basis)
+    return kernel_basis(sl.d1_rows, field, n), exactla.row_space(sl.d0_cols, field, n)
 
 
-class TestDistinctRowKernel:
-    @pytest.fixture(params=["hashed", "colliding"])
-    def fresh(self, request, monkeypatch):
-        """Clears a slice's memoized spaces; under "colliding" every row
-        hashes to 0, so each nonzero row meets the first one."""
-        hashed = []
-        if request.param == "colliding":
-            monkeypatch.setattr(baroracle, "hash", lambda row: hashed.append(1) or 0,
-                                raising=False)
+def whole_c1_hh_dims(sl, spaces):
+    k1, u0 = spaces
+    return len(sl.c0_basis) - u0.dim, k1.dim - u0.dim
 
-        def clear(sl):
-            sl._spaces = None
-            return sl
 
-        yield clear
-        assert bool(hashed) == (request.param == "colliding")
+def whole_c1_values(f, sl):
+    """The sparse C1 cochain f as {x: [(position of b in the class of x, c)]}."""
+    values = {}
+    for k, c in f.items():
+        x, b = sl._at[k]
+        values.setdefault(x, []).append((sl._pos[b], c))
+    return values
+
+
+def whole_c1_bracket(u, v, sl, values):
+    """[u, v] = u.pA.v - v.pA.u of whole C1 cochains, sparse; values maps
+    the id of each cochain to its whole_c1_values."""
+    field = sl.algebra.field
+    out = {}
+    for f, g, sign in ((u, v, field.one), (v, u, field.neg(field.one))):
+        for k, c in g.items():
+            x, b = sl._at[k]
+            for p, c2 in values[id(f)].get(b, ()):
+                exactla.add_at(out, sl._cols[x][p], field.mul(field.mul(sign, c), c2), field)
+    return out
+
+
+def whole_c1_derived_series(sl, spaces):
+    field = sl.algebra.field
+    k1, u0 = spaces
+    dim_l, reps = exactla.subspace_quotient(k1, u0)
+    dims = [dim_l]
+    while dims[-1] and (len(dims) == 1 or dims[-1] != dims[-2]):
+        values = {id(x): whole_c1_values(x, sl) for x in reps}
+        gens = u0.basis + [whole_c1_bracket(x, y, sl, values) for i, x in enumerate(reps)
+                           for y in reps[i + 1:]]
+        term = exactla.row_space(gens, field, len(sl.c1_basis))
+        dims.append(term.dim - u0.dim)
+        reps = exactla.subspace_quotient(term, u0)[1]
+    return dims
+
+
+def extended(space, sl):
+    """The basis of an arrow-coordinate subspace, each row extended by the
+    slice's E to a sparse C1 vector."""
+    out = []
+    for row in space.basis:
+        vec = {}
+        for x, value in sl._extensions([row])[0].items():
+            for j, c in value.items():
+                vec[sl._cols[x][sl._pos[j]]] = c
+        out.append(vec)
+    return out
+
+
+def assert_route_equals_whole_c1(sl):
+    """Dims, derived series and the bases of Ker D1 and Im D0, extended
+    by E, all equal the whole-C1 route's."""
+    spaces = whole_c1_spaces(sl)
+    assert bar_hh_dims(sl.algebra, sl) == whole_c1_hh_dims(sl, spaces)
+    assert bar_derived_series(sl.algebra, sl) == whole_c1_derived_series(sl, spaces)
+    for got, ref in zip(sl.spaces(), spaces):
+        assert all(p < sl._n for p in ref.pivots)
+        assert (extended(got, sl), got.pivots) == (ref.basis, ref.pivots)
+
+
+@functools.cache
+def corpus_slices():
+    """A and gr A of the graphs of brauer.corpus(271828, 60, max_dim=30)."""
+    Q = Field(0)
+    out = []
+    for graph in brauer.corpus(271828, 60, max_dim=30):
+        for rels in (sum(brauer.generate_relations(graph, Q), []),
+                     brauer.gr_relations(graph, Q)):
+            out.append(BarSlice(build_quotient(complete(rels))))
+    return out
+
+
+class TestWholeC1Reference:
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_on_files(self, name):
+        assert_route_equals_whole_c1(file_slice(name))
+
+    def test_on_random_algebras(self):
+        for sl in random_slices():
+            assert_route_equals_whole_c1(sl)
+
+    def test_on_corpus_algebras_and_their_graded(self):
+        slices = corpus_slices()
+        assert len(slices) == 120
+        for sl in slices:
+            assert_route_equals_whole_c1(sl)
+
+
+class TestExtension:
+    """E of the arrow unit cochains, as the slice builds it, against the
+    normal-form reference and the arrow rows the route skips."""
+
+    @staticmethod
+    def assert_units_satisfy_skipped_rows(sl):
+        """The arrow rows (a, x2, b) with a x2 a basis path hold on E of
+        every arrow unit cochain; the number of rows checked."""
+        a = sl.algebra
+        units = [{k: a.field.one} for k in range(sl._n)]
+        exts = [{sl._cols[x][sl._pos[j]]: c for x, value in values.items()
+                 for j, c in value.items()} for values in sl._extensions(units)]
+        assert [c1_dense(e, sl) for e in exts] == [ref_extend(u, sl) for u in units]
+        skipped = [row for (x1, x2, _), row in zip(sl.c2_basis, sl.d1_rows)
+                   if compose(x1, x2) in a.index]
+        assert sparse_product_vanishes(skipped, exts, a.field)
+        return len(skipped)
 
     @pytest.mark.parametrize("name", ALG_FILES)
-    def test_on_files(self, name, fresh):
-        assert_kernel_of_all_rows(fresh(file_slice(name)))
+    def test_units_satisfy_skipped_rows_on_files(self, name):
+        assert self.assert_units_satisfy_skipped_rows(file_slice(name))
 
-    def test_on_random_algebras(self, fresh):
-        for sl in random_slices():
-            assert_kernel_of_all_rows(fresh(sl))
+    def test_units_satisfy_skipped_rows_on_random_algebras(self):
+        assert sum(self.assert_units_satisfy_skipped_rows(sl) for sl in random_slices())
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_arrow_columns_come_first(self, name):
+        sl = file_slice(name)
+        arrows = [k for k, (x, _) in enumerate(sl.c1_basis) if x.length == 1]
+        assert arrows == list(range(sl._n))
 
 
 class TestIndexArrays:
@@ -735,16 +866,24 @@ class TestIndexArrays:
 # -- the arrow rows of D1 and the derived series on representatives --------
 
 class TestArrowRows:
-    """The arrow rows of D1 cut out the kernel of the full D1, whose rows
-    run over every composable pair of B+."""
+    """The arrow rows of D1 not satisfied by construction, composed with E,
+    cut out the kernel of the full D1, whose rows run over every composable
+    pair of B+: E of each Ker D1 basis vector satisfies every full row,
+    restricts back to itself, and the extended basis is the RREF kernel."""
 
     @staticmethod
     def assert_kernel_of_full_d1(sl):
         full = ref_build_d1(sl, ref_pairs(sl))
         assert len(full) >= len(sl.d1_rows)
-        ref = kernel_basis(full, sl.algebra.field, len(sl.c1_basis))
+        field = sl.algebra.field
+        ref = kernel_basis(full, field, len(sl.c1_basis))
         got = sl.spaces()[0]
-        assert (got.basis, got.pivots) == (ref.basis, ref.pivots)
+        vecs = extended(got, sl)
+        for row, vec in zip(got.basis, vecs):
+            assert c1_dense(vec, sl) == ref_extend(row, sl)
+            assert arrow_part(vec, sl) == row
+        assert sparse_product_vanishes(full, vecs, field)
+        assert (vecs, got.pivots) == (ref.basis, ref.pivots)
 
     @pytest.mark.parametrize("name", ALG_FILES)
     def test_on_files(self, name):

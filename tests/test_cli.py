@@ -477,6 +477,22 @@ class TestOracleMemory:
         got = lines_of(proc.stdout.decode())
         assert (got["pp-hh0"], got["bar-hh1"], got["verdict"]) == ("100", "180", "AGREE")
 
+    def test_xy12_fits_in_60_mb_of_address_space(self, tmp_path):
+        # k[x,y]/(x^12,y^12): eliminating the 41,184 arrow rows over all
+        # 20,592 columns of C1 needed 72 MB of address space; on the 288
+        # arrow columns the whole oracle fits in 50 MB
+        alg = tmp_path / "xy12.alg"
+        alg.write_text("field Q\nvertex e\narrow x: e -> e\narrow y: e -> e\n"
+                       "rel x*y - y*x\nrel x^12\nrel y^12\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (60 << 20, 60 << 20))
+
+        proc = run_cli_process(["oracle", str(alg)], subprocess.PIPE, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        got = lines_of(proc.stdout.decode())
+        assert (got["bar-hh0"], got["bar-hh1"], got["verdict"]) == ("144", "264", "AGREE")
+
 
 class TestOracleWithoutHH1:
     def test_derived_series_is_0_on_both_routes(self, tmp_path):
