@@ -289,8 +289,9 @@ def bar_derived_series(algebra, slice_=None):
     while True:
         # an entry holds its cochain, so its id names no other object
         sl._indexed = {id(x): (x, values) for x, values in zip(reps, sl._extensions(reps))}
-        gens = u0.basis + [bracket_c1(x, y, sl) for i, x in enumerate(reps)
-                           for y in reps[i + 1:]]
+        # a zero bracket spans nothing, and most brackets are zero
+        gens = u0.basis + [b for i, x in enumerate(reps) for y in reps[i + 1:]
+                           if (b := bracket_c1(x, y, sl))]
         term = row_space(gens, field, sl._n)
         dims.append(term.dim - u0.dim)
         if dims[-1] == 0 or dims[-1] == dims[-2]:

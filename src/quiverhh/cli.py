@@ -593,54 +593,33 @@ def _int_at_least(low):
     return parse
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quiverhh",
-        description="Hochschild cohomology of quiver algebras "
-                    "and Brauer graph algebras, in exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _caps(p, basis=True):
+    p.add_argument("--max-tip-len", type=_int_at_least(1), default=DEFAULT_MAX_TIP_LENGTH,
+                   help="abort completion past this tip length")
+    if basis:
+        p.add_argument("--max-basis", type=_int_at_least(1), default=DEFAULT_MAX_BASIS,
+                       help="abort basis enumeration past this size")
 
-    def add_caps(p, basis=True):
-        p.add_argument("--max-tip-len", type=_int_at_least(1), default=DEFAULT_MAX_TIP_LENGTH,
-                       help="abort completion past this tip length")
-        if basis:
-            p.add_argument("--max-basis", type=_int_at_least(1), default=DEFAULT_MAX_BASIS,
-                           help="abort basis enumeration past this size")
 
-    p = sub.add_parser("gb", help="reduced noncommutative Groebner basis")
+def _algebra_args(p, basis=True):
     p.add_argument("file", help="algebra file")
-    add_caps(p, basis=False)
-    p.set_defaults(func=cmd_gb)
+    _caps(p, basis)
 
-    p = sub.add_parser("basis", help="monomial basis of the quotient")
-    p.add_argument("file", help="algebra file")
-    add_caps(p)
-    p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("hh", help="HH0, HH1 with Lie structure and grading")
-    p.add_argument("file", help="algebra file")
-    add_caps(p)
-    p.set_defaults(func=cmd_hh)
-
-    p = sub.add_parser("chains", help="sizes of the chain sets W(i)")
+def _chains_args(p):
     p.add_argument("file", help="algebra file")
     p.add_argument("--n", type=_int_at_least(-1), required=True,
                    help="highest chain degree, at least -1")
-    add_caps(p)
-    p.set_defaults(func=cmd_chains)
+    _caps(p)
 
-    p = sub.add_parser("oracle", help="cross-check HH against the bar resolution")
-    p.add_argument("file", help="algebra file")
-    add_caps(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bga", help="emit the algebra file of a Brauer graph")
+def _bga_args(p):
     p.add_argument("file", help="Brauer graph file")
     p.add_argument("--gr", action="store_true",
                    help="emit the associated graded algebra instead")
-    p.set_defaults(func=cmd_bga)
 
-    p = sub.add_parser("report", help="invariant report for a Brauer graph")
+
+def _report_args(p):
     p.add_argument("file", nargs="?", help="Brauer graph file")
     p.add_argument("--corpus", action="store_true",
                    help="run the seeded random corpus instead of a file")
@@ -648,14 +627,45 @@ def build_parser():
                    help="corpus seed")
     p.add_argument("--size", type=_int_at_least(1), default=20,
                    help="corpus size, at least 1")
-    add_caps(p)
-    p.set_defaults(func=cmd_report)
+    _caps(p)
 
+
+# command -> (help, adds its arguments); main looks cmd_<command> up as it runs
+_COMMANDS = {
+    "gb": ("reduced noncommutative Groebner basis", lambda p: _algebra_args(p, basis=False)),
+    "basis": ("monomial basis of the quotient", _algebra_args),
+    "hh": ("HH0, HH1 with Lie structure and grading", _algebra_args),
+    "chains": ("sizes of the chain sets W(i)", _chains_args),
+    "oracle": ("cross-check HH against the bar resolution", _algebra_args),
+    "bga": ("emit the algebra file of a Brauer graph", _bga_args),
+    "report": ("invariant report for a Brauer graph", _report_args),
+}
+
+
+def build_parser(command=None):
+    """The quiverhh parser, with only the subparser of command if that is
+    known (all that parse_args reads when argv[0] names it), else all seven.
+    The usage line it prints on its own errors names all seven: a metavar
+    says so when one subparser is added, and only then, since argparse names
+    the action by its metavar in the missing and invalid command errors."""
+    parser = argparse.ArgumentParser(
+        prog="quiverhh",
+        description="Hochschild cohomology of quiver algebras "
+                    "and Brauer graph algebras, in exact arithmetic.")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None)
+    for name in names:
+        help_, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "report" and not args.corpus and args.file is None:
         parser.error("report needs a file or --corpus")
@@ -667,7 +677,7 @@ def main(argv=None):
         digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        rc = args.func(args, out)
+        rc = globals()["cmd_" + args.command](args, out)
         sys.stdout.flush()
         return rc
     except BrokenPipeError:

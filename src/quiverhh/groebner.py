@@ -454,7 +454,12 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
             nodes.add(Path(quiver, w[:k]))  # written suffix = right factor
     nodes = sorted(nodes, key=_path_key)
     succ = {}
-    for u in nodes:
+
+    def successors(u):
+        # built on first use: a long tip brings a node for each of its
+        # prefixes, and few of them end a chain
+        if u in succ:
+            return succ[u]
         succ[u] = out = []
         for v in nodes:
             if u.source != v.target:
@@ -468,6 +473,8 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
             if basis._hits(word[1:]):
                 continue
             out.append(v)
+        return out
+
     held += quiver.n_arrows
     if held > max_basis:
         raise ChainCapExceeded(max_basis, held, 0)
@@ -479,7 +486,7 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
             break  # no chain to extend
         nxt = []
         for ch in chains:
-            for v in succ[ch[-1]]:  # right factors only
+            for v in successors(ch[-1]):  # right factors only
                 if basis._hits(v.arrows):
                     continue
                 held += i + 1

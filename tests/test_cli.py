@@ -1,3 +1,4 @@
+import argparse
 import glob
 import io
 import os
@@ -723,6 +724,18 @@ class TestExitCodes:
             assert got == (3, "", "error: chain sets exceed --max-basis 15: the paths "
                                   "held reached 16 while building W[4]\n")
 
+    def test_chains_past_a_long_loop_power_is_0(self, tmp_path):
+        # the tip v1:0^992 brings a Uf-graph node for each of its 991 proper
+        # prefixes; the successors of all of them ran for minutes
+        alg = tmp_path / "power.alg"
+        alg.write_text("field Q\nvertex a\narrow v1:0: a -> a\narrow v1:1: a -> a\n"
+                       "rel v1:1*v1:0 - v1:0*v1:1\nrel v1:0*v1:1*v1:0\n"
+                       "rel v1:1*v1:0*v1:1\nrel v1:0^992\nrel v1:1^2\n")
+        with time_limit(20):
+            got = run_cli("chains", "--n", "2", "--max-basis", "60", "--max-tip-len", "20",
+                          str(alg))
+        assert got == (0, "W[-1]: 1\nW[0]: 2\nW[1]: 4\nW[2]: 8\n", "")
+
     @pytest.mark.parametrize("text,cap,reached", [
         (golden_text("xy4_q.alg"), 10, 13),
         # the trivial paths count too
@@ -889,3 +902,121 @@ class TestMixedEndpoints:
         mixed.write_text(MIXED_QUIVER + "rel b1*b2 + b2*b1\n")
         rc, out, _ = run_cli("basis", str(mixed))
         assert (rc, lines_of(out)["dim"]) == (0, "4")
+
+
+def reference_parser(command=None):
+    """The parser of all seven subparsers that main once built for every
+    argv, handlers in its defaults: main's output, whichever parser it
+    builds, must match what it gives."""
+    parser = argparse.ArgumentParser(
+        prog="quiverhh",
+        description="Hochschild cohomology of quiver algebras "
+                    "and Brauer graph algebras, in exact arithmetic.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_caps(p, basis=True):
+        p.add_argument("--max-tip-len", type=cli._int_at_least(1),
+                       default=cli.DEFAULT_MAX_TIP_LENGTH,
+                       help="abort completion past this tip length")
+        if basis:
+            p.add_argument("--max-basis", type=cli._int_at_least(1),
+                           default=cli.DEFAULT_MAX_BASIS,
+                           help="abort basis enumeration past this size")
+
+    p = sub.add_parser("gb", help="reduced noncommutative Groebner basis")
+    p.add_argument("file", help="algebra file")
+    add_caps(p, basis=False)
+    p.set_defaults(func=cli.cmd_gb)
+
+    p = sub.add_parser("basis", help="monomial basis of the quotient")
+    p.add_argument("file", help="algebra file")
+    add_caps(p)
+    p.set_defaults(func=cli.cmd_basis)
+
+    p = sub.add_parser("hh", help="HH0, HH1 with Lie structure and grading")
+    p.add_argument("file", help="algebra file")
+    add_caps(p)
+    p.set_defaults(func=cli.cmd_hh)
+
+    p = sub.add_parser("chains", help="sizes of the chain sets W(i)")
+    p.add_argument("file", help="algebra file")
+    p.add_argument("--n", type=cli._int_at_least(-1), required=True,
+                   help="highest chain degree, at least -1")
+    add_caps(p)
+    p.set_defaults(func=cli.cmd_chains)
+
+    p = sub.add_parser("oracle", help="cross-check HH against the bar resolution")
+    p.add_argument("file", help="algebra file")
+    add_caps(p)
+    p.set_defaults(func=cli.cmd_oracle)
+
+    p = sub.add_parser("bga", help="emit the algebra file of a Brauer graph")
+    p.add_argument("file", help="Brauer graph file")
+    p.add_argument("--gr", action="store_true",
+                   help="emit the associated graded algebra instead")
+    p.set_defaults(func=cli.cmd_bga)
+
+    p = sub.add_parser("report", help="invariant report for a Brauer graph")
+    p.add_argument("file", nargs="?", help="Brauer graph file")
+    p.add_argument("--corpus", action="store_true",
+                   help="run the seeded random corpus instead of a file")
+    p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED,
+                   help="corpus seed")
+    p.add_argument("--size", type=cli._int_at_least(1), default=20,
+                   help="corpus size, at least 1")
+    add_caps(p)
+    p.set_defaults(func=cli.cmd_report)
+    return parser
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["gb", "basis", "hh", "chains", "oracle", "bga", "report"]
+ALG, BG = fixture("x_cubed_q.alg"), fixture("single_loop.bg")
+
+
+class TestParser:
+    """main builds the parser of the one command argv[0] names; help, usage,
+    error text and exit codes stay those of the parser of all seven."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["nope"], ["HH", ALG], ["-x"], ["-x", "hh", ALG],
+        ["--", "hh", ALG], ["hh", ALG, "--bogus"], ["hh", "--bogus", ALG],
+        ["report"], ["report", BG, BG], ["chains", ALG], ["chains", "--n", "-5", ALG],
+        ["chains", "--n", "x", ALG], ["report", "--corpus", "--size", "0"],
+        ["report", "--seed", "abc", "--corpus"], ["basis", "--max-basis", "-1", ALG],
+        ["gb", "--max-basis", "1", ALG], ["gb", "--max-tip-len", "x", ALG],
+        ["bga", "--gr"], ["hh", "-h", ALG], ["report", "-h", "--corpus"],
+        ["hh", ALG], ["chains", "--n", "3", ALG], ["bga", BG, "--gr"], ["report", BG],
+        ["report", "--corpus", "--size", "2"],
+    ] + [[c, "-h"] for c in COMMANDS] + [[c] for c in COMMANDS])
+    def test_output_matches_the_full_parser(self, monkeypatch, argv):
+        # argparse wraps help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_main(argv)
+        monkeypatch.setattr(cli, "build_parser", reference_parser)
+        assert got == run_main(argv)
+
+    @pytest.mark.parametrize("argv,built", [
+        (["hh", "-h"], 2), (["hh", ALG], 2), (["report"], 2), (["bga", "--gr"], 2),
+        ([], 8), (["-h"], 8), (["nope"], 8), (["--", "hh", ALG], 8),
+    ])
+    def test_a_known_command_builds_its_parser_alone(self, monkeypatch, argv, built):
+        init, calls = argparse.ArgumentParser.__init__, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        run_main(argv)
+        assert len(calls) == built
