@@ -57,8 +57,8 @@ exactla and the quotient algebra.
 
 from __future__ import annotations
 
-from .exactla import (add_at, add_to, dense, kernel_basis, row_space, rows_of_columns,
-                      sparse, subspace_quotient)
+from .exactla import (add_to, dense, kernel_basis, row_space, rows_of_columns, sparse,
+                      subspace_quotient)
 
 
 class BarSlice:
@@ -114,7 +114,7 @@ class BarSlice:
         for x1, x2, group in self._groups():
             g = [{} for _ in group]
             for k, col, c in self._group_terms(x1, x2):
-                add_at(g[k], col, c, field)
+                add_to(g[k], {col: c}, field.one, field)
             rows += g
         return rows
 
@@ -130,18 +130,18 @@ class BarSlice:
 
     def _image_columns(self, xs):
         # column (v, b) for b = basis[i], i in loops: the cochain x -> bx - xb
-        # on the x in xs
+        # on the x in xs; the paths of bx and of xb are parallel to x, so
+        # each product maps to distinct columns
         field = self.algebra.field
-        neg, cols, pos, prod = field.neg, self._cols, self._pos, self.algebra._product
+        one, minus = field.one, field.neg(field.one)
+        cols, pos, prod = self._cols, self._pos, self.algebra._product
         out = []
         for i in self._loops:
             col = {}
             for x in xs:
-                for j, c in prod(i, x).items():
-                    add_at(col, cols[x][pos[j]], c, field)
+                add_to(col, {cols[x][pos[j]]: c for j, c in prod(i, x).items()}, one, field)
             for x in xs:
-                for j, c in prod(x, i).items():
-                    add_at(col, cols[x][pos[j]], neg(c), field)
+                add_to(col, {cols[x][pos[j]]: c for j, c in prod(x, i).items()}, minus, field)
             out.append(col)
         return out
 
@@ -257,21 +257,21 @@ def bracket_c1(u, v, sl):
     ``sl._indexed`` (by ``bar_derived_series``, for the representatives it
     brackets) is read there instead of being rebuilt."""
     field = sl.algebra.field
-    at, cols, pos, mul, neg = sl._at, sl._cols, sl._pos, field.mul, field.neg
+    at, cols, pos, neg = sl._at, sl._cols, sl._pos, field.neg
     u, v = sparse(u), sparse(v)
     out = {}
     for f, g, sign in ((u, v, None), (v, u, neg)):
         got = sl._indexed.get(id(f))
         values = got[1] if got else sl._extensions([f])[0]
         # f.pA.g sends the arrow a to the sum of c f(b) over the (a, b)
-        # coordinates c of g; f(b) lives on paths parallel to a
+        # coordinates c of g; f(b) lives on paths parallel to a, so on
+        # distinct columns
         for k, c in g.items():
             a, b = at[k]
             value = values.get(b)
             if value:
                 c, col = sign(c) if sign else c, cols[a]
-                for j, c2 in value.items():
-                    add_at(out, col[pos[j]], mul(c, c2), field)
+                add_to(out, {col[pos[j]]: c2 for j, c2 in value.items()}, c, field)
     return out
 
 

@@ -170,18 +170,6 @@ def add_to(out, vec, c, field):
     return out
 
 
-def add_at(out, i, x, field):
-    """out[i] += x in place for a sparse dict out and a nonzero x: add_to
-    for a vector with the one coordinate i, which needs no dict."""
-    y = out.get(i)
-    if y is None:
-        out[i] = x
-    elif y := field.add(y, x):
-        out[i] = y
-    else:
-        del out[i]
-
-
 def combine(pairs, field):
     """sum c*vec over (sparse vec, nonzero coeff c) pairs as a new sparse dict."""
     out = {}
@@ -208,13 +196,10 @@ def rref(rows, field, limit=None):
     the unique RREF, as new dicts in pivot order.  Rows are taken one at a
     time: each is reduced by the rows kept so far, and when something is
     left it is scaled to one at its leftmost column, which is cleared from
-    the kept rows that hold it.  Once the rank reaches limit no further row
-    is read, so the result is the RREF of the rows read up to then.
+    every kept row that holds it.  Once the rank reaches limit no further
+    row is read, so the result is the RREF of the rows read up to then.
     """
     kept = {}
-    # holders[c]: the pivots of the kept rows that may hold column c, a
-    # superset, since a clearing that cancels c leaves its pivot there
-    holders = {}
     rows = iter(rows)
     while len(kept) != limit and (row := next(rows, None)) is not None:
         vec = _reduce(row, kept, field)
@@ -224,15 +209,11 @@ def rref(rows, field, limit=None):
         if vec[p] != field.one:
             inv = field.inv(vec[p])
             vec = {j: field.mul(inv, x) for j, x in vec.items()}
-        new, rest = {p: vec}, [c for c in vec if c != p]
-        for q in holders.pop(p, ()):
-            if p in kept[q]:
-                kept[q] = _reduce(kept[q], new, field)
-                for c in rest:
-                    holders.setdefault(c, set()).add(q)
+        new = {p: vec}
+        for q, r in kept.items():
+            if p in r:
+                kept[q] = _reduce(r, new, field)
         kept[p] = vec
-        for c in rest:
-            holders.setdefault(c, set()).add(p)
     pivots = sorted(kept)
     return len(pivots), [kept[p] for p in pivots], tuple(pivots)
 

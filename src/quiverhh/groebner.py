@@ -111,17 +111,16 @@ class GroebnerBasis:
         self._tips.append(t)
 
     def _hits(self, word, skip=None):
-        """(traversal offset, element index) of every tip occurring in word."""
+        """(traversal offset, element index) of every tip occurring in word,
+        shortest tips first; a generator, so that any() stops at the first."""
         first, n = self._first, len(word)
-        out = []
         for m in self._lengths:
             if m > n:
                 break
             for s in range(n - m + 1):
                 i = first.get(word[s:s + m])
                 if i is not None and i != skip:
-                    out.append((s, i))
-        return out
+                    yield s, i
 
     def tips(self):
         return list(self._tips)
@@ -172,7 +171,7 @@ def normal_form(f, basis, rng=None, skip=None):
     def hits(p):
         got = memo.get(p)
         if got is None:
-            got = memo[p] = basis._hits(p.arrows, skip)
+            got = memo[p] = list(basis._hits(p.arrows, skip))
         return got
 
     reducible = [p for p in f.terms if hits(p)]
@@ -347,7 +346,7 @@ def _interreduce(gb, closure_added):
     """
     quiver, field = gb.quiver, gb.field
     kept = GroebnerBasis(quiver, field, [g for i, (g, t) in enumerate(zip(gb.elements, gb._tips))
-                                         if not gb._hits(t.arrows, skip=i)])
+                                         if not any(gb._hits(t.arrows, skip=i))])
     elems = [normal_form(g, kept, skip=i) for i, g in enumerate(kept.elements)]
     elems.sort(key=lambda g: g.tip()[0].key)
     return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
@@ -358,9 +357,9 @@ def is_reduced(basis):
     for i, (g, t) in enumerate(zip(basis.elements, basis._tips)):
         if g.terms[t] != g.field.one:
             return False
-        if basis._hits(t.arrows, skip=i):
+        if any(basis._hits(t.arrows, skip=i)):
             return False
-        if any(basis._hits(p.arrows) for p in g.terms if p is not t):
+        if any(any(basis._hits(p.arrows)) for p in g.terms if p is not t):
             return False
     return True
 
@@ -470,7 +469,7 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
                 continue
             # no tip inside the proper written prefix (drop last applied
             # letter = first written letter = final traversal entry)
-            if basis._hits(word[1:]):
+            if any(basis._hits(word[1:])):
                 continue
             out.append(v)
         return out
@@ -487,7 +486,7 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
         nxt = []
         for ch in chains:
             for v in successors(ch[-1]):  # right factors only
-                if basis._hits(v.arrows):
+                if any(basis._hits(v.arrows)):
                     continue
                 held += i + 1
                 if held > max_basis:

@@ -242,7 +242,7 @@ def ref_normal_form(f, basis, rng=None, skip=None):
     def hits(p):
         got = memo.get(p)
         if got is None:
-            got = memo[p] = basis._hits(p.arrows, skip)
+            got = memo[p] = list(basis._hits(p.arrows, skip))
         return got
 
     reducible = [p for p in f.terms if hits(p)]

@@ -731,7 +731,7 @@ def whole_c1_bracket(u, v, sl, values):
         for k, c in g.items():
             x, b = sl._at[k]
             for p, c2 in values[id(f)].get(b, ()):
-                exactla.add_at(out, sl._cols[x][p], field.mul(field.mul(sign, c), c2), field)
+                exactla.add_to(out, {sl._cols[x][p]: c2}, field.mul(sign, c), field)
     return out
 
 

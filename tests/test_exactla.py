@@ -432,8 +432,8 @@ class TestAgainstDenseReference:
 
 
 def prev_rref(rows, field, limit=None):
-    """rref as it was before it kept a column index: every kept row is
-    tested for the new pivot."""
+    """A test-local copy of rref's elimination: every kept row that holds
+    the new pivot is reduced by it."""
     def reduce(vec, kept):
         return combine([(vec, field.one)] + [(kept[p], field.neg(c))
                                              for p, c in vec.items() if p in kept], field)
@@ -484,8 +484,8 @@ def items_typed(rows):
 
 
 class TestColumnIndexRref:
-    """rref clears a new pivot only from the kept rows a column index names;
-    the result equals the scan of every kept row, dict order included."""
+    """rref, fed a list or an iterator, with or without a rank limit,
+    equals the test-local scan of every kept row, dict order included."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
