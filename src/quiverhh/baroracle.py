@@ -43,9 +43,9 @@ E runs along the steps once per list of cochains: the arrow unit
 cochains in ``spaces``, and each derived step's representatives.  The
 whole D1 (its arrow rows over all of C1), D0 and the C2 labels are
 views built anew on each read, which no computation reads.  Assembly
-works on basis indices, the quotient's product memo and its class
-index; the C1 columns (x, b) of each x in B+ are one shared list of
-ints, indexed by the position of b in the class of x.
+works on basis indices, the quotient's product memo, arrow index and
+class index; the C1 columns (x, b) of each x in B+ are one shared list
+of ints, indexed by the position of b in the class of x.
 
 The derived series brackets only the representatives of each term
 modulo Im D0, the rows whose pivot is not a pivot of Im D0: every term
@@ -63,7 +63,7 @@ from .exactla import (add_to, dense, kernel_basis, row_space, rows_of_columns, s
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "_plus", "_par", "_pos", "_cols",
-                 "_at", "_loops", "_arrows", "_n", "_d0", "_steps", "_spaces", "_indexed")
+                 "_at", "_loops", "_n", "_d0", "_steps", "_spaces", "_indexed")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -80,14 +80,12 @@ class BarSlice:
         self._loops = [i for v in range(algebra.quiver.n_vertices) for i in self._par[v]]
         self.c0_basis = [(basis[i].source, basis[i]) for i in self._loops]
         self.c1_basis = [(basis[x], basis[b]) for x, b in self._at]
-        # _arrows[a]: the basis index of arrow a; the arrow columns are
-        # 0 .. _n - 1, and _d0 is D0 restricted to them
-        self._arrows = {basis[x].arrows[0]: x for x in self._plus if len(basis[x].arrows) == 1}
-        self._n = sum(len(self._par[x]) for x in self._arrows.values())
-        self._d0 = self._image_columns(self._arrows.values())
+        # the arrow columns are 0 .. _n - 1, and _d0 is D0 restricted to them
+        self._n = sum(len(self._par[x]) for x in algebra.arrows)
+        self._d0 = self._image_columns(algebra.arrows)
         # (j, x, i) with basis[j] = basis[x] basis[i], x an arrow and i in B+,
         # in basis order: llex puts each prefix i before j
-        self._steps = [(j, self._arrows[algebra.steps[j][0]], algebra.steps[j][1])
+        self._steps = [(j, algebra.arrows[algebra.steps[j][0]], algebra.steps[j][1])
                        for j in self._plus if basis[j].length > 1]
         self._spaces = None
         self._indexed = {}
@@ -153,7 +151,7 @@ class BarSlice:
         ending = {}
         for x in self._plus:
             ending.setdefault(basis[x].target, []).append(x)
-        for x1 in self._arrows.values():
+        for x1 in self.algebra.arrows:
             target = basis[x1].target
             for x2 in ending.get(basis[x1].source, ()):
                 yield x1, x2, classes.get((basis[x2].source, target), ())

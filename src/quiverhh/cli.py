@@ -88,6 +88,8 @@ _ARROW_RE = re.compile(r"(.*\S)\s*:\s*(\S+)\s*->\s*(\S+)\Z")
 # the program's own bound on an integer literal, checked before int(): main
 # lifts CPython's int-to-str digit limit so that long results can print
 MAX_LITERAL_DIGITS = 4000
+# corpus() builds every graph, about 1.4 KB each, before report prints one
+MAX_CORPUS_SIZE = 100000
 
 
 def _literal(digits, lineno, col):
@@ -581,12 +583,14 @@ def cmd_report(args, out):
     return _print_report(rep, out)
 
 
-def _int_at_least(low):
+def _int_at_least(low, high=None):
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (high, value))
         return value
     # argparse names the type in its "invalid <name> value" message
     parse.__name__ = "int"
@@ -625,8 +629,8 @@ def _report_args(p):
                    help="run the seeded random corpus instead of a file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="corpus seed")
-    p.add_argument("--size", type=_int_at_least(1), default=20,
-                   help="corpus size, at least 1")
+    p.add_argument("--size", type=_int_at_least(1, MAX_CORPUS_SIZE), default=20,
+                   help="corpus size, 1 to %d" % MAX_CORPUS_SIZE)
     _caps(p)
 
 

@@ -53,27 +53,25 @@ class CochainSlice:
     spaces are read off the algebra's class index; ``degrees`` holds the degree
     l(gamma) - 1 of each Q1//B pair (alpha, gamma), and ``homogeneous``
     whether every Groebner element is.  Pair brackets are not stored, but
-    the images pi(D_k(basis[j])) they and psi1 read are, in ``_images``
-    under (k, j).
+    the images pi(D_k(basis[j])) they and psi1 read are, in ``_images[k]``
+    under j.
     """
 
     __slots__ = (
         "algebra", "q0_pairs", "q1_pairs", "tip_pairs", "degrees", "homogeneous",
-        "psi0_cols", "psi1_rows", "_par", "_pos", "_arrows", "_starts", "_hh1", "_images",
+        "psi0_cols", "psi1_rows", "_par", "_pos", "_starts", "_hh1", "_images",
     )
 
     def __init__(self, algebra):
         self.algebra = algebra
-        quiver = algebra.quiver
         ensure_uniform(algebra.gb)
-        self.q0_pairs = [(v, b) for v in range(quiver.n_vertices)
+        self.q0_pairs = [(v, b) for v in range(algebra.quiver.n_vertices)
                          for b in algebra.parallel(v, v)]
-        # each arrow is a basis path (tips have length >= 2); its Q1//B
-        # columns are one block from _starts[arrow], in the order of its class
+        # the Q1//B columns of an arrow are one block from _starts[arrow],
+        # in the order of its class
         self._par, self._pos = algebra._par, algebra._pos
-        self._arrows = [algebra.index[quiver.arrow(a)] for a in range(quiver.n_arrows)]
-        self._starts = list(accumulate((len(self._par[i]) for i in self._arrows), initial=0))
-        self.q1_pairs = [(a, algebra.basis[b]) for a, i in enumerate(self._arrows)
+        self._starts = list(accumulate((len(self._par[i]) for i in algebra.arrows), initial=0))
+        self.q1_pairs = [(a, algebra.basis[b]) for a, i in enumerate(algebra.arrows)
                          for b in self._par[i]]
         self.degrees = [b.length - 1 for _, b in self.q1_pairs]
         self.homogeneous = is_homogeneous(algebra.gb)
@@ -95,7 +93,7 @@ class CochainSlice:
     def _at_arrow(self, arrow, coords):
         """The sparse vector over Q1//B with coeff c at (arrow, basis[i]) for
         each i, c of the sparse coords over B."""
-        par, pos, cls = self._par, self._pos, self._par[self._arrows[arrow]]
+        par, pos, cls = self._par, self._pos, self._par[self.algebra.arrows[arrow]]
         start, out = self._starts[arrow], {}
         for i, c in coords.items():
             if par[i] is not cls:
@@ -105,7 +103,7 @@ class CochainSlice:
 
     def _image_columns(self):
         a = self.algebra
-        quiver, field, prod, arrows = a.quiver, a.field, a._product, self._arrows
+        quiver, field, prod, arrows = a.quiver, a.field, a._product, a.arrows
         one, minus = field.one, field.neg(field.one)
         cols = []
         for v, gamma in self.q0_pairs:
@@ -120,16 +118,16 @@ class CochainSlice:
         return cols
 
     def _image(self, k, j):
-        """pi(D_k(basis[j])), sparse over B, kept in ``_images`` under (k, j)
+        """pi(D_k(basis[j])), sparse over B, kept in ``_images[k]`` under j
         with the images of the prefixes of basis[j].  Do not mutate."""
-        images, steps = self._images, self.algebra.steps
+        images, steps = self._images.setdefault(k, {}), self.algebra.steps
         chain = []
-        while (k, j) not in images and steps[j]:
+        while j not in images and steps[j]:
             chain.append(j)
             j = steps[j][1]
-        got = images.setdefault((k, j), {})  # a hit, or a trivial path: 0
+        got = images.setdefault(j, {})  # a hit, or a trivial path: 0
         for j in reversed(chain):
-            got = images[(k, j)] = self._derive(k, steps[j], got)
+            got = images[j] = self._derive(k, steps[j], got)
         return got
 
     def _derive(self, k, step, prev):

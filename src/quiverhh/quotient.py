@@ -7,9 +7,9 @@ spaces X//B (b in B parallel to x) off one class index of B: a shared
 list of basis indices per pair of endpoints, and each index's class and
 position in it.  NonTip is closed under subpaths, so each nontrivial
 basis path is an arrow applied after a shorter basis path (``steps``).
-pi is multiplicative: it acts one arrow at a time on coordinates,
-memoized per (arrow, basis index), and products of basis paths are
-memoized per pair of basis indices.
+Tips have length >= 2, so ``arrows[a]`` is the basis index of arrow a.
+pi is multiplicative: it acts one arrow at a time on coordinates, and one
+memo holds the products of basis paths per pair of basis indices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ InfiniteDimensional = CapExceeded
 
 class QuotientAlgebra:
     __slots__ = ("quiver", "field", "gb", "basis", "index", "steps", "_classes",
-                 "_par", "_pos", "_times", "_products")
+                 "_par", "_pos", "arrows", "_products")
 
     def __init__(self, quiver, field, gb, basis):
         self.quiver = quiver
@@ -46,8 +46,9 @@ class QuotientAlgebra:
         at = {(p.base, p.arrows): j for j, p in enumerate(basis)}
         self.steps = [(p.arrows[-1], at[(p.base, p.arrows[:-1])]) if p.arrows else None
                       for p in basis]
-        self._times = {s: {j: field.one} for j, s in enumerate(self.steps) if s}
-        self._products = {}
+        self.arrows = [at[(s, (a,))] for a, s in enumerate(quiver.arrow_src)]
+        self._products = {(self.arrows[s[0]], s[1]): {j: field.one}
+                          for j, s in enumerate(self.steps) if s}
 
     @property
     def dim(self):
@@ -67,23 +68,26 @@ class QuotientAlgebra:
         got = self._products.get((i, j))
         if got is None:
             p = self.basis[i]
-            got = self._products[(i, j)] = (self._left(p.arrows, {j: self.field.one})
-                                            if p.source == self.basis[j].target else {})
+            got = (self._left(p.arrows, {j: self.field.one})
+                   if p.source == self.basis[j].target else {})
+            if (i, j) not in self._products:  # _left stores an arrow's product
+                self._products[(i, j)] = got
+            got = self._products[(i, j)]
         return got
 
     def _left(self, word, coords):
         """pi(w * v) for w the path with arrows word (first applied first)
         and v sparse over B, one arrow at a time; a new dict unless word is
         empty.  Each x * basis[j] goes through normal_form once."""
-        times = self._times
+        products = self._products
         for x in word:
-            terms = []
+            xi, terms = self.arrows[x], []
             for j, c in coords.items():
-                got = times.get((x, j))
+                got = products.get((xi, j))
                 if got is None:
                     r = compose(self.quiver.arrow(x), self.basis[j])
                     nf = normal_form(FreeElement.from_path(r, self.field), self.gb)
-                    got = times[(x, j)] = {self.index[q]: d for q, d in nf.terms.items()}
+                    got = products[(xi, j)] = {self.index[q]: d for q, d in nf.terms.items()}
                 terms.append((got, c))
             coords = combine(terms, self.field)
         return coords

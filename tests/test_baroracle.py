@@ -12,7 +12,7 @@ from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field, dense, kernel_basis
 from quiverhh.pathalg import FreeElement, Path, Quiver, compose
 from quiverhh.groebner import Incomplete, complete, normal_form
-from quiverhh.quotient import InfiniteDimensional, build_quotient
+from quiverhh.quotient import InfiniteDimensional, QuotientAlgebra, build_quotient
 from quiverhh.ppcomplex import CochainSlice, compute_hh0, compute_hh1, lie_presentation
 from quiverhh.baroracle import (
     BarSlice,
@@ -662,18 +662,48 @@ class TestProductMemo:
         for a in random_algebras(RANDOM_SEED, RANDOM_KEPT, RANDOM_MAX_DIM):
             self.assert_products_match_normal_forms(a)
 
+    @staticmethod
+    def write_once(a):
+        """a's product memo, seeded entries kept, as a WriteOnceMemo."""
+        memo = WriteOnceMemo()
+        memo.update(a._products)
+        a._products = memo
+        return memo
+
     @pytest.mark.parametrize("name", ALG_FILES)
-    def test_each_product_computed_once_for_both_routes(self, name):
+    def test_each_product_computed_once_for_both_routes(self, name, monkeypatch):
         a = file_algebra(name)
-        a._products = memo = WriteOnceMemo()
+        memo, keys, real = self.write_once(a), [], QuotientAlgebra._product
+
+        def recorded(self, i, j):
+            keys.append((i, j))
+            return real(self, i, j)
+
+        monkeypatch.setattr(QuotientAlgebra, "_product", recorded)
         CochainSlice(a)
-        psi0 = dict(memo)
+        # the products psi0 read; psi1's arrow products share the memo
+        psi0 = {key: memo[key] for key in keys}
         assert psi0
         del memo.reads[:]
         BarSlice(a)
         # D0 reads every product psi0 read, off the same entries
         assert set(psi0) <= set(memo.reads)
         assert all(memo[key] is got for key, got in psi0.items())
+
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_one_entry_per_arrow_product(self, name):
+        """After both routes ran, arrow a's products sit once in the memo,
+        under the basis index arrows[a], and _product returns that entry."""
+        a = file_algebra(name)
+        memo = self.write_once(a)
+        sl = CochainSlice(a)
+        lie_presentation(a, sl)
+        BarSlice(a).spaces()
+        for x in range(a.quiver.n_arrows):
+            assert a.arrows[x] == a.index[a.quiver.arrow(x)]
+            for j in range(a.dim):
+                if (a.arrows[x], j) in memo:
+                    assert a._product(a.arrows[x], j) is memo[(a.arrows[x], j)]
 
     @pytest.mark.parametrize("name", ALG_FILES)
     def test_slices_hold_the_algebra_class_arrays(self, name):

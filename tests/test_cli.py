@@ -22,7 +22,7 @@ from quiverhh.cli import (
     parse_brauer,
 )
 
-from conftest import ALG_FIXTURES, DATA, data_text, fixture_algebra, time_limit
+from conftest import ALG_FIXTURES, DATA, Overran, data_text, fixture_algebra, time_limit
 
 
 def run_cli(*argv):
@@ -962,8 +962,8 @@ def reference_parser(command=None):
                    help="run the seeded random corpus instead of a file")
     p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED,
                    help="corpus seed")
-    p.add_argument("--size", type=cli._int_at_least(1), default=20,
-                   help="corpus size, at least 1")
+    p.add_argument("--size", type=cli._int_at_least(1, cli.MAX_CORPUS_SIZE), default=20,
+                   help="corpus size, 1 to %d" % cli.MAX_CORPUS_SIZE)
     add_caps(p)
     p.set_defaults(func=cli.cmd_report)
     return parser
@@ -997,7 +997,7 @@ class TestParser:
         ["gb", "--max-basis", "1", ALG], ["gb", "--max-tip-len", "x", ALG],
         ["bga", "--gr"], ["hh", "-h", ALG], ["report", "-h", "--corpus"],
         ["hh", ALG], ["chains", "--n", "3", ALG], ["bga", BG, "--gr"], ["report", BG],
-        ["report", "--corpus", "--size", "2"],
+        ["report", "--corpus", "--size", "2"], ["report", "--corpus", "--size", "100001"],
     ] + [[c, "-h"] for c in COMMANDS] + [[c] for c in COMMANDS])
     def test_output_matches_the_full_parser(self, monkeypatch, argv):
         # argparse wraps help to the terminal width
@@ -1020,3 +1020,31 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         run_main(argv)
         assert len(calls) == built
+
+
+class TestCorpusSizeCap:
+    """report --corpus refuses a --size past MAX_CORPUS_SIZE before it
+    draws a graph: corpus() builds them all before the first line."""
+
+    def test_past_the_cap_exits_2_before_any_graph(self, monkeypatch):
+        drawn, real = [], cli.corpus
+
+        def recorded(**kwargs):
+            drawn.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "corpus", recorded)
+        size = cli.MAX_CORPUS_SIZE + 1
+        with time_limit(1, Overran):
+            rc, out, err = run_main(["report", "--corpus", "--size", str(size)])
+        assert (rc, out, drawn) == (2, "", [])
+        assert err.splitlines()[-1] == ("quiverhh report: error: argument --size: "
+                                        "must be at most 100000, got 100001")
+
+    def test_the_cap_parses(self):
+        parser = cli.build_parser("report")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        size = next(a for a in sub.choices["report"]._actions if a.dest == "size")
+        assert size.type(str(cli.MAX_CORPUS_SIZE)) == cli.MAX_CORPUS_SIZE == 100000
+        with pytest.raises(argparse.ArgumentTypeError):
+            size.type(str(cli.MAX_CORPUS_SIZE + 1))

@@ -946,10 +946,10 @@ class TestGradedLieStep:
         keys = [(p.arrows[-1], A.index[Path(A.quiver, p.arrows[:-1], p.base)])
                 for f in inputs for p in f.terms]
         assert 0 < len(keys) == len(inputs) == len(set(keys))
-        filled = set(sl._images)
+        filled = {(k, j) for k, row in sl._images.items() for j in row}
         inputs.clear()
         again = lie_presentation(A, sl)
-        assert inputs == [] and set(sl._images) == filled
+        assert inputs == [] and {(k, j) for k, row in sl._images.items() for j in row} == filled
         assert again.structure_constants == first.structure_constants
 
     @staticmethod
