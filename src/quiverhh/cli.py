@@ -190,28 +190,31 @@ class _ExprParser:
             self._take()
         # factors in written order, each applied before the one to its left;
         # the path is built once, so a term of n factors parses in O(n)
-        first = self._factor()
-        factors, source, length = [first.arrows], first.source, first.length
+        word, source, _ = self._factor()
+        factors, length = [word], len(word)
         while self._peek()[0] == "*":
             self._take()
             kind, _, col = self._peek()
-            nxt = self._factor()
-            length += nxt.length
+            word, src, tgt = self._factor()
+            length += len(word)
             self._check_cap("path of length", length, col)
-            if nxt.target != source:
+            if tgt != source:
                 self._fail("factors are not composable", col)
-            factors.append(nxt.arrows)
-            source = nxt.source
+            factors.append(word)
+            source = src
         return coeff, Path(self.quiver, [a for f in reversed(factors) for a in f], source)
 
     def _factor(self):
+        """(arrow word, source, target) of a vertex, an arrow or a loop power."""
         kind, value, col = self._take()
         if kind != "name":
             self._fail("expected a vertex or arrow name", col)
-        if value in self.quiver.vertex_index:
-            path = self.quiver.trivial(value)
-        elif value in self.quiver.arrow_index:
-            path = self.quiver.arrow(value)
+        q = self.quiver
+        if value in q.vertex_index:
+            word, source, target = (), q.vertex_index[value], q.vertex_index[value]
+        elif value in q.arrow_index:
+            word = (q.arrow_index[value],)
+            source, target = q.arrow_src[word[0]], q.arrow_tgt[word[0]]
         else:
             self._fail("unknown vertex or arrow %r" % value, col)
         if self._peek()[0] == "^":
@@ -219,13 +222,12 @@ class _ExprParser:
             kind, power, pcol = self._take()
             if kind != "int" or power < 1:
                 self._fail("exponent must be a positive integer", pcol)
-            if path.arrows and power > 1:
-                (a,) = path.arrows
-                if self.quiver.arrow_src[a] != self.quiver.arrow_tgt[a]:
+            if word and power > 1:
+                if source != target:
                     self._fail("power of a non-loop path", col)
                 self._check_cap("exponent", power, pcol)
-                path = Path(self.quiver, path.arrows * power)
-        return path
+                word *= power
+        return word, source, target
 
     def _check_cap(self, what, length, col):
         # a term of this length, alone and after the file's terms so far

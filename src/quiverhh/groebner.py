@@ -21,7 +21,7 @@ from bisect import insort
 from collections import deque
 
 from .exactla import add_to
-from .pathalg import FreeElement, Path, format_element, format_path
+from .pathalg import FreeElement, Path, format_element, format_path, multiply
 
 # the default caps, --max-tip-len and --max-basis on the command line
 DEFAULT_MAX_TIP_LENGTH = 50
@@ -76,10 +76,10 @@ class GroebnerBasis:
 
     When ``reduced`` is set the basis is the unique reduced one, closed
     under overlap reduction: tips are pairwise non-dividing and every tail
-    is supported on NonTip.  ``_tips[i]`` is the tip path of
-    ``elements[i]`` and ``_rests[i]`` its other terms parallel to the tip.
-    ``_first`` maps a tip word to the first element with that tip, and
-    ``_lengths`` is the sorted set of tip lengths.
+    is supported on NonTip.  ``_tips[i]`` is the tip word of element i and
+    ``_rests[i]`` its other terms parallel to the tip, as (word, coeff)
+    pairs.  ``_first`` maps a tip word to the first element with that tip,
+    and ``_lengths`` is the sorted set of tip lengths.
     """
 
     __slots__ = ("quiver", "field", "elements", "reduced", "closure_added",
@@ -96,19 +96,20 @@ class GroebnerBasis:
         self._first = {}
         self._lengths = []
         for g in elements:
-            self._append(g)
+            t, _ = g.tip()
+            self.elements.append(g)
+            self._index(t.arrows, [(q.arrows, x) for q, x in g.terms.items()
+                                   if q is not t and q.parallel_to(t)])
 
-    def _append(self, g):
-        t, _ = g.tip()
-        w = t.arrows
-        self._rests.append([(q, x) for q, x in g.terms.items()
-                            if q is not t and q.parallel_to(t)])
+    def _index(self, w, rest):
+        k = len(self._tips)
         if w not in self._first:
-            self._first[w] = len(self.elements)
+            self._first[w] = k
             if len(w) not in self._lengths:
                 insort(self._lengths, len(w))
-        self.elements.append(g)
-        self._tips.append(t)
+        self._tips.append(w)
+        self._rests.append(rest)
+        return k
 
     def _hits(self, word, skip=None):
         """(traversal offset, element index) of every tip occurring in word,
@@ -123,10 +124,10 @@ class GroebnerBasis:
                     yield s, i
 
     def tips(self):
-        return list(self._tips)
+        return [Path(self.quiver, w) for w in self._tips]
 
     def tip_words(self):
-        return [t.arrows for t in self._tips]
+        return list(self._tips)
 
     def tip_power(self, a):
         """The least m with a^m a tip, for arrow index a; None if none."""
@@ -140,17 +141,57 @@ class GroebnerBasis:
         return f"GroebnerBasis({tag}{len(self.elements)} elements)"
 
 
-def _product(head, items, tail):
-    """{head q tail: x} over (q, x) in items.
-
-    head and tail are traversal words that compose with every q; a
-    trivial product is q itself, so it keeps its base vertex.
-    """
-    return {Path(q.quiver, w) if (w := head + q.arrows + tail) else q: x for q, x in items}
+# Word dicts {traversal word: coeff} stand for elements inside this module;
+# the trivial path at vertex v is keyed (~v,), which no tip occurs in.
+def _word_key(w):
+    """Path.key of the nontrivial path with traversal word w (llex order)."""
+    return len(w), w[::-1]
 
 
-def _path_key(p):
-    return p.key
+def _path(quiver, w):
+    return Path(quiver, w) if w[0] >= 0 else quiver.trivial(~w[0])
+
+
+def _element(quiver, field, terms):
+    return FreeElement(quiver, field, {_path(quiver, w): x for w, x in terms.items()})
+
+
+def _monic(terms, field):
+    """(tip word, terms scaled to a monic tip) of a nonzero word dict."""
+    tip = max(terms, key=_word_key)
+    c = field.inv(terms[tip])
+    return tip, terms if c == field.one else {w: field.mul(c, x) for w, x in terms.items()}
+
+
+def _reduce(terms, basis, rng=None, skip=None):
+    """Reduce the word dict terms in place (see normal_form); False if no term was."""
+    hits = {w: list(basis._hits(w, skip)) for w in terms}
+    reducible = {w for w in terms if hits[w]}
+    if not reducible:
+        return False
+    field, src, tips, rests = basis.field, basis.quiver.arrow_src, basis._tips, basis._rests
+    while reducible:
+        if rng is None:
+            w = max(reducible, key=_word_key)
+            # max offset = leftmost written; ties to the first element
+            s, i = max(hits[w], key=lambda hit: (hit[0], -hit[1]))
+        else:
+            w = rng.choice(sorted(reducible, key=_word_key))
+            s, i = rng.choice(sorted(hits[w]))
+        # w = b*tip*c, so x*w rewrites to -x * b*(g - tip)*c (g is monic);
+        # a trivial b*q*c is the trivial path at the tip's source
+        head, tail = w[:s], w[s + len(tips[i]):]
+        product = {head + q + tail or (~src[w[0]],): x for q, x in rests[i]}
+        add_to(terms, product, field.neg(terms.pop(w)), field)
+        reducible.discard(w)
+        for q in product:
+            if q not in hits:
+                hits[q] = list(basis._hits(q, skip))
+            if hits[q] and q in terms:
+                reducible.add(q)
+            else:
+                reducible.discard(q)
+    return True
 
 
 def normal_form(f, basis, rng=None, skip=None):
@@ -162,40 +203,17 @@ def normal_form(f, basis, rng=None, skip=None):
     all three choices; confluence of a completed basis makes the result
     identical either way, which the property tests exercise.  Basis
     elements must be monic; ``skip`` leaves the element of that index out.
-    A plain list of monic elements is indexed here first.
+    A plain list of monic elements is indexed here first.  The rewriting
+    runs on f's word dict; f itself comes back when nothing reduces.
     """
     if not isinstance(basis, GroebnerBasis):
         basis = GroebnerBasis(f.quiver, f.field, basis)
-    memo = {}
-
-    def hits(p):
-        got = memo.get(p)
-        if got is None:
-            got = memo[p] = list(basis._hits(p.arrows, skip))
-        return got
-
-    reducible = [p for p in f.terms if hits(p)]
-    if not reducible:
+    paths = {p.arrows or (~p.base,): p for p in f.terms}
+    terms = dict(zip(paths, f.terms.values()))
+    if not _reduce(terms, basis, rng, skip):
         return f
-    field = f.field
-    terms = dict(f.terms)
-    while reducible:
-        if rng is None:
-            p = max(reducible, key=_path_key)
-            found = hits(p)
-            # max offset = leftmost written; ties to the first element
-            s = max(t for t, _ in found)
-            i = min(i for t, i in found if t == s)
-        else:
-            p = rng.choice(sorted(reducible, key=_path_key))
-            s, i = rng.choice(sorted(hits(p)))
-        word = p.arrows
-        # p = b*tip*c, so lam*p rewrites to -lam * b*(g - tip)*c (g is monic)
-        lam = field.neg(terms.pop(p))
-        add_to(terms, _product(word[:s], basis._rests[i], word[s + basis._tips[i].length:]),
-               lam, field)
-        reducible = [q for q in terms if hits(q)]
-    return FreeElement(f.quiver, field, terms)
+    return FreeElement(f.quiver, f.field, {paths.get(w) or _path(f.quiver, w): x
+                                           for w, x in terms.items()})
 
 
 def _overlaps(tf, tg):
@@ -233,17 +251,11 @@ def _overlaps(tf, tg):
         yield tf[l:], tg[:n - l]
 
 
-def _overlap_relation(f, g, b, c, at_f, at_g, tf=None, tg=None):
-    """f*c - b*g for traversal words b and c; the terms of f must start at
-    at_f and those of g end at at_g to compose.  Pass the tips tf and tg
-    when f and g are monic and tf*c = b*tg: these two terms cancel."""
-    field = f.field
-    terms = _product(c, ((q, x) for q, x in f.terms.items()
-                         if q is not tf and q.source == at_f), ())
-    add_to(terms, _product((), ((q, x) for q, x in g.terms.items()
-                                if q is not tg and q.target == at_g), b),
-           field.neg(field.one), field)
-    return FreeElement(f.quiver, field, terms)
+def _overlap_relation(rest_f, rest_g, b, c, field):
+    """f*c - b*g as a word dict, for monic uniform f and g of rest pairs rest_f
+    and rest_g with Tip(f)*c = b*Tip(g) (traversal words b, c): tips cancel."""
+    terms = {c + q: x for q, x in rest_f}
+    return add_to(terms, {q + b: x for q, x in rest_g}, field.neg(field.one), field)
 
 
 def overlap_pairs(f, g):
@@ -263,7 +275,8 @@ def overlap_pairs(f, g):
 
 def overlap_relation(f, g, b, c):
     """o(f,g,b,c) = CTip(f)^-1 f*c - CTip(g)^-1 b*g."""
-    return _overlap_relation(f.monic(), g.monic(), b.arrows, c.arrows, c.target, b.source)
+    return multiply(f.monic(), FreeElement.from_path(c, f.field)).sub(
+        multiply(FreeElement.from_path(b, f.field), g.monic()))
 
 
 def _validate_generators(generators):
@@ -278,88 +291,103 @@ def _validate_generators(generators):
             if p.length < 2:
                 raise ValueError(
                     f"generator support must sit in length >= 2, found {p!r}")
-            parts.setdefault((p.source, p.target), {})[p] = x
-        out.extend(FreeElement(a.quiver, a.field, t) for t in parts.values())
+            parts.setdefault((p.source, p.target), {})[p.arrows] = x
+        out.extend(parts.values())
     return out
 
 
 def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, field=None):
     """Overlap-closure completion to the unique reduced Groebner basis.
 
-    Inserts generators one at a time (normal form against the earlier
-    ones), then drains a FIFO queue of (i, j) index pairs, reducing every
-    overlap relation and adjoining nonzero remainders made monic.  A
-    remainder whose tip exceeds max_tip_length raises Incomplete carrying
-    the partial basis.  On saturation the set is inter-reduced.  The empty
+    Runs on word dicts: inserts the generators in normal form, then drains
+    a FIFO queue of (i, j) index pairs, adjoining each nonzero normal form
+    of an overlap relation, made monic.  When an element enters, those
+    whose tip its tip divides leave the tip index, their pairs are skipped
+    and their normal forms re-enter (Buchberger's deletion criterion, which
+    also resolves Mora's inclusion obstructions).  An adjoined tip past
+    max_tip_length raises Incomplete carrying the partial basis;
+    closure_added counts adjoined elements, not re-entries.  The empty
     basis (zero ideal) is fine; pass quiver and field explicitly then.
     A generator mixing endpoints stands for its uniform parts.
     """
-    generators = _validate_generators(generators)
     if generators:
-        quiver = generators[0].quiver
-        field = generators[0].field
+        quiver, field = generators[0].quiver, generators[0].field
+    generators = _validate_generators(generators)
     gb = GroebnerBasis(quiver, field, ())
-    for a in generators:
-        h = normal_form(a, gb)
-        if not h.is_zero:
-            gb._append(h.monic())
-    elems, tips = gb.elements, gb._tips
+    tips, rests, first = gb._tips, gb._rests, gb._first
+    elems = []  # elems[i]: the monic word dict of the i-th element to enter
     queue = deque()
 
-    def push_pairs(k):
-        for i in range(k + 1):
-            queue.append((i, k))
-        for i in range(k):
-            queue.append((k, i))
+    def enter(tip, h):
+        # h: monic, of tip word tip, in normal form against the live elements
+        pending = deque()
+        while tip:
+            out = [i for w, i in first.items() if len(w) > len(tip)
+                   and any(w[s:s + len(tip)] == tip for s in range(len(w) - len(tip) + 1))]
+            for i in out:
+                del first[tips[i]]
+            k = gb._index(tip, [(q, x) for q, x in h.items() if q is not tip])
+            elems.append(h)
+            live = list(first.values())
+            queue.extend([(i, k) for i in live] + [(k, i) for i in live[:-1]])
+            pending.extend(dict(elems[i]) for i in out)
+            tip = None
+            while pending and not tip:
+                h = pending.popleft()
+                _reduce(h, gb)
+                if h:
+                    tip, h = _monic(h, field)
 
-    for k in range(len(elems)):
-        push_pairs(k)
+    for h in generators:
+        _reduce(h, gb)
+        if h:
+            enter(*_monic(h, field))
     closure_added = 0
     while queue:
         i, j = queue.popleft()
-        if len(elems[i].terms) == 1 == len(elems[j].terms):
+        if not (rests[i] or rests[j]):
             continue  # tf*c - b*tg = 0 for two monic monomials
-        tf, tg = tips[i], tips[j]
-        for b, c in _overlaps(tf.arrows, tg.arrows):
-            o = _overlap_relation(elems[i], elems[j], b, c, tf.source, tg.target, tf, tg)
-            h = normal_form(o, gb)
-            if h.is_zero:
+        for b, c in _overlaps(tips[i], tips[j]):
+            if first.get(tips[i]) != i or first.get(tips[j]) != j:
+                break  # a pair of an element that left
+            h = _overlap_relation(rests[i], rests[j], b, c, field)
+            _reduce(h, gb)
+            if not h:
                 continue
-            h = h.monic()
-            if h.tip()[0].length > max_tip_length:
-                raise Incomplete(elems, h, max_tip_length)
-            gb._append(h)
+            tip, h = _monic(h, field)
+            if len(tip) > max_tip_length:
+                raise Incomplete([_element(quiver, field, elems[k]) for k in first.values()],
+                                 _element(quiver, field, h), max_tip_length)
+            enter(tip, h)
             closure_added += 1
-            push_pairs(len(elems) - 1)
-    return _interreduce(gb, closure_added)
+    return _interreduce(gb, elems, closure_added)
 
 
-def _interreduce(gb, closure_added):
-    """The reduced basis, sorted by tip: the elements whose tip no other tip
-    divides, each reduced once by the others.
+def _interreduce(gb, elems, closure_added):
+    """The reduced basis, sorted by tip: each element still in gb's tip
+    index, elems[i] the word dict of element i, reduced once by the others.
 
-    Tip words are pairwise distinct here, since every element entered in
-    normal form against the earlier ones, so skipping one element leaves
-    exactly the others.  The kept tips divide every dropped one, so the
-    kept elements are still a Groebner basis of the ideal: each tail's
-    normal form is unique, and one pass reaches the reduced basis.
+    No live tip divides another, since each element entered in normal form
+    and pushed out those whose tip its tip divides.  So the live elements
+    are a Groebner basis whose tails have unique normal forms.
     """
     quiver, field = gb.quiver, gb.field
-    kept = GroebnerBasis(quiver, field, [g for i, (g, t) in enumerate(zip(gb.elements, gb._tips))
-                                         if not any(gb._hits(t.arrows, skip=i))])
-    elems = [normal_form(g, kept, skip=i) for i, g in enumerate(kept.elements)]
-    elems.sort(key=lambda g: g.tip()[0].key)
-    return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
+    out = []
+    for i in sorted(gb._first.values(), key=lambda i: _word_key(gb._tips[i])):
+        h = dict(elems[i])
+        _reduce(h, gb, skip=i)
+        out.append(_element(quiver, field, h))
+    return GroebnerBasis(quiver, field, out, reduced=True, closure_added=closure_added)
 
 
 def is_reduced(basis):
     """Check the reduced-GB invariants (monic, tip-reduced, NonTip tails)."""
-    for i, (g, t) in enumerate(zip(basis.elements, basis._tips)):
-        if g.terms[t] != g.field.one:
+    for i, (g, w) in enumerate(zip(basis.elements, basis._tips)):
+        if g.tip()[1] != g.field.one:
             return False
-        if any(basis._hits(t.arrows, skip=i)):
+        if any(basis._hits(w, skip=i)):
             return False
-        if any(any(basis._hits(p.arrows)) for p in g.terms if p is not t):
+        if any(any(basis._hits(p.arrows)) for p in g.terms if p.arrows != w):
             return False
     return True
 
@@ -451,7 +479,7 @@ def uf_chains(basis, n, max_basis=DEFAULT_MAX_BASIS):
     for w in first:
         for k in range(1, len(w)):
             nodes.add(Path(quiver, w[:k]))  # written suffix = right factor
-    nodes = sorted(nodes, key=_path_key)
+    nodes = sorted(nodes)
     succ = {}
 
     def successors(u):

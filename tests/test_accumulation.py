@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from quiverhh.cli import ParseError, parse_algebra
 from quiverhh.exactla import Field, add_to, combine, dense
-from quiverhh.groebner import GroebnerBasis, _overlap_relation, _overlaps, complete, normal_form
+from quiverhh.groebner import (
+    GroebnerBasis, _overlap_relation, complete, normal_form, overlap_pairs, overlap_relation,
+)
 from quiverhh.pathalg import ZERO, FreeElement, Path, Quiver, compose, multiply
 from quiverhh.ppcomplex import CochainSlice, lie_presentation
 from quiverhh.quotient import build_quotient
@@ -261,9 +263,12 @@ def ref_normal_form(f, basis, rng=None, skip=None):
             s, i = rng.choice(sorted(hits(p)))
         word = p.arrows
         lam = field.neg(terms.pop(p))
+        g = basis.elements[i]
+        tip = g.tip()[0]
         ref_add_product(terms, field, word[:s],
-                        [(q, mul(lam, x)) for q, x in basis._rests[i]],
-                        word[s + basis._tips[i].length:])
+                        [(q, mul(lam, x)) for q, x in g.terms.items()
+                         if q != tip and q.parallel_to(tip)],
+                        word[s + tip.length:])
         reducible = [q for q in terms if hits(q)]
     out = FreeElement(f.quiver, field)
     out.terms = terms
@@ -381,19 +386,25 @@ def file_gb(name):
 
 
 def overlap_cases(elems):
-    """Every (f, g, b, c) overlap of the monic elems."""
-    tips = [g.tip()[0] for g in elems]
-    for f, tf in zip(elems, tips):
-        for g, tg in zip(elems, tips):
-            for b, c in _overlaps(tf.arrows, tg.arrows):
-                yield f, g, tf, tg, b, c
+    """Every (f, g, b, c) overlap of the monic elems, b and c as paths."""
+    for f in elems:
+        for g in elems:
+            for b, c in overlap_pairs(f, g):
+                yield f, g, b, c
 
 
 def check_overlaps(elems):
-    for f, g, tf, tg, b, c in overlap_cases(elems):
-        for args in ((b, c, tf.source, tg.target, tf, tg), (b, c, tf.source, tg.target)):
-            assert typed(_overlap_relation(f, g, *args).terms) == \
-                typed(ref_overlap_relation(f, g, *args).terms), (f, g, b, c)
+    """overlap_relation, and for uniform f and g the word routine that
+    completion runs on the rests, against the replaced loop."""
+    for f, g, b, c in overlap_cases(elems):
+        want = ref_overlap_relation(f, g, b.arrows, c.arrows, c.target, b.source)
+        assert typed(overlap_relation(f, g, b, c).terms) == typed(want.terms), (f, g, b, c)
+        tf, tg = f.tip()[0], g.tip()[0]
+        if all(q.parallel_to(tf) for q in f.terms) and all(q.parallel_to(tg) for q in g.terms):
+            got = _overlap_relation([(q.arrows, x) for q, x in f.terms.items() if q != tf],
+                                    [(q.arrows, x) for q, x in g.terms.items() if q != tg],
+                                    b.arrows, c.arrows, f.field)
+            assert typed(got) == [(q.arrows, x, t) for q, x, t in typed(want.terms)], (f, g, b, c)
 
 
 class TestGroebnerAgainstTheReplacedLoops:

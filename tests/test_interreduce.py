@@ -1,10 +1,10 @@
 """One-pass inter-reduction of the completed basis.
 
-``groebner._interreduce`` drops every element whose tip another tip
-divides and reduces each kept element once by the others.  It is checked
-against ``ref_interreduce``, the loop it replaced (reduce until nothing
-changes), on every algebra file, the seeded random relation sets and the
-Brauer graph corpus, and it calls ``normal_form`` once per kept element.
+``groebner._interreduce`` reduces each element still in the tip index of
+the completion once by the others.  It is checked against
+``ref_interreduce``, the loop it replaced (reduce until nothing changes),
+on every algebra file, the seeded random relation sets and the Brauer
+graph corpus, and it runs one word normal form per element it keeps.
 """
 
 import random
@@ -48,30 +48,34 @@ def ref_interreduce(gb, closure_added):
 
 def checked_complete(monkeypatch, rels, **kwargs):
     """complete(rels), with its inter-reduction compared to the reference
-    and its normal_form calls counted; returns (basis, inter-reductions)."""
-    real_interreduce, real_normal_form = groebner._interreduce, groebner.normal_form
+    and its word normal forms counted; returns (basis, [(entered, kept)])."""
+    real_interreduce, real_reduce = groebner._interreduce, groebner._reduce
     seen = []
 
-    def checked(gb, closure_added):
-        ref = ref_interreduce(gb, closure_added)
+    def checked(gb, elems, closure_added):
+        quiver, field = gb.quiver, gb.field
+        live = list(gb._first.values())
+        ref = ref_interreduce(GroebnerBasis(quiver, field, [
+            groebner._element(quiver, field, elems[i]) for i in live]), closure_added)
         calls = []
 
-        def counted(*args, **kw):
-            calls.append(args[0])
-            return real_normal_form(*args, **kw)
+        def counted(terms, *args, **kw):
+            calls.append(dict(terms))
+            return real_reduce(terms, *args, **kw)
 
         with monkeypatch.context() as m:
-            m.setattr(groebner, "normal_form", counted)
-            got = real_interreduce(gb, closure_added)
+            m.setattr(groebner, "_reduce", counted)
+            got = real_interreduce(gb, elems, closure_added)
         assert got.elements == ref.elements
         assert [format_element(g) for g in got.elements] == \
             [format_element(g) for g in ref.elements]
         assert (got.reduced, got.closure_added) == (True, closure_added)
         assert is_reduced(got)
-        # one normal form per kept element, each of an element of gb
-        assert len(calls) == len(got.elements)
-        assert all(any(f is g for g in gb.elements) for f in calls)
-        seen.append((len(gb.elements), len(got.elements)))
+        # one normal form per live element, each of a live element, and
+        # the until-stable reference drops none of them
+        assert len(calls) == len(live) == len(got.elements)
+        assert all(any(t == elems[i] for i in live) for t in calls)
+        seen.append((len(elems), len(live)))
         return got
 
     with monkeypatch.context() as m:
@@ -92,7 +96,7 @@ def test_fixture_files(monkeypatch, name):
 def test_random_relation_sets(monkeypatch):
     # the draws of test_baroracle.random_algebras, rejected ones included
     rng = random.Random(RANDOM_SEED)
-    kept = dropped = 0
+    kept = left = 0
     while kept < RANDOM_KEPT:
         field = Field((0, 2, 3)[kept % 3])
         quiver = random_quiver(rng)
@@ -105,9 +109,9 @@ def test_random_relation_sets(monkeypatch):
                                        quiver=quiver, field=field)
         except Incomplete:
             continue
-        dropped += seen[0][0] - seen[0][1]
-    # some completions adjoin an element whose tip an earlier tip divides
-    assert dropped > 0
+        left += seen[0][0] - seen[0][1]
+    # some completions push out an element whose tip a newer tip divides
+    assert left > 0
 
 
 def test_corpus_graphs(monkeypatch):
