@@ -63,7 +63,7 @@ from .exactla import (add_to, dense, kernel_basis, row_space, rows_of_columns, s
 
 class BarSlice:
     __slots__ = ("algebra", "c0_basis", "c1_basis", "_plus", "_par", "_pos", "_cols",
-                 "_at", "_loops", "_n", "_d0", "_steps", "_spaces", "_indexed")
+                 "_at", "_loops", "_n", "_d0", "_steps", "_spaces")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -88,7 +88,6 @@ class BarSlice:
         self._steps = [(j, algebra.arrows[algebra.steps[j][0]], algebra.steps[j][1])
                        for j in self._plus if basis[j].length > 1]
         self._spaces = None
-        self._indexed = {}
 
     @property
     def c2_basis(self):
@@ -251,16 +250,17 @@ def bracket_c1(u, v, sl):
     """[u, v] = u.pA.v - v.pA.u of arrow-coordinate cochains u, v (sparse
     or dense) on the arrows, as a sparse arrow-coordinate vector: the
     bracket of E u and E v restricted to the arrows, which for cocycles is
-    the cocycle [E u, E v] itself.  The extension of a cochain indexed in
-    ``sl._indexed`` (by ``bar_derived_series``, for the representatives it
-    brackets) is read there instead of being rebuilt."""
+    the cocycle [E u, E v] itself."""
+    u, v = sparse(u), sparse(v)
+    return _bracket(u, v, *sl._extensions([u, v]), sl)
+
+
+def _bracket(u, v, eu, ev, sl):
+    """bracket_c1 of sparse u, v whose ``_extensions`` are eu, ev."""
     field = sl.algebra.field
     at, cols, pos, neg = sl._at, sl._cols, sl._pos, field.neg
-    u, v = sparse(u), sparse(v)
     out = {}
-    for f, g, sign in ((u, v, None), (v, u, neg)):
-        got = sl._indexed.get(id(f))
-        values = got[1] if got else sl._extensions([f])[0]
+    for values, g, sign in ((eu, v, None), (ev, u, neg)):
         # f.pA.g sends the arrow a to the sum of c f(b) over the (a, b)
         # coordinates c of g; f(b) lives on paths parallel to a, so on
         # distinct columns
@@ -275,8 +275,8 @@ def bracket_c1(u, v, sl):
 
 def bar_derived_series(algebra, slice_=None):
     """Derived-series dims of Ker D1 / Im D0 under the cochain bracket.
-    Each step brackets the pairs of the term's representatives modulo
-    Im D0, whose extensions are indexed once per step in ``sl._indexed``."""
+    Each step extends the term's representatives modulo Im D0 once and
+    brackets them pairwise."""
     sl = slice_ or BarSlice(algebra)
     field = algebra.field
     k1, u0 = sl.spaces()
@@ -285,14 +285,12 @@ def bar_derived_series(algebra, slice_=None):
     if dim_l == 0:
         return dims
     while True:
-        # an entry holds its cochain, so its id names no other object
-        sl._indexed = {id(x): (x, values) for x, values in zip(reps, sl._extensions(reps))}
+        ext = sl._extensions(reps)
         # a zero bracket spans nothing, and most brackets are zero
-        gens = u0.basis + [b for i, x in enumerate(reps) for y in reps[i + 1:]
-                           if (b := bracket_c1(x, y, sl))]
+        gens = u0.basis + [b for i, x in enumerate(reps) for j in range(i + 1, len(reps))
+                           if (b := _bracket(x, reps[j], ext[i], ext[j], sl))]
         term = row_space(gens, field, sl._n)
         dims.append(term.dim - u0.dim)
         if dims[-1] == 0 or dims[-1] == dims[-2]:
-            sl._indexed = {}
             return dims
         reps = subspace_quotient(term, u0)[1]

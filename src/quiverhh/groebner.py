@@ -163,10 +163,11 @@ def _monic(terms, field):
     return tip, terms if c == field.one else {w: field.mul(c, x) for w, x in terms.items()}
 
 
-def _reduce(terms, basis, rng=None, skip=None):
-    """Reduce the word dict terms in place (see normal_form); False if no term was."""
-    hits = {w: list(basis._hits(w, skip)) for w in terms}
-    reducible = {w for w in terms if hits[w]}
+def _reduce(terms, basis, rng=None, skip=None, words=None):
+    """Reduce the word dict terms in place (see normal_form); False if no term
+    was.  words, if given, holds every term that a tip occurs in."""
+    hits = {w: list(basis._hits(w, skip)) for w in (terms if words is None else words)}
+    reducible = {w for w in hits if hits[w]}
     if not reducible:
         return False
     field, src, tips, rests = basis.field, basis.quiver.arrow_src, basis._tips, basis._rests
@@ -304,33 +305,46 @@ def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, fie
     of an overlap relation, made monic.  When an element enters, those
     whose tip its tip divides leave the tip index, their pairs are skipped
     and their normal forms re-enter (Buchberger's deletion criterion, which
-    also resolves Mora's inclusion obstructions).  An adjoined tip past
-    max_tip_length raises Incomplete carrying the partial basis;
-    closure_added counts adjoined elements, not re-entries.  The empty
-    basis (zero ideal) is fine; pass quiver and field explicitly then.
-    A generator mixing endpoints stands for its uniform parts.
+    also resolves Mora's inclusion obstructions), and every live tail its
+    tip occurs in is reduced.  Tips never change, so queued pairs stay
+    valid, and the live elements are a reduced basis at every step, read
+    off with no pass at the end.  An adjoined tip past max_tip_length
+    raises Incomplete carrying the partial basis; closure_added counts
+    adjoined elements, not re-entries.  The empty basis (zero ideal) is
+    fine; pass quiver and field explicitly then.  A generator mixing
+    endpoints stands for its uniform parts.
     """
     if generators:
         quiver, field = generators[0].quiver, generators[0].field
     generators = _validate_generators(generators)
     gb = GroebnerBasis(quiver, field, ())
     tips, rests, first = gb._tips, gb._rests, gb._first
-    elems = []  # elems[i]: the monic word dict of the i-th element to enter
     queue = deque()
+
+    def terms(i):  # the monic word dict of element i
+        return dict(rests[i] + [(tips[i], field.one)])
+
+    def occurs(tip, w):
+        m = len(tip)
+        return any(w[s:s + m] == tip for s in range(len(w) - m + 1))
 
     def enter(tip, h):
         # h: monic, of tip word tip, in normal form against the live elements
         pending = deque()
         while tip:
-            out = [i for w, i in first.items() if len(w) > len(tip)
-                   and any(w[s:s + len(tip)] == tip for s in range(len(w) - len(tip) + 1))]
+            out = [i for w, i in first.items() if occurs(tip, w)]
             for i in out:
                 del first[tips[i]]
             k = gb._index(tip, [(q, x) for q, x in h.items() if q is not tip])
-            elems.append(h)
             live = list(first.values())
             queue.extend([(i, k) for i in live] + [(k, i) for i in live[:-1]])
-            pending.extend(dict(elems[i]) for i in out)
+            for i in live[:-1]:
+                # no other live tip occurs in a live tail
+                words = [q for q, _ in rests[i] if occurs(tip, q)]
+                if words:
+                    _reduce(rest := dict(rests[i]), gb, words=words)
+                    rests[i] = list(rest.items())
+            pending.extend(terms(i) for i in out)
             tip = None
             while pending and not tip:
                 h = pending.popleft()
@@ -356,28 +370,13 @@ def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, fie
                 continue
             tip, h = _monic(h, field)
             if len(tip) > max_tip_length:
-                raise Incomplete([_element(quiver, field, elems[k]) for k in first.values()],
+                raise Incomplete([_element(quiver, field, terms(k)) for k in first.values()],
                                  _element(quiver, field, h), max_tip_length)
             enter(tip, h)
             closure_added += 1
-    return _interreduce(gb, elems, closure_added)
-
-
-def _interreduce(gb, elems, closure_added):
-    """The reduced basis, sorted by tip: each element still in gb's tip
-    index, elems[i] the word dict of element i, reduced once by the others.
-
-    No live tip divides another, since each element entered in normal form
-    and pushed out those whose tip its tip divides.  So the live elements
-    are a Groebner basis whose tails have unique normal forms.
-    """
-    quiver, field = gb.quiver, gb.field
-    out = []
-    for i in sorted(gb._first.values(), key=lambda i: _word_key(gb._tips[i])):
-        h = dict(elems[i])
-        _reduce(h, gb, skip=i)
-        out.append(_element(quiver, field, h))
-    return GroebnerBasis(quiver, field, out, reduced=True, closure_added=closure_added)
+    live = sorted(first.values(), key=lambda i: _word_key(tips[i]))
+    return GroebnerBasis(quiver, field, [_element(quiver, field, terms(i)) for i in live],
+                         reduced=True, closure_added=closure_added)
 
 
 def is_reduced(basis):

@@ -972,16 +972,23 @@ class TestDerivedSeriesOnRepresentatives:
     @pytest.mark.parametrize("name", ["golden/qplane_q.alg", "data/sampled_loops_gf3.alg",
                                       "golden/xy4_q.alg"])
     def test_one_bracket_call_per_pair_of_representatives(self, name, monkeypatch):
-        # step k brackets the dims[k] representatives of its term pairwise,
-        # each call reading the values indexed for the step
+        # step k extends the dims[k] representatives of its term in one
+        # _extensions call and brackets them pairwise with those values
         sl = BarSlice(file_algebra(name))
-        calls, real = [], bracket_c1
+        made, calls = [], []
+        real_bracket, real_extensions = baroracle._bracket, BarSlice._extensions
 
-        def counting(u, v, sl_):
-            calls.append(id(u) in sl_._indexed and id(v) in sl_._indexed)
-            return real(u, v, sl_)
+        def extensions(self, cochains):
+            made.append(real_extensions(self, cochains))
+            return made[-1]
 
-        monkeypatch.setattr(baroracle, "bracket_c1", counting)
+        def bracket(u, v, eu, ev, sl_):
+            calls.append(any(eu is e for e in made[-1]) and any(ev is e for e in made[-1]))
+            return real_bracket(u, v, eu, ev, sl_)
+
+        monkeypatch.setattr(BarSlice, "_extensions", extensions)
+        monkeypatch.setattr(baroracle, "_bracket", bracket)
         dims = bar_derived_series(sl.algebra, sl)
+        assert [len(ext) for ext in made] == dims[:-1]
         assert len(calls) == sum(m * (m - 1) // 2 for m in dims[:-1]) > 0
-        assert all(calls) and sl._indexed == {}
+        assert all(calls)

@@ -634,9 +634,10 @@ class TestMixedEndpoints:
         rels, parts, mixed = mixed_endpoint_relations(seed, char)
         if not rels:
             return
-        # completion still runs for minutes on a few of these inputs, such as
-        # (seed=349, char=3), where hundreds of elements pile up over GF(3);
-        # such an example fails the test here instead of hanging the suite
+        # completion ran for minutes on some of these inputs, such as
+        # (seed=349, char=3), where hundreds of unreduced elements piled up
+        # over GF(3) (see TestFormerlyHangingInputs); should one hang again,
+        # it fails the test here instead of stalling the suite
         with time_limit(20, Overran, " (seed=%d, char=%d)" % (seed, char)):
             try:
                 want = complete(parts, max_tip_length=12)
@@ -660,6 +661,20 @@ arrow a2: e1 -> e1
 rel -2*a2*a1^2 - a2^2 - a1*a2
 rel 2*a0*a2*a1 + 2*a0*a2
 rel -a2^3 - a1*a2*a1
+"""
+
+# The GF(3) file of that completion: hundreds of elements piled up while
+# tails were reduced only at the end; its relations are those of
+# (seed=349, char=3) above.
+PILING_GF3 = """field GF(3)
+vertex e0 e1
+arrow a0: e1 -> e1
+arrow a1: e1 -> e1
+arrow a2: e1 -> e1
+rel 2*a2*a0*a1 + a0^2
+rel 2*a1*a2*a0 + 2*a0*a2*a0 + a0^2*a1
+rel a2^3 + a0*a1*a2
+rel 2*a2*a1*a2 + a1^2 + a0*a1
 """
 
 
@@ -690,6 +705,24 @@ class TestFormerlyHangingInputs:
         with time_limit(5):
             gb = complete(parts, max_tip_length=12)
             assert_complete_basis(gb, rels, complete(parts[::-1], max_tip_length=12))
+
+    def test_mixed_endpoints_seed_349_char_3(self):
+        # about 4 s in this order and 12-17 s reversed (2-core VM, Python 3.11)
+        _, _, rels = parse_algebra(PILING_GF3)
+        with time_limit(60):
+            gb = complete(rels, max_tip_length=12)
+            assert_complete_basis(gb, rels, complete(rels[::-1], max_tip_length=12))
+        assert len(gb) == 103
+
+    def test_piling_gf3_file_through_the_cli(self, tmp_path):
+        path = tmp_path / "piling.alg"
+        path.write_text(PILING_GF3, encoding="utf-8")
+        out = io.StringIO()
+        with time_limit(20), redirect_stdout(out):
+            assert main(["gb", str(path)]) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[:2] == ["field: GF(3)", "size: 103"]
+        assert len(lines) == 3 + 2 * 103
 
 
 # -- reference implementation ----------------------------------------------

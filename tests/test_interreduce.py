@@ -1,17 +1,18 @@
-"""One-pass inter-reduction of the completed basis.
+"""The completed basis is the reduced one, with no pass at the end.
 
-``groebner._interreduce`` reduces each element still in the tip index of
-the completion once by the others.  It is checked against
-``ref_interreduce``, the loop it replaced (reduce until nothing changes),
-on every algebra file, the seeded random relation sets and the Brauer
-graph corpus, and it runs one word normal form per element it keeps.
+``groebner.complete`` reduces every live tail that a new tip occurs in as
+each element enters, so the live elements are a reduced basis at every
+step and the result is read off them.  The basis it returns must be a
+fixed point of ``ref_interreduce``, a loop that reduces each element by
+the others until nothing changes, on every algebra file, the seeded
+random relation sets and the Brauer graph corpus; so must the partial
+basis that ``Incomplete`` carries.
 """
 
 import random
 
 import pytest
 
-from quiverhh import groebner
 from quiverhh.brauer import DEFAULT_SEED, _relation_parts, _type1, corpus
 from quiverhh.cli import parse_algebra
 from quiverhh.exactla import Field
@@ -46,43 +47,46 @@ def ref_interreduce(gb, closure_added):
     return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
 
 
+def assert_fixed_point(quiver, field, elements):
+    """elements, sorted by tip, are a reduced set that the reference leaves
+    as it is, in its elements and in their text."""
+    gb = GroebnerBasis(quiver, field, elements)
+    ref = ref_interreduce(gb, 0)
+    assert ref.elements == elements
+    assert [format_element(g) for g in ref.elements] == [format_element(g) for g in elements]
+    assert is_reduced(gb)
+
+
 def checked_complete(monkeypatch, rels, **kwargs):
-    """complete(rels), with its inter-reduction compared to the reference
-    and its word normal forms counted; returns (basis, [(entered, kept)])."""
-    real_interreduce, real_reduce = groebner._interreduce, groebner._reduce
-    seen = []
+    """complete(rels), checked against the reference; returns (basis, the
+    number of elements that entered the tip index while it ran)."""
+    real_index, entered = GroebnerBasis._index, []
 
-    def checked(gb, elems, closure_added):
-        quiver, field = gb.quiver, gb.field
-        live = list(gb._first.values())
-        ref = ref_interreduce(GroebnerBasis(quiver, field, [
-            groebner._element(quiver, field, elems[i]) for i in live]), closure_added)
-        calls = []
-
-        def counted(terms, *args, **kw):
-            calls.append(dict(terms))
-            return real_reduce(terms, *args, **kw)
-
-        with monkeypatch.context() as m:
-            m.setattr(groebner, "_reduce", counted)
-            got = real_interreduce(gb, elems, closure_added)
-        assert got.elements == ref.elements
-        assert [format_element(g) for g in got.elements] == \
-            [format_element(g) for g in ref.elements]
-        assert (got.reduced, got.closure_added) == (True, closure_added)
-        assert is_reduced(got)
-        # one normal form per live element, each of a live element, and
-        # the until-stable reference drops none of them
-        assert len(calls) == len(live) == len(got.elements)
-        assert all(any(t == elems[i] for i in live) for t in calls)
-        seen.append((len(elems), len(live)))
-        return got
+    def counted(self, w, rest):
+        if not self.reduced:  # the working basis, not the one returned
+            entered.append(w)
+        return real_index(self, w, rest)
 
     with monkeypatch.context() as m:
-        m.setattr(groebner, "_interreduce", checked)
+        m.setattr(GroebnerBasis, "_index", counted)
         gb = complete(rels, **kwargs)
-    assert len(seen) == 1
-    return gb, seen
+    assert gb.reduced
+    assert_fixed_point(gb.quiver, gb.field, gb.elements)
+    return gb, len(entered)
+
+
+def random_relation_sets():
+    """(quiver, field, relations) of the draws of
+    test_baroracle.random_algebras, rejected ones included."""
+    rng = random.Random(RANDOM_SEED)
+    kept = 0
+    while kept < RANDOM_KEPT:
+        field = Field((0, 2, 3)[kept % 3])
+        quiver = random_quiver(rng)
+        rels = random_relations(rng, quiver, field)
+        if rels:
+            kept += 1
+            yield quiver, field, rels
 
 
 @pytest.mark.parametrize("name", ALG_FILES)
@@ -94,24 +98,30 @@ def test_fixture_files(monkeypatch, name):
 
 
 def test_random_relation_sets(monkeypatch):
-    # the draws of test_baroracle.random_algebras, rejected ones included
-    rng = random.Random(RANDOM_SEED)
-    kept = left = 0
-    while kept < RANDOM_KEPT:
-        field = Field((0, 2, 3)[kept % 3])
-        quiver = random_quiver(rng)
-        rels = random_relations(rng, quiver, field)
-        if not rels:
-            continue
-        kept += 1
+    left = 0
+    for quiver, field, rels in random_relation_sets():
         try:
-            _, seen = checked_complete(monkeypatch, rels, max_tip_length=8,
-                                       quiver=quiver, field=field)
+            gb, entered = checked_complete(monkeypatch, rels, max_tip_length=8,
+                                           quiver=quiver, field=field)
         except Incomplete:
             continue
-        left += seen[0][0] - seen[0][1]
+        left += entered - len(gb)
     # some completions push out an element whose tip a newer tip divides
     assert left > 0
+
+
+def test_partial_basis_is_reduced():
+    # at tip length 4, 7 of the sets hit the cap, and the partial basis of
+    # one of them has a tail that a completion reducing no tails leaves
+    capped = 0
+    for quiver, field, rels in random_relation_sets():
+        try:
+            complete(rels, max_tip_length=4, quiver=quiver, field=field)
+        except Incomplete as exc:
+            partial = sorted(exc.partial, key=lambda g: g.tip()[0].key)
+            assert_fixed_point(quiver, field, partial)
+            capped += 1
+    assert capped > 0
 
 
 def test_corpus_graphs(monkeypatch):
@@ -122,4 +132,3 @@ def test_corpus_graphs(monkeypatch):
             for graded in (False, True):
                 rels = _type1(quiver, field, pairs, graded) + r2 + r3
                 checked_complete(monkeypatch, rels, quiver=quiver, field=field)
-
