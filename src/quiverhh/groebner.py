@@ -17,11 +17,11 @@ its subwords, one per tip length and offset.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 
 from .exactla import add_to
-from .pathalg import FreeElement, Path, format_element, format_path, multiply
+from .pathalg import FreeElement, Path, format_element, format_path
 
 # the default caps, --max-tip-len and --max-basis on the command line
 DEFAULT_MAX_TIP_LENGTH = 50
@@ -165,33 +165,37 @@ def _monic(terms, field):
 
 def _reduce(terms, basis, rng=None, skip=None, words=None):
     """Reduce the word dict terms in place (see normal_form); False if no term
-    was.  words, if given, holds every term that a tip occurs in."""
+    was.  words, if given, holds every term that a tip occurs in.  The llex
+    keys of the reducible terms stay in one ascending list; a step pops one."""
     hits = {w: list(basis._hits(w, skip)) for w in (terms if words is None else words)}
-    reducible = {w for w in hits if hits[w]}
+    reducible = sorted(_word_key(w) for w in hits if hits[w])
     if not reducible:
         return False
     field, src, tips, rests = basis.field, basis.quiver.arrow_src, basis._tips, basis._rests
     while reducible:
         if rng is None:
-            w = max(reducible, key=_word_key)
+            w = reducible.pop()[1][::-1]
             # max offset = leftmost written; ties to the first element
             s, i = max(hits[w], key=lambda hit: (hit[0], -hit[1]))
         else:
-            w = rng.choice(sorted(reducible, key=_word_key))
+            w = reducible.pop(rng.randrange(len(reducible)))[1][::-1]
             s, i = rng.choice(sorted(hits[w]))
         # w = b*tip*c, so x*w rewrites to -x * b*(g - tip)*c (g is monic);
         # a trivial b*q*c is the trivial path at the tip's source
         head, tail = w[:s], w[s + len(tips[i]):]
         product = {head + q + tail or (~src[w[0]],): x for q, x in rests[i]}
         add_to(terms, product, field.neg(terms.pop(w)), field)
-        reducible.discard(w)
         for q in product:
             if q not in hits:
                 hits[q] = list(basis._hits(q, skip))
-            if hits[q] and q in terms:
-                reducible.add(q)
-            else:
-                reducible.discard(q)
+            if hits[q]:
+                key = _word_key(q)
+                k = bisect_left(reducible, key)
+                if k < len(reducible) and reducible[k] == key:
+                    if q not in terms:
+                        del reducible[k]
+                elif q in terms:
+                    reducible.insert(k, key)
     return True
 
 
@@ -205,7 +209,9 @@ def normal_form(f, basis, rng=None, skip=None):
     identical either way, which the property tests exercise.  Basis
     elements must be monic; ``skip`` leaves the element of that index out.
     A plain list of monic elements is indexed here first.  The rewriting
-    runs on f's word dict; f itself comes back when nothing reduces.
+    runs on f's word dict and keeps the reducible paths in one list in llex
+    order, kept sorted as terms come and go, so no step orders them again;
+    f itself comes back when nothing reduces.
     """
     if not isinstance(basis, GroebnerBasis):
         basis = GroebnerBasis(f.quiver, f.field, basis)
@@ -257,27 +263,6 @@ def _overlap_relation(rest_f, rest_g, b, c, field):
     and rest_g with Tip(f)*c = b*Tip(g) (traversal words b, c): tips cancel."""
     terms = {c + q: x for q, x in rest_f}
     return add_to(terms, {q + b: x for q, x in rest_g}, field.neg(field.one), field)
-
-
-def overlap_pairs(f, g):
-    """All (b, c) with Tip(f)*c = b*Tip(g), neither tip dividing b or c.
-
-    Only proper suffix-prefix matches of the written words can satisfy the
-    equation, so the divisibility conditions hold automatically.  The full
-    self-match (f is g, both factors trivial) is included; its overlap
-    relation is identically zero and reduces away.
-    """
-    tf, tg = f.tip()[0], g.tip()[0]
-    quiver = tf.quiver
-    return [(Path(quiver, b) if b else Path(quiver, (), base=tf.target),
-             Path(quiver, c) if c else Path(quiver, (), base=tg.source))
-            for b, c in _overlaps(tf.arrows, tg.arrows)]
-
-
-def overlap_relation(f, g, b, c):
-    """o(f,g,b,c) = CTip(f)^-1 f*c - CTip(g)^-1 b*g."""
-    return multiply(f.monic(), FreeElement.from_path(c, f.field)).sub(
-        multiply(FreeElement.from_path(b, f.field), g.monic()))
 
 
 def _validate_generators(generators):

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from itertools import accumulate
+from types import MappingProxyType
 
 from .exactla import (
     NotASubspace, add_to, combine, coset_coordinates, dense, kernel_basis, row_space,
     rows_of_columns, rref, sparse, subspace_quotient,
 )
 from .pathalg import Path, format_combination
+
+# the one zero image the derivation table shares among its entries
+_ZERO = MappingProxyType({})
 
 
 def ensure_uniform(gb):
@@ -119,15 +123,16 @@ class CochainSlice:
 
     def _image(self, k, j):
         """pi(D_k(basis[j])), sparse over B, kept in ``_images[k]`` under j
-        with the images of the prefixes of basis[j].  Do not mutate."""
+        with the images of the prefixes of basis[j]; every zero image is the
+        one read-only ``_ZERO``.  Do not mutate."""
         images, steps = self._images.setdefault(k, {}), self.algebra.steps
         chain = []
         while j not in images and steps[j]:
             chain.append(j)
             j = steps[j][1]
-        got = images.setdefault(j, {})  # a hit, or a trivial path: 0
+        got = images.setdefault(j, _ZERO)  # a hit, or a trivial path: 0
         for j in reversed(chain):
-            got = images[j] = self._derive(k, steps[j], got)
+            got = images[j] = self._derive(k, steps[j], got) or _ZERO
         return got
 
     def _derive(self, k, step, prev):

@@ -271,6 +271,14 @@ class TestDerivationTable:
     def test_missing_arrow_gives_zero(self):
         assert self.image(SHORT_WORDS, "x", ("y",), "y", "y") == {}
 
+    @pytest.mark.parametrize("name", ALG_FILES)
+    def test_zero_images_are_one_shared_image(self, name):
+        sl = CochainSlice(file_algebra(name))
+        lie_presentation(sl.algebra, sl)
+        zeros = [img for row in sl._images.values() for img in row.values() if not img]
+        assert zeros and all(img is ppcomplex._ZERO for img in zeros)
+        assert not ppcomplex._ZERO
+
 
 class TestUniformity:
     def test_nonuniform_basis_rejected(self):
