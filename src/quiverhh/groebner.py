@@ -77,9 +77,9 @@ class GroebnerBasis:
     When ``reduced`` is set the basis is the unique reduced one, closed
     under overlap reduction: tips are pairwise non-dividing and every tail
     is supported on NonTip.  ``_tips[i]`` is the tip word of element i and
-    ``_rests[i]`` its other terms parallel to the tip, as (word, coeff)
-    pairs.  ``_first`` maps a tip word to the first element with that tip,
-    and ``_lengths`` is the sorted set of tip lengths.
+    ``_rests[i]`` its other terms parallel to the tip, a word dict.  ``_first``
+    maps a tip word to the first element with that tip, and ``_lengths`` is
+    the sorted set of tip lengths.
     """
 
     __slots__ = ("quiver", "field", "elements", "reduced", "closure_added",
@@ -98,8 +98,8 @@ class GroebnerBasis:
         for g in elements:
             t, _ = g.tip()
             self.elements.append(g)
-            self._index(t.arrows, [(q.arrows, x) for q, x in g.terms.items()
-                                   if q is not t and q.parallel_to(t)])
+            self._index(t.arrows, {q.arrows: x for q, x in g.terms.items()
+                                   if q is not t and q.parallel_to(t)})
 
     def _index(self, w, rest):
         k = len(self._tips)
@@ -111,7 +111,7 @@ class GroebnerBasis:
         self._rests.append(rest)
         return k
 
-    def _hits(self, word, skip=None):
+    def _hits(self, word):
         """(traversal offset, element index) of every tip occurring in word,
         shortest tips first; a generator, so that any() stops at the first."""
         first, n = self._first, len(word)
@@ -120,14 +120,11 @@ class GroebnerBasis:
                 break
             for s in range(n - m + 1):
                 i = first.get(word[s:s + m])
-                if i is not None and i != skip:
+                if i is not None:
                     yield s, i
 
     def tips(self):
         return [Path(self.quiver, w) for w in self._tips]
-
-    def tip_words(self):
-        return list(self._tips)
 
     def tip_power(self, a):
         """The least m with a^m a tip, for arrow index a; None if none."""
@@ -157,17 +154,20 @@ def _element(quiver, field, terms):
 
 
 def _monic(terms, field):
-    """(tip word, terms scaled to a monic tip) of a nonzero word dict."""
+    """(tip word, terms scaled to a monic tip) of a nonzero word dict; terms
+    itself when its tip is monic already."""
     tip = max(terms, key=_word_key)
+    if terms[tip] == field.one:
+        return tip, terms
     c = field.inv(terms[tip])
-    return tip, terms if c == field.one else {w: field.mul(c, x) for w, x in terms.items()}
+    return tip, {w: field.mul(c, x) for w, x in terms.items()}
 
 
-def _reduce(terms, basis, rng=None, skip=None, words=None):
+def _reduce(terms, basis, rng=None, words=None):
     """Reduce the word dict terms in place (see normal_form); False if no term
     was.  words, if given, holds every term that a tip occurs in.  The llex
     keys of the reducible terms stay in one ascending list; a step pops one."""
-    hits = {w: list(basis._hits(w, skip)) for w in (terms if words is None else words)}
+    hits = {w: list(basis._hits(w)) for w in (terms if words is None else words)}
     reducible = sorted(_word_key(w) for w in hits if hits[w])
     if not reducible:
         return False
@@ -183,11 +183,11 @@ def _reduce(terms, basis, rng=None, skip=None, words=None):
         # w = b*tip*c, so x*w rewrites to -x * b*(g - tip)*c (g is monic);
         # a trivial b*q*c is the trivial path at the tip's source
         head, tail = w[:s], w[s + len(tips[i]):]
-        product = {head + q + tail or (~src[w[0]],): x for q, x in rests[i]}
+        product = {head + q + tail or (~src[w[0]],): x for q, x in rests[i].items()}
         add_to(terms, product, field.neg(terms.pop(w)), field)
         for q in product:
             if q not in hits:
-                hits[q] = list(basis._hits(q, skip))
+                hits[q] = list(basis._hits(q))
             if hits[q]:
                 key = _word_key(q)
                 k = bisect_left(reducible, key)
@@ -199,7 +199,7 @@ def _reduce(terms, basis, rng=None, skip=None, words=None):
     return True
 
 
-def normal_form(f, basis, rng=None, skip=None):
+def normal_form(f, basis, rng=None):
     """Remainder of f with no support path divisible by any basis tip.
 
     Deterministic by default: rewrite the llex-greatest reducible support
@@ -207,17 +207,16 @@ def normal_form(f, basis, rng=None, skip=None):
     matching basis element.  Pass an ``rng`` (random.Random) to randomize
     all three choices; confluence of a completed basis makes the result
     identical either way, which the property tests exercise.  Basis
-    elements must be monic; ``skip`` leaves the element of that index out.
-    A plain list of monic elements is indexed here first.  The rewriting
-    runs on f's word dict and keeps the reducible paths in one list in llex
-    order, kept sorted as terms come and go, so no step orders them again;
-    f itself comes back when nothing reduces.
+    elements must be monic.  A plain list of monic elements is indexed here
+    first.  The rewriting runs on f's word dict and keeps the reducible
+    paths in one list in llex order, kept sorted as terms come and go, so
+    no step orders them again; f itself comes back when nothing reduces.
     """
     if not isinstance(basis, GroebnerBasis):
         basis = GroebnerBasis(f.quiver, f.field, basis)
     paths = {p.arrows or (~p.base,): p for p in f.terms}
     terms = dict(zip(paths, f.terms.values()))
-    if not _reduce(terms, basis, rng, skip):
+    if not _reduce(terms, basis, rng):
         return f
     return FreeElement(f.quiver, f.field, {paths.get(w) or _path(f.quiver, w): x
                                            for w, x in terms.items()})
@@ -259,10 +258,10 @@ def _overlaps(tf, tg):
 
 
 def _overlap_relation(rest_f, rest_g, b, c, field):
-    """f*c - b*g as a word dict, for monic uniform f and g of rest pairs rest_f
+    """f*c - b*g as a word dict, for monic uniform f and g of tail dicts rest_f
     and rest_g with Tip(f)*c = b*Tip(g) (traversal words b, c): tips cancel."""
-    terms = {c + q: x for q, x in rest_f}
-    return add_to(terms, {q + b: x for q, x in rest_g}, field.neg(field.one), field)
+    terms = {c + q: x for q, x in rest_f.items()}
+    return add_to(terms, {q + b: x for q, x in rest_g.items()}, field.neg(field.one), field)
 
 
 def _validate_generators(generators):
@@ -285,13 +284,14 @@ def _validate_generators(generators):
 def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, field=None):
     """Overlap-closure completion to the unique reduced Groebner basis.
 
-    Runs on word dicts: inserts the generators in normal form, then drains
-    a FIFO queue of (i, j) index pairs, adjoining each nonzero normal form
-    of an overlap relation, made monic.  When an element enters, those
+    Runs on word dicts, and every element enters by one step, settle: it
+    is reduced against the live elements, made monic and entered; those
     whose tip its tip divides leave the tip index, their pairs are skipped
-    and their normal forms re-enter (Buchberger's deletion criterion, which
-    also resolves Mora's inclusion obstructions), and every live tail its
-    tip occurs in is reduced.  Tips never change, so queued pairs stay
+    and their normal forms settle in turn (Buchberger's deletion criterion,
+    which also resolves Mora's inclusion obstructions), and every live tail
+    its tip occurs in is reduced in place.  The generators settle, then a
+    FIFO queue of (i, j) index pairs drains, each overlap relation settling
+    as an adjoined element.  Tips never change, so queued pairs stay
     valid, and the live elements are a reduced basis at every step, read
     off with no pass at the end.  An adjoined tip past max_tip_length
     raises Incomplete carrying the partial basis; closure_added counts
@@ -305,43 +305,48 @@ def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, fie
     gb = GroebnerBasis(quiver, field, ())
     tips, rests, first = gb._tips, gb._rests, gb._first
     queue = deque()
+    closure_added = 0
 
     def terms(i):  # the monic word dict of element i
-        return dict(rests[i] + [(tips[i], field.one)])
+        return {**rests[i], tips[i]: field.one}
 
     def occurs(tip, w):
         m = len(tip)
         return any(w[s:s + m] == tip for s in range(len(w) - m + 1))
 
-    def enter(tip, h):
-        # h: monic, of tip word tip, in normal form against the live elements
-        pending = deque()
-        while tip:
+    def settle(h, cap=None):
+        # cap marks an adjoined overlap remainder: its tip is checked and
+        # it is counted; the re-entries it pushes out are neither
+        nonlocal closure_added
+        pending = deque([h])
+        while pending:
+            h = pending.popleft()
+            _reduce(h, gb)
+            if not h:
+                continue
+            tip, h = _monic(h, field)
+            if cap is not None:
+                if len(tip) > cap:
+                    raise Incomplete([_element(quiver, field, terms(k)) for k in first.values()],
+                                     _element(quiver, field, h), cap)
+                closure_added += 1
+                cap = None
             out = [i for w, i in first.items() if occurs(tip, w)]
             for i in out:
                 del first[tips[i]]
-            k = gb._index(tip, [(q, x) for q, x in h.items() if q is not tip])
+            del h[tip]
+            k = gb._index(tip, h)
             live = list(first.values())
             queue.extend([(i, k) for i in live] + [(k, i) for i in live[:-1]])
             for i in live[:-1]:
                 # no other live tip occurs in a live tail
-                words = [q for q, _ in rests[i] if occurs(tip, q)]
+                words = [q for q in rests[i] if occurs(tip, q)]
                 if words:
-                    _reduce(rest := dict(rests[i]), gb, words=words)
-                    rests[i] = list(rest.items())
+                    _reduce(rests[i], gb, words=words)
             pending.extend(terms(i) for i in out)
-            tip = None
-            while pending and not tip:
-                h = pending.popleft()
-                _reduce(h, gb)
-                if h:
-                    tip, h = _monic(h, field)
 
     for h in generators:
-        _reduce(h, gb)
-        if h:
-            enter(*_monic(h, field))
-    closure_added = 0
+        settle(h)
     while queue:
         i, j = queue.popleft()
         if not (rests[i] or rests[j]):
@@ -349,16 +354,7 @@ def complete(generators, max_tip_length=DEFAULT_MAX_TIP_LENGTH, quiver=None, fie
         for b, c in _overlaps(tips[i], tips[j]):
             if first.get(tips[i]) != i or first.get(tips[j]) != j:
                 break  # a pair of an element that left
-            h = _overlap_relation(rests[i], rests[j], b, c, field)
-            _reduce(h, gb)
-            if not h:
-                continue
-            tip, h = _monic(h, field)
-            if len(tip) > max_tip_length:
-                raise Incomplete([_element(quiver, field, terms(k)) for k in first.values()],
-                                 _element(quiver, field, h), max_tip_length)
-            enter(tip, h)
-            closure_added += 1
+            settle(_overlap_relation(rests[i], rests[j], b, c, field), max_tip_length)
     live = sorted(first.values(), key=lambda i: _word_key(tips[i]))
     return GroebnerBasis(quiver, field, [_element(quiver, field, terms(i)) for i in live],
                          reduced=True, closure_added=closure_added)
@@ -369,7 +365,7 @@ def is_reduced(basis):
     for i, (g, w) in enumerate(zip(basis.elements, basis._tips)):
         if g.tip()[1] != g.field.one:
             return False
-        if any(basis._hits(w, skip=i)):
+        if any(j != i for _, j in basis._hits(w)):
             return False
         if any(any(basis._hits(p.arrows)) for p in g.terms if p.arrows != w):
             return False

@@ -242,7 +242,7 @@ def ref_normal_form(f, basis, rng=None, skip=None):
     def hits(p):
         got = memo.get(p)
         if got is None:
-            got = memo[p] = list(basis._hits(p.arrows, skip))
+            got = memo[p] = [(s, i) for s, i in basis._hits(p.arrows) if i != skip]
         return got
 
     reducible = [p for p in f.terms if hits(p)]
@@ -398,8 +398,8 @@ def check_overlaps(elems):
         tf, tg = f.tip()[0], g.tip()[0]
         if all(q.parallel_to(tf) for q in f.terms) and all(q.parallel_to(tg) for q in g.terms):
             want = ref_overlap_relation(f, g, b, c, tf.source, tg.target)
-            got = _overlap_relation([(q.arrows, x) for q, x in f.terms.items() if q != tf],
-                                    [(q.arrows, x) for q, x in g.terms.items() if q != tg],
+            got = _overlap_relation({q.arrows: x for q, x in f.terms.items() if q != tf},
+                                    {q.arrows: x for q, x in g.terms.items() if q != tg},
                                     b, c, f.field)
             assert typed(got) == [(q.arrows, x, t) for q, x, t in typed(want.terms)], (f, g, b, c)
 

@@ -46,10 +46,10 @@ def traversal_names(quiver, w):
 
 
 def monic_rest(f):
-    """(tip word, rest pairs) of f made monic, as completion holds them."""
+    """(tip word, rest dict) of f made monic, as completion holds them."""
     f = f.monic()
     t = f.tip()[0]
-    return t.arrows, [(q.arrows, x) for q, x in f.terms.items() if q != t and q.parallel_to(t)]
+    return t.arrows, {q.arrows: x for q, x in f.terms.items() if q != t and q.parallel_to(t)}
 
 
 @pytest.fixture
@@ -365,9 +365,9 @@ def ref_complete(generators, max_tip_length, quiver, field):
                 raise Incomplete(gb.elements, h, max_tip_length)
             gb = GroebnerBasis(quiver, field, gb.elements + [h])
             added += 1
-    kept = GroebnerBasis(quiver, field, [g for i, g in enumerate(gb.elements)
-                                         if not any(gb._hits(gb._tips[i], skip=i))])
-    elems = [normal_form(g, kept, skip=i) for i, g in enumerate(kept.elements)]
+    kept = [g for i, g in enumerate(gb.elements)
+            if not any(j != i for _, j in gb._hits(gb._tips[i]))]
+    elems = [normal_form(g, kept[:i] + kept[i + 1:]) for i, g in enumerate(kept)]
     elems.sort(key=lambda g: g.tip()[0].key)
     return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=added)
 
@@ -879,13 +879,13 @@ def ref_overlap_relation(f, g, b, c):
 
 # The Uf-graph and its chain sets as they were before the basis became its
 # own tip index, kept as test-only references.  Tips are looked up in a dict
-# of gb.tip_words() here, so the reference shares no tip lookup with the
-# code under test.
+# of the words of gb.tips() here, so the reference shares no tip lookup with
+# the code under test.
 
 def _ref_tip_dict(basis):
     first = {}
-    for i, w in enumerate(basis.tip_words()):
-        first.setdefault(w, i)
+    for i, t in enumerate(basis.tips()):
+        first.setdefault(t.arrows, i)
     return first, sorted({len(w) for w in first})
 
 
@@ -1086,9 +1086,9 @@ class TestInfiniteDimension:
         assert format_path(exc.value.window) == window
         # the window is itself NonTip, and no tip is longer than d + 1
         d = exc.value.window.length
-        assert not any(_ref_contains_word(exc.value.window.arrows, t)
-                       for t in gb.tip_words())
-        assert all(len(t) <= d + 1 for t in gb.tip_words())
+        assert not any(_ref_contains_word(exc.value.window.arrows, t.arrows)
+                       for t in gb.tips())
+        assert all(t.length <= d + 1 for t in gb.tips())
         assert exc.value.reached < 100
 
     def test_pumped_path_stays_nontip(self):
@@ -1101,7 +1101,7 @@ class TestInfiniteDimension:
         # x*y written: the stretch between two copies of the window repeats
         for k in range(1, 6):
             word = w * k
-            assert not any(_ref_contains_word(word, t) for t in gb.tip_words())
+            assert not any(_ref_contains_word(word, t.arrows) for t in gb.tips())
 
     def test_cap_without_proof_keeps_no_window(self):
         gb = fixture_gb("trivial_ext_kronecker.alg")[1]

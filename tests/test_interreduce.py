@@ -32,16 +32,14 @@ def ref_interreduce(gb, closure_added):
     while changed:
         changed = False
         for i in range(len(elems)):
-            h = normal_form(elems[i], gb, skip=i)
+            h = normal_form(elems[i], elems[:i] + elems[i + 1:])
             if h.is_zero:
                 del elems[i]
-                gb = GroebnerBasis(quiver, field, elems)
                 changed = True
                 break
             h = h.monic()
             if h != elems[i]:
                 elems[i] = h
-                gb = GroebnerBasis(quiver, field, elems)
                 changed = True
     elems.sort(key=lambda g: g.tip()[0].key)
     return GroebnerBasis(quiver, field, elems, reduced=True, closure_added=closure_added)
